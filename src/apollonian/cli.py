@@ -70,9 +70,8 @@ class FrozenRegistry:
             if self.ci and name not in self.data:
                 self.mismatches.append(f"{name}: missing from registry in CI mode")
                 return value
-            if name not in self.data or self.freeze:
-                self.data[name] = {"value": value, "rtol": rtol, "atol": atol}
-                self.dirty = True
+            self.data[name] = {"value": value, "rtol": rtol, "atol": atol}
+            self.dirty = True
             return value
         ref = self.data[name]
         rv = ref["value"]
@@ -189,10 +188,19 @@ def cmd_gasket(args) -> int:
 def cmd_admissible(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    qs = [int(x) for x in args.q.split(",")]
-    results = {}
-    for q in qs:
-        results[str(q)] = sorted(congruence.admissible_classes(q, root))
+    try:
+        qs = [int(x) for x in args.q.split(",")]
+        if min(qs) < 1:
+            raise ValueError
+    except ValueError:
+        print(f"--q must be a comma-separated list of positive integers, "
+              f"got {args.q!r}", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        results = {str(q): sorted(congruence.admissible_classes(q, root)) for q in qs}
+    except orbit.CapExceededError as e:
+        print(e, file=sys.stderr)
+        return EXIT_RESOURCE
     emit_report("admissible", vars(args), results, args.out, args.format, t0)
     return EXIT_OK
 

@@ -1,9 +1,12 @@
 """Finite quotients of the Apollonian group, admissibility, and stabilizers.
 
-The quotient of Gamma modulo q is computed by breadth-first closure over
-the images of the free generators S1S2, S2S3, S3S4 and their inverses,
-with matrices canonically encoded as 16 bytes of entries in [0, q).  The
-order of the special orthogonal group of the Descartes form over F_p is
+One breadth-first closure engine serves every finite quotient in the
+package: the image of Gamma modulo q (4x4 matrices as 16 bytes of entries
+in [0, q)), the orbit of the root quadruple modulo q, and, in spectral, the
+image of the spin preimage in SL(2, Z[i]/(q)).  Each caller encodes an
+element as a fixed-width row and supplies a vectorised step giving all its
+generator images; the engine deduplicates rows by sorting their byte keys.
+The order of the special orthogonal group of the Descartes form over F_p is
 computed independently by orbit-stabilizer counting on spheres, giving an
 oracle for the structure of the quotients at primes away from 2 and 3.
 """
@@ -23,10 +26,38 @@ _GENS6 = np.array(core.GAMMA_GENERATORS + core.GAMMA_GENERATOR_INVERSES,
                   dtype=np.int64)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width void scalar per row, ordered as the row's bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
+def _bfs_closure(start: np.ndarray, step, cap: int) -> np.ndarray:
+    """Every row reachable from the (1, d) row start, sorted by its bytes.
+
+    step maps an (n, d) frontier to all of its generator images, in the
+    dtype of start.  Rows are deduplicated by sorting their byte keys, so
+    rows wider than a byte sort lexicographically only in a big-endian
+    dtype.  Raises CapExceededError once more than cap rows are reached.
+    """
+    seen = _row_keys(start)
+    frontier = start
+    while frontier.shape[0]:
+        images = step(frontier)
+        keys, first = np.unique(_row_keys(images), return_index=True)
+        pos = np.searchsorted(seen, keys)
+        new = seen[np.minimum(pos, seen.size - 1)] != keys
+        seen = np.insert(seen, pos[new], keys[new])
+        if seen.size > cap:
+            raise CapExceededError(f"closure exceeded cap {cap}")
+        frontier = images[first[new]]
+    return seen.view(start.dtype).reshape(-1, start.shape[1])
+
+
 @dataclass
 class QuotientClosure:
     q: int
-    elements: np.ndarray  # (n, 16) uint8, row-major entries in [0, q)
+    elements: np.ndarray  # (n, 16) uint8, row-major entries in [0, q), sorted
 
     @property
     def order(self) -> int:
@@ -35,11 +66,6 @@ class QuotientClosure:
     def element_set(self) -> set:
         buf = self.elements.tobytes()
         return {buf[16 * i: 16 * (i + 1)] for i in range(self.order)}
-
-
-def _keys(arr_flat_u8: np.ndarray) -> list:
-    buf = arr_flat_u8.tobytes()
-    return [buf[16 * i: 16 * (i + 1)] for i in range(arr_flat_u8.shape[0])]
 
 
 def quotient_closure(q: int, gens=None, cap: int = 100_000_000) -> QuotientClosure:
@@ -51,38 +77,16 @@ def quotient_closure(q: int, gens=None, cap: int = 100_000_000) -> QuotientClosu
     if gens is None:
         gmats = _GENS6 % q
     else:
-        gm = []
-        for g in gens:
-            ga = np.array(g, dtype=np.int64) % q
-            gm.append(ga)
-            gm.append(np.array(core.mat_inv(tuple(map(tuple, g))), dtype=object))
         # exact inverses may be rational only if det not unit; expect group input
-        gmats = np.array([np.array(x, dtype=np.int64) % q for x in gm], dtype=np.int64)
-    if q == 1:
-        return QuotientClosure(1, np.zeros((1, 16), dtype=np.uint8))
+        gm = [m for g in gens for m in (g, core.mat_inv(tuple(map(tuple, g))))]
+        gmats = np.array([np.array(m, dtype=object).astype(np.int64) for m in gm]) % q
 
-    ident = (np.eye(4, dtype=np.int64) % q).astype(np.uint8).reshape(1, 16)
-    seen = set(_keys(ident))
-    frontier = ident.reshape(1, 4, 4).astype(np.int64)
-    all_rows = [ident]
-    while frontier.shape[0]:
-        children = np.einsum("nij,gjk->ngik", frontier, gmats) % q
-        children = children.reshape(-1, 16).astype(np.uint8)
-        # in-batch dedup then set-diff against seen
-        children = np.unique(children, axis=0)
-        fresh_rows = []
-        for key, row in zip(_keys(children), children):
-            if key not in seen:
-                seen.add(key)
-                fresh_rows.append(row)
-        if not fresh_rows:
-            break
-        fresh = np.stack(fresh_rows)
-        all_rows.append(fresh)
-        if sum(a.shape[0] for a in all_rows) > cap:
-            raise CapExceededError(f"closure mod {q} exceeded cap {cap}")
-        frontier = fresh.reshape(-1, 4, 4).astype(np.int64)
-    return QuotientClosure(q, np.concatenate(all_rows))
+    def step(frontier):
+        mats = frontier.reshape(-1, 4, 4).astype(np.int64)
+        return (np.einsum("nij,gjk->ngik", mats, gmats) % q).reshape(-1, 16).astype(np.uint8)
+
+    ident = np.eye(4, dtype=np.uint8).reshape(1, 16) % q
+    return QuotientClosure(q, _bfs_closure(ident, step, cap))
 
 
 @lru_cache(maxsize=64)
@@ -198,29 +202,20 @@ def so_f_order_pairs(p: int) -> int:
 
 
 def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
-    """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array."""
+    """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array
+    with rows in lexicographic order."""
     if q < 1:
         raise ValueError("q >= 1")
-    if q == 1:
-        return np.zeros((1, 4), dtype=np.int64)
     gens = _GENS6 % q
-    start = tuple(int(x) % q for x in root)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        fr = np.array(frontier, dtype=np.int64)
-        imgs = np.einsum("gij,nj->gni", gens, fr) % q
-        for gset in imgs:
-            for row in gset:
-                t = tuple(int(x) for x in row)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if len(seen) > cap:
-            raise CapExceededError(f"vector orbit mod {q} exceeded cap")
-        frontier = nxt
-    return np.array(sorted(seen), dtype=np.int64)
+    # big-endian residues, so that byte order is lexicographic order
+    dtype = np.dtype(f">u{np.min_scalar_type(q - 1).itemsize}")
+
+    def step(frontier):
+        imgs = np.einsum("gij,nj->gni", gens, frontier.astype(np.int64)) % q
+        return imgs.reshape(-1, 4).astype(dtype)
+
+    start = (np.array(root, dtype=np.int64) % q).astype(dtype).reshape(1, 4)
+    return _bfs_closure(start, step, cap).astype(np.int64)
 
 
 @lru_cache(maxsize=256)

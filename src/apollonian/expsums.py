@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import congruence
-from .forms import ShiftedForm
+from .forms import ShiftedForm, _factorize
 from .orbit import Family
 
 
@@ -30,22 +30,6 @@ class UnsupportedModulusError(ValueError):
 
 class GridTooCoarseError(ValueError):
     pass
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def mobius(n: int) -> int:
@@ -288,7 +272,7 @@ def _slot_factor_table(root, p: int, kappa: int, slot: int) -> np.ndarray:
     table = np.ones(p ** kappa, dtype=float)
     for k in range(1, kappa + 1):
         pk = p ** k
-        orb = congruence.vector_orbit(root, pk)
+        orb = congruence._orbit_cached(root, pk)
         hist = np.bincount(orb[:, slot] % pk, minlength=pk).astype(float)
         ctab = np.array([ramanujan(pk, t) for t in range(pk)], dtype=float)
         # contribution(n) = sum_v hist[v] c_{p^k}(v - n) / |O|
@@ -320,7 +304,7 @@ def singular_series(n: int, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
 def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
                           depth: int = 1) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
-    primes = [p for p in range(2, prime_cutoff + 1) if len(_factorize(p)) == 1 and _factorize(p)[0][1] == 1]
+    primes = [p for p in range(2, prime_cutoff + 1) if _factorize(p) == [(p, 1)]]
     root = tuple(root)
     total = np.zeros(ns.shape, dtype=float)
     for slot in range(4):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -312,8 +313,12 @@ class NormBallTable:
     counts: np.ndarray
 
 
-def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4,
-                    _norms_cache={}) -> NormBallTable:
+@lru_cache(maxsize=1)
+def _gamma_norms(cap_sq: int) -> np.ndarray:
+    return enumerate_gamma(cap_sq)[0]
+
+
+def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTable:
     """Counts #{gamma in Gamma : ||gamma||_F < Y} for each Y.
 
     The walk prunes only beyond slack*max(Y): the Frobenius norm is not
@@ -322,12 +327,7 @@ def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4,
     ys = np.asarray(sorted(ys), dtype=float)
     if ys[-1] > y_cap:
         raise CapExceededError(f"Y={ys[-1]} exceeds cap {y_cap}")
-    cap_sq = int((slack * ys[-1]) ** 2) + 1
-    key = (cap_sq,)
-    if key not in _norms_cache:
-        _norms_cache.clear()
-        _norms_cache[key] = enumerate_gamma(cap_sq)[0]
-    norms = _norms_cache[key]
+    norms = _gamma_norms(int((slack * ys[-1]) ** 2) + 1)
     counts = np.searchsorted(norms, ys * ys, side="left")
     return NormBallTable(ys=ys, counts=counts.astype(np.int64))
 

@@ -8,7 +8,9 @@ Working generators (after the off-diagonal twist of the spin preimage):
 
 with the symmetric set S = {+-gamma_j^{+-1}}.  Quotients mod q live in
 SL(2, Z[i]/(q)); elements are encoded as eight residues (real/imag parts
-of the four entries), one byte each, so a matrix packs into a uint64 key.
+of the four entries), one byte each.  Closures come from the breadth-first
+engine in congruence, which returns the encoded rows in lexicographic
+order, so an element's index is found by binary search over its bytes.
 """
 
 from __future__ import annotations
@@ -19,19 +21,15 @@ from math import gcd
 
 import numpy as np
 
-from .core import GaussInt, gi, m2_mul, m2_neg, m2_inv_det1
+from .congruence import _bfs_closure, _row_keys
+from .core import SPIN_PREIMAGE_GENERATORS, GaussInt, gi, m2_mul, m2_neg, m2_inv_det1
 from .orbit import CapExceededError
 
 GAMMA1 = ((gi(1), gi(4)), (gi(0), gi(1)))
 GAMMA2 = ((gi(1), gi(0)), (gi(1), gi(1)))
 GAMMA3 = ((gi(1, 2), gi(4)), (gi(1), gi(1, -2)))
 
-# three generators of the spin preimage, and the conjugating data
-PREIMAGE_GENERATORS = (
-    ((gi(1), gi(0, 4)), (gi(0), gi(1))),
-    ((gi(-2), gi(0, 1)), (gi(0, 1), gi(0))),
-    ((gi(2, 2), gi(4, 3)), (gi(0, -1), gi(0, -2))),
-)
+# the conjugating data for the spin-preimage generators
 TWIST_A = ((gi(1), gi(0, 1)), (gi(0), gi(1)))
 
 
@@ -58,7 +56,7 @@ def generator_correspondence_check() -> dict:
     a_inv = m2_inv_det1(TWIST_A)
     report = {"matches": [], "all_match": True}
     targets = (GAMMA1, GAMMA2, GAMMA3)
-    for g, t in zip(PREIMAGE_GENERATORS, targets):
+    for g, t in zip(SPIN_PREIMAGE_GENERATORS, targets):
         conj = m2_mul(a_inv, m2_mul(g, TWIST_A))
         minus_i, plus_i = gi(0, -1), gi(0, 1)
         twisted = (
@@ -92,44 +90,39 @@ def _encode(mats, q: int) -> np.ndarray:
     return out
 
 
-def _keys_of(enc: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(enc).view(np.uint64).ravel()
-
-
-def _batch_mul(batch: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    """Multiply each encoded matrix in batch (n,8) on the right by g (8,)."""
-    b = batch.astype(np.int64)
-    ar, ai, br, bi, cr, ci, dr, di = (b[:, k] for k in range(8))
-    g = g.astype(np.int64)
-    er, ei, fr, fi, gr_, gi_, hr, hi = (int(g[k]) for k in range(8))
-    out = np.empty_like(b)
-    # row 1
-    out[:, 0] = ar * er - ai * ei + br * gr_ - bi * gi_
-    out[:, 1] = ar * ei + ai * er + br * gi_ + bi * gr_
-    out[:, 2] = ar * fr - ai * fi + br * hr - bi * hi
-    out[:, 3] = ar * fi + ai * fr + br * hi + bi * hr
-    # row 2
-    out[:, 4] = cr * er - ci * ei + dr * gr_ - di * gi_
-    out[:, 5] = cr * ei + ci * er + dr * gi_ + di * gr_
-    out[:, 6] = cr * fr - ci * fi + dr * hr - di * hi
-    out[:, 7] = cr * fi + ci * fr + dr * hi + di * hr
+def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Products x y mod q of encoded matrices; x and y are (..., 8) arrays
+    that broadcast against each other, so either may be a single (8,) row."""
+    ar, ai, br, bi, cr, ci, dr, di = np.moveaxis(np.asarray(x, dtype=np.int64), -1, 0)
+    er, ei, fr, fi, gr_, gi_, hr, hi = np.moveaxis(np.asarray(y, dtype=np.int64), -1, 0)
+    out = np.stack([
+        # row 1
+        ar * er - ai * ei + br * gr_ - bi * gi_,
+        ar * ei + ai * er + br * gi_ + bi * gr_,
+        ar * fr - ai * fi + br * hr - bi * hi,
+        ar * fi + ai * fr + br * hi + bi * hr,
+        # row 2
+        cr * er - ci * ei + dr * gr_ - di * gi_,
+        cr * ei + ci * er + dr * gi_ + di * gr_,
+        cr * fr - ci * fi + dr * hr - di * hi,
+        cr * fi + ci * fr + dr * hi + di * hr,
+    ], axis=-1)
     return (out % q).astype(np.uint8)
 
 
 @dataclass
 class Sl2Closure:
     q: int
-    elements: np.ndarray   # (n, 8) uint8, sorted by packed key
-    keys: np.ndarray       # (n,) uint64, sorted
+    elements: np.ndarray   # (n, 8) uint8, rows in lexicographic order
 
     @property
     def order(self) -> int:
         return self.elements.shape[0]
 
     def index_of(self, enc_rows: np.ndarray) -> np.ndarray:
-        k = _keys_of(enc_rows)
-        idx = np.searchsorted(self.keys, k)
-        if (idx >= self.keys.size).any() or (self.keys[idx] != k).any():
+        keys, k = _row_keys(self.elements), _row_keys(enc_rows)
+        idx = np.searchsorted(keys, k)
+        if (idx >= keys.size).any() or (keys[idx] != k).any():
             raise KeyError("element outside the closure")
         return idx
 
@@ -140,40 +133,10 @@ def closure_sl2(q: int, gens=None, cap: int = 50_000_000) -> Sl2Closure:
         raise ValueError("q >= 1")
     if q > 255:
         raise CapExceededError("modulus above byte range is past the supported cap")
-    if gens is None:
-        gens = S_BAR
-    if q == 1:
-        enc = np.zeros((1, 8), dtype=np.uint8)
-        return Sl2Closure(1, enc, _keys_of(enc))
-    genc = _encode(gens, q)
-    genc = np.unique(genc, axis=0)
+    genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
     ident = _encode([((gi(1), gi(0)), (gi(0), gi(1)))], q)
-    seen_keys = _keys_of(ident).copy()
-    rows = {int(seen_keys[0]): ident[0]}
-    frontier = ident
-    while frontier.shape[0]:
-        fresh = {}
-        for g in genc:
-            prod = _batch_mul(frontier, g, q)
-            keys = _keys_of(prod)
-            pos = np.searchsorted(seen_keys, keys)
-            pos = np.clip(pos, 0, seen_keys.size - 1)
-            new = seen_keys[pos] != keys
-            for k, row in zip(keys[new].tolist(), prod[new]):
-                if k not in fresh:
-                    fresh[k] = row
-        if not fresh:
-            break
-        rows.update(fresh)
-        if len(rows) > cap:
-            raise CapExceededError(f"closure mod {q} exceeded cap {cap}")
-        frontier = np.stack(list(fresh.values()))
-        seen_keys = np.sort(np.concatenate([seen_keys,
-                                            np.fromiter(fresh.keys(), dtype=np.uint64)]))
-    keys = np.fromiter(rows.keys(), dtype=np.uint64)
-    order = np.argsort(keys)
-    elements = np.stack(list(rows.values()))[order]
-    return Sl2Closure(q, elements, keys[order])
+    elements = _bfs_closure(ident, lambda f: np.concatenate([_gmul(f, g, q) for g in genc]), cap)
+    return Sl2Closure(q, elements)
 
 
 @lru_cache(maxsize=32)
@@ -211,8 +174,7 @@ def _right_mult_perms(G: Sl2Closure, subgroup: Sl2Closure) -> np.ndarray:
     """perms[h][i] = index of (element_i * h) for each h in the subgroup."""
     out = np.empty((subgroup.order, G.order), dtype=np.int64)
     for k in range(subgroup.order):
-        prod = _batch_mul(G.elements, subgroup.elements[k].astype(np.int64), G.q)
-        out[k] = G.index_of(prod)
+        out[k] = G.index_of(_gmul(G.elements, subgroup.elements[k], G.q))
     return out
 
 
@@ -449,28 +411,8 @@ def _left_mult_perms(G: Sl2Closure, s_mats, q: int) -> np.ndarray:
     enc = np.unique(_encode(s_mats, q), axis=0)
     out = np.empty((enc.shape[0], G.order), dtype=np.int64)
     for k in range(enc.shape[0]):
-        # left multiplication: s * g for every g; compute as batch of g with
-        # row-operation: use _batch_mul on transposed problem via (s*g) =
-        # ((g^t s^t)^t): simpler to multiply directly
-        prod = _lbatch(enc[k].astype(np.int64), G.elements, q)
-        out[k] = G.index_of(prod)
+        out[k] = G.index_of(_gmul(enc[k], G.elements, q))
     return out
-
-
-def _lbatch(g: np.ndarray, batch: np.ndarray, q: int) -> np.ndarray:
-    b = batch.astype(np.int64)
-    er, ei, fr, fi, gr_, gi_, hr, hi = (int(g[k]) for k in range(8))
-    ar, ai, br, bi, cr, ci, dr, di = (b[:, k] for k in range(8))
-    out = np.empty_like(b)
-    out[:, 0] = er * ar - ei * ai + fr * cr - fi * ci
-    out[:, 1] = er * ai + ei * ar + fr * ci + fi * cr
-    out[:, 2] = er * br - ei * bi + fr * dr - fi * di
-    out[:, 3] = er * bi + ei * br + fr * di + fi * dr
-    out[:, 4] = gr_ * ar - gi_ * ai + hr * cr - hi * ci
-    out[:, 5] = gr_ * ai + gi_ * ar + hr * ci + hi * cr
-    out[:, 6] = gr_ * br - gi_ * bi + hr * dr - hi * di
-    out[:, 7] = gr_ * bi + gi_ * br + hr * di + hi * dr
-    return (out % q).astype(np.uint8)
 
 
 def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,

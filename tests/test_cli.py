@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from apollonian import cli, orbit
+from apollonian import cli, congruence, orbit
 from apollonian.cli import FrozenMismatch, FrozenRegistry
 
 
@@ -37,6 +37,20 @@ def test_admissible_command(tmp_path, capsys):
     assert rep["results"]["24"] == [0, 4, 12, 13, 16, 21]
     assert rep["results"]["1"] == [0]
     assert rep["results"]["2"] == [0, 1]
+
+
+def test_admissible_exit_codes(monkeypatch, capsys):
+    for bad in ("0", "x", "24,-3"):
+        assert run(["admissible", "--q", bad]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and bad in err
+
+    def over_cap(q, root):
+        raise orbit.CapExceededError("closure exceeded cap")
+
+    monkeypatch.setattr(congruence, "admissible_classes", over_cap)
+    assert run(["admissible", "--q", "24"]) == 3
+    assert capsys.readouterr().err.strip() == "closure exceeded cap"
 
 
 def test_expsum_command(capsys):

@@ -3,9 +3,64 @@ import pytest
 
 from apollonian import congruence as cg
 from apollonian import core
+from apollonian import spectral as sp
 from apollonian.orbit import CapExceededError
 
 ROOT = (-11, 21, 24, 28)
+GENS6 = core.GAMMA_GENERATORS + core.GAMMA_GENERATOR_INVERSES
+
+
+def reference_closure(start, images):
+    """Plain breadth-first closure over a Python set of tuples."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in images(x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def test_quotient_closure_matches_reference():
+    for q in range(1, 7):
+        def images(x):
+            m = np.array(x, dtype=np.int64).reshape(4, 4)
+            return [tuple((m @ np.array(g) % q).ravel().tolist()) for g in GENS6]
+        ref = reference_closure(tuple(np.eye(4, dtype=int).ravel() % q), images)
+        assert cg.quotient_closure(q).elements.tolist() == sorted(map(list, ref)), q
+
+
+def test_closure_sl2_matches_reference():
+    def encode(m, q):
+        return tuple(x % q for row in m for e in row for x in (e.re, e.im))
+
+    def decode(t):
+        e = [core.gi(t[k], t[k + 1]) for k in range(0, 8, 2)]
+        return ((e[0], e[1]), (e[2], e[3]))
+
+    for q in range(1, 6):
+        for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
+            def images(x):
+                return [encode(core.m2_mul(decode(x), g), q) for g in gens]
+            ref = reference_closure((1 % q, 0, 0, 0, 0, 0, 1 % q, 0), images)
+            got = sp.closure_sl2(q, gens).elements.tolist()
+            assert got == sorted(map(list, ref)), q
+
+
+def test_vector_orbit_matches_reference():
+    # q = 300 needs residues wider than a byte; rows stay in lexicographic order
+    for q in (1, 8, 24, 25, 300):
+        def images(v):
+            a, b, c, d = v
+            return [tuple((r0 * a + r1 * b + r2 * c + r3 * d) % q for r0, r1, r2, r3 in g)
+                    for g in GENS6]
+        ref = reference_closure(tuple(x % q for x in ROOT), images)
+        orb = cg.vector_orbit(ROOT, q)
+        assert orb.dtype == np.int64
+        assert orb.tolist() == sorted(map(list, ref)), q
 
 
 def test_trivial_and_small_orders():
@@ -125,3 +180,9 @@ def test_caps():
         cg.quotient_closure(7, cap=100)
     with pytest.raises(CapExceededError):
         cg.quotient_closure(300)
+    with pytest.raises(CapExceededError):
+        sp.closure_sl2(7, cap=100)
+    with pytest.raises(CapExceededError):
+        sp.closure_sl2(300)
+    with pytest.raises(CapExceededError):
+        cg.vector_orbit(ROOT, 49, cap=100)

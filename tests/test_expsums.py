@@ -212,6 +212,22 @@ def test_singular_series_pfactor_trend():
     assert worst < 4.0
 
 
+def test_singular_series_computes_each_orbit_once(monkeypatch):
+    calls = []
+    real = cg.vector_orbit
+
+    def counted(root, q):
+        calls.append(q)
+        return real(root, q)
+
+    monkeypatch.setattr(cg, "vector_orbit", counted)
+    cg._orbit_cached.cache_clear()
+    es._slot_factor_cached.cache_clear()
+    es.singular_series_sweep([96, 97], ROOT, prime_cutoff=7, depth=2)
+    # moduli 2, 4, 8, 3, 5, 25, 7, 49, shared by the four coordinate slots
+    assert sorted(calls) == [2, 3, 4, 5, 7, 8, 25, 49]
+
+
 def test_hat_functions():
     assert es.hat_t_fourier(np.array([0.0]))[0] == 1.0
     v = float(es.hat_t_fourier(np.array([0.5]))[0])
