@@ -18,14 +18,14 @@ print("admissible classes mod 24:", sorted(adm))
 
 n_max = 10**6
 cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True)
-rep = orbit.census(root, n_max, adm, curvatures=cs)
+rep = orbit.census(cs, adm)
 print(f"N = {n_max}: {rep.curvature_count} curvatures "
       f"of {rep.admissible_count} admissible integers "
       f"({rep.exceptions.size} exceptions, density {rep.density:.4f})")
 
 print("exception density per dyadic block:")
-for k, c in rep.dyadic_exceptions:
-    print(f"  [2^{k:2d}, 2^{k+1:2d}): {c:5d}  ({c / 2**k:.4f})")
+for k, c, length in rep.dyadic_exceptions:
+    print(f"  [2^{k:2d}, 2^{k+1:2d}): {c:5d}  ({c / length:.4f})")
 
 # every set bit is certified by a word of reflections from the root
 n = int(cs.values()[len(cs.values()) // 2])

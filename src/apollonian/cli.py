@@ -32,6 +32,9 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_ROOT = (-11, 21, 24, 28)
+GASKET_DEFAULT_LIMIT = 10**8
+# `gasket` at the default limit with one thread, measured on a 2-CPU machine
+GASKET_DEFAULT_COST = "about 95 s and 0.96 GB peak RSS on a 2-CPU machine"
 
 
 def _default_registry_path() -> Path:
@@ -141,33 +144,37 @@ def emit_report(command: str, config: dict, results: dict, out=None,
 def _parse_root(s: str):
     try:
         parts = tuple(int(x) for x in s.split(","))
+        if len(parts) == 4:
+            return parts
     except ValueError:
-        raise SystemExit(EXIT_INPUT)
-    if len(parts) != 4:
-        print("root must be a,b,c,d", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-    return parts
+        pass
+    raise ValueError(f"--root must be four integers a,b,c,d, got {s!r}")
+
+
+def _parse_qs(s: str):
+    try:
+        qs = [int(x) for x in s.split(",")]
+        if min(qs) >= 1:
+            return qs
+    except ValueError:
+        pass
+    raise ValueError(f"--q must be a comma-separated list of positive integers, got {s!r}")
 
 
 def cmd_gasket(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
     if core.descartes_form(root) != 0:
-        print(f"root {root} violates the Descartes relation", file=sys.stderr)
-        return EXIT_INPUT
-    if args.limit > 2 * 10**9:
-        print(f"warning: limit {args.limit} needs about "
-              f"{args.limit / 1e9:.0f} GB of scratch memory", file=sys.stderr)
-    try:
-        adm = congruence.admissible_classes(24, root)
-        cs = orbit.enumerate_curvatures(root, args.limit, threads=args.threads)
-        rep = orbit.census(root, args.limit, adm, curvatures=cs)
-    except orbit.CapExceededError as e:
-        print(e, file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"root {root} violates the Descartes relation")
+    if args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    if args.limit > GASKET_DEFAULT_LIMIT:
+        print(f"warning: --limit {args.limit} is above the default 1e8, which "
+              f"takes {GASKET_DEFAULT_COST}; time and memory grow about "
+              f"linearly with the limit", file=sys.stderr)
+    adm = congruence.admissible_classes(24, root)
+    cs = orbit.enumerate_curvatures(root, args.limit, threads=args.threads)
+    rep = orbit.census(cs, adm)
     if args.snapshot:
         cs.save(args.snapshot)
     results = {
@@ -188,19 +195,8 @@ def cmd_gasket(args) -> int:
 def cmd_admissible(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    try:
-        qs = [int(x) for x in args.q.split(",")]
-        if min(qs) < 1:
-            raise ValueError
-    except ValueError:
-        print(f"--q must be a comma-separated list of positive integers, "
-              f"got {args.q!r}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        results = {str(q): sorted(congruence.admissible_classes(q, root)) for q in qs}
-    except orbit.CapExceededError as e:
-        print(e, file=sys.stderr)
-        return EXIT_RESOURCE
+    qs = _parse_qs(args.q)
+    results = {str(q): sorted(congruence.admissible_classes(q, root)) for q in qs}
     emit_report("admissible", vars(args), results, args.out, args.format, t0)
     return EXIT_OK
 
@@ -208,11 +204,7 @@ def cmd_admissible(args) -> int:
 def cmd_delta_fit(args) -> int:
     t0 = time.time()
     ys = np.geomspace(args.ymin, args.ymax, args.points)
-    try:
-        table = orbit.norm_ball_count(ys)
-    except orbit.CapExceededError as e:
-        print(e, file=sys.stderr)
-        return EXIT_RESOURCE
+    table = orbit.norm_ball_count(ys)
     delta = orbit.fit_delta(table)
     results = {
         "delta": delta,
@@ -251,30 +243,25 @@ def cmd_singular(args) -> int:
 
 def cmd_spectral(args) -> int:
     t0 = time.time()
-    qs = [int(x) for x in args.q.split(",")]
     results = {}
-    try:
-        for q in qs:
-            entry = {}
-            spec = spectral.markov_spectrum(q, seed=args.seed)
-            entry["group_order"] = spec.group_order
-            entry["s_size"] = spec.s_size
-            entry["eigenvalues"] = list(spec.eigenvalues)
-            if args.check == "transference":
-                rep = spectral.transference_check(q)
-                entry["transference"] = {
-                    "k": rep.k_alt, "lhs": rep.lhs, "rhs": rep.rhs,
-                    "holds": rep.holds,
-                }
-                entry["status"] = "PASS" if rep.holds else "FAIL"
-            if args.check == "alternation":
-                k, sizes = spectral.alternation_length(q)
-                entry["alternation_k"] = k
-                entry["set_sizes"] = sizes
-            results[str(q)] = entry
-    except orbit.CapExceededError as e:
-        print(e, file=sys.stderr)
-        return EXIT_RESOURCE
+    for q in _parse_qs(args.q):
+        entry = {}
+        spec = spectral.markov_spectrum(q, seed=args.seed)
+        entry["group_order"] = spec.group_order
+        entry["s_size"] = spec.s_size
+        entry["eigenvalues"] = list(spec.eigenvalues)
+        if args.check == "transference":
+            rep = spectral.transference_check(q)
+            entry["transference"] = {
+                "k": rep.k_alt, "lhs": rep.lhs, "rhs": rep.rhs,
+                "holds": rep.holds,
+            }
+            entry["status"] = "PASS" if rep.holds else "FAIL"
+        if args.check == "alternation":
+            k, sizes = spectral.alternation_length(q)
+            entry["alternation_k"] = k
+            entry["set_sizes"] = sizes
+        results[str(q)] = entry
     emit_report("spectral", vars(args), results, args.out, args.format, t0)
     if args.check == "transference" and not all(
             v.get("transference", {}).get("holds", True) for v in results.values()):
@@ -285,19 +272,10 @@ def cmd_spectral(args) -> int:
 def cmd_circle(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    try:
-        fam = orbit.build_family(root, args.t1, args.t2)
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INPUT
+    fam = orbit.build_family(root, args.t1, args.t2)
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
     n_scale = fam.t * args.x * args.x
-    try:
-        dec = expsums.major_arc_decomposition(rep, n_scale, args.q0cap, args.k0,
-                                              args.grid)
-    except expsums.GridTooCoarseError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INPUT
+    dec = expsums.major_arc_decomposition(rep, n_scale, args.q0cap, args.k0, args.grid)
     resid = float(np.abs(dec.major + dec.error - dec.folded).max())
     minor = expsums.minor_arc_report(rep, n_scale, args.q0cap, args.k0,
                                      min(args.grid, 1 << 12), args.x * fam.t)
@@ -484,25 +462,21 @@ def cmd_render(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
     if core.descartes_form(root) != 0:
-        print("root violates the Descartes relation", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        svg = render_svg(root, args.depth)
-    except ValueError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"root {root} violates the Descartes relation")
+    svg = render_svg(root, args.depth)
     out = args.out or "gasket.svg"
     Path(out).write_text(svg)
     print(f"wrote {out} ({time.time() - t0:.2f}s)")
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--root", default="-11,21,24,28")
+def _add_common(p, root=False, seed=False):
+    if root:
+        p.add_argument("--root", default="-11,21,24,28")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None) -> int:
@@ -511,14 +485,15 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gasket", help="curvature census up to a bound")
-    _add_common(p)
-    p.add_argument("--limit", type=int, default=10**8,
-                   help="bound N (default 1e8, about a minute; 1e10 supported)")
+    _add_common(p, root=True)
+    p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
+                   help=f"bound N (default 1e8: {GASKET_DEFAULT_COST})")
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--snapshot", default=None, help="write the bitset file")
     p.set_defaults(func=cmd_gasket)
 
     p = sub.add_parser("admissible", help="admissible residue classes")
-    _add_common(p)
+    _add_common(p, root=True)
     p.add_argument("--q", default="24")
     p.set_defaults(func=cmd_admissible)
 
@@ -539,21 +514,21 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_expsum)
 
     p = sub.add_parser("singular", help="singular series value")
-    _add_common(p)
+    _add_common(p, root=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pcut", type=int, default=13)
     p.add_argument("--depth", type=int, default=1)
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("spectral", help="quotient spectra and transference")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--q", default="2,3,4")
     p.add_argument("--check", choices=("spectrum", "transference", "alternation"),
                    default="spectrum")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("circle", help="toy circle-method decomposition")
-    _add_common(p)
+    _add_common(p, root=True)
     p.add_argument("--t1", type=int, default=8)
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32)
@@ -564,7 +539,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--modules", default=None)
     p.add_argument("--registry", default=None)
     p.add_argument("--freeze", action="store_true")
@@ -572,7 +547,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="SVG of the gasket")
-    _add_common(p)
+    _add_common(p, root=True)
     p.add_argument("--depth", type=int, default=4)
     p.set_defaults(func=cmd_render)
 
@@ -582,8 +557,9 @@ def main(argv=None) -> int:
     except orbit.CapExceededError as e:
         print(e, file=sys.stderr)
         return EXIT_RESOURCE
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else EXIT_INPUT
+    except ValueError as e:  # bad input found below the argument parser
+        print(e, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -305,6 +305,8 @@ def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
                           depth: int = 1) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     primes = [p for p in range(2, prime_cutoff + 1) if _factorize(p) == [(p, 1)]]
+    if not primes:
+        raise ValueError(f"no prime is at most the cutoff {prime_cutoff}")
     root = tuple(root)
     total = np.zeros(ns.shape, dtype=float)
     for slot in range(4):

@@ -6,7 +6,9 @@ children of a quadruple are the three (four at the root) swap reflections
 that do not undo the parent, and a child is pruned once its fresh entry
 exceeds the bound N.  This is valid because the fresh entry strictly
 increases along reduced words from the root.  The walk is vectorized over
-numpy blocks; the result is a bitset with set semantics.
+numpy blocks, one walk per thread below the root's children; the result is
+a bitset with set semantics, whatever the thread count or block size.  The
+census reads its counts off one boolean view of that bitset.
 """
 
 from __future__ import annotations
@@ -109,12 +111,18 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                          block_size: int = 1 << 20, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    Deterministic regardless of traversal order or thread count (set
-    semantics; bitsets merge by OR).
+    The root's children are dealt round-robin to min(threads, children)
+    walks, whose bitsets OR-merge in part order.  The bits do not depend on
+    threads or block_size; the witnesses (first quadruple seen per
+    curvature) follow the traversal, so they are fixed only for a fixed
+    thread count, and at threads=1 they are those of one depth-first walk.
     """
     root = _validate_root(root)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
         return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool))
+    from concurrent.futures import ThreadPoolExecutor
 
     mask = np.zeros(n_max + 1, dtype=bool)
     wit = np.zeros((n_max + 1, 4), dtype=np.int64) if record_witnesses else None
@@ -124,46 +132,19 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
             mask[x] = True
             if wit is not None:
                 wit[x] = rr
+    q, l = _children_block(rr[None, :], np.array([-1], dtype=np.int8), n_max)
+    _mark(q, l, mask, wit)
 
-    if threads > 1:
-        # split the root's children across workers; OR-merge is associative
-        import concurrent.futures
-        seeds = _children_block(rr[None, :], np.array([-1], dtype=np.int8), n_max)
-        parts = [[] for _ in range(threads)]
-        for k in range(seeds[0].shape[0]):
-            parts[k % threads].append((seeds[0][k], seeds[1][k]))
-        results = []
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = []
-            for part in parts:
-                if not part:
-                    continue
-                q = np.stack([p[0] for p in part])
-                l = np.array([p[1] for p in part], dtype=np.int8)
-                futs.append(ex.submit(_walk, q, l, n_max, record_witnesses, block_size))
-            for f in futs:
-                results.append(f.result())
-        for m2, w2 in results:
-            if wit is not None:
-                fresh = (~mask) & m2
-                wit[fresh] = w2[fresh]
-            mask |= m2
-        # seed quadruples' fresh entries
-        q, l = seeds
-        fresh_vals = q[np.arange(q.shape[0]), l.astype(np.int64)]
-        for k, v in enumerate(fresh_vals):
-            if 1 <= v <= n_max:
-                if wit is not None and not mask[v]:
-                    wit[v] = q[k]
-                mask[v] = True
-        return CurvatureSet.from_bool(n_max, mask, wit)
-
-    m2, w2 = _walk(rr[None, :], np.array([-1], dtype=np.int8), n_max,
-                   record_witnesses, block_size)
-    if wit is not None:
-        fresh = (~mask) & m2
-        wit[fresh] = w2[fresh]
-    mask |= m2
+    parts = min(threads, q.shape[0])
+    with ThreadPoolExecutor(max_workers=max(parts, 1)) as ex:
+        walks = list(ex.map(lambda k: _walk(q[k::parts], l[k::parts], n_max,
+                                            record_witnesses, block_size),
+                            range(parts)))
+    for m2, w2 in walks:
+        if wit is not None:
+            fresh = (~mask) & m2
+            wit[fresh] = w2[fresh]
+        mask |= m2
     return CurvatureSet.from_bool(n_max, mask, wit)
 
 
@@ -187,7 +168,19 @@ def _children_block(quads, last, n_max):
     return np.concatenate(outs), np.concatenate(outl)
 
 
+def _mark(quads, last, mask, wit):
+    """Set the bits of the fresh entries; record the first quadruple for new bits."""
+    fresh = quads[np.arange(quads.shape[0]), last.astype(np.int64)]
+    if wit is not None:
+        new_bits = ~mask[fresh]
+        if new_bits.any():
+            vals, first = np.unique(fresh[new_bits], return_index=True)
+            wit[vals] = quads[new_bits][first]
+    mask[fresh] = True
+
+
 def _walk(quads, last, n_max, record_witnesses, block_size):
+    """Depth-first walk below the given quadruples, which are not marked."""
     mask = np.zeros(n_max + 1, dtype=bool)
     wit = np.zeros((n_max + 1, 4), dtype=np.int64) if record_witnesses else None
     stack = [(quads, last)]
@@ -199,13 +192,7 @@ def _walk(quads, last, n_max, record_witnesses, block_size):
         cq, cl = _children_block(q, l, n_max)
         if cq.shape[0] == 0:
             continue
-        fresh = cq[np.arange(cq.shape[0]), cl.astype(np.int64)]
-        if wit is not None:
-            new_bits = ~mask[fresh]
-            if new_bits.any():
-                vals, first = np.unique(fresh[new_bits], return_index=True)
-                wit[vals] = cq[new_bits][first]
-        mask[fresh] = True
+        _mark(cq, cl, mask, wit)
         stack.append((cq, cl))
     return mask, wit
 
@@ -217,36 +204,38 @@ class CensusReport:
     curvature_count: int
     admissible_count: int
     exceptions: np.ndarray        # admissible integers missing from the set
-    dyadic_exceptions: list       # (k, count of exceptions in [2^k, 2^(k+1)))
+    dyadic_exceptions: list       # (k, exceptions, integers) in [2^k, 2^(k+1)) and [1, N]
     density: float
 
 
-def census(root, n_max: int, admissible_classes, curvatures: CurvatureSet | None = None,
-           **kw) -> CensusReport:
+def census(curvatures: CurvatureSet, admissible_classes) -> CensusReport:
     """Counts per residue class mod 24, admissible totals, and exception list."""
-    cs = curvatures if curvatures is not None else enumerate_curvatures(root, n_max, **kw)
-    vals = cs.values()
-    res = vals % 24
-    residue_counts = {int(r): int((res == r).sum()) for r in np.unique(res)}
-    adm = sorted(admissible_classes)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    adm_mask = np.isin(ns % 24, adm)
-    present = cs.to_bool()[1:]
-    exceptions = ns[adm_mask & ~present]
-    dyadic = []
-    k = 0
-    while (1 << k) <= n_max:
-        lo, hi = 1 << k, min((1 << (k + 1)) - 1, n_max)
-        dyadic.append((k, int(((exceptions >= lo) & (exceptions <= hi)).sum())))
-        k += 1
+    n = int(curvatures.n_max)
+    # entry i is the integer i + 1, padded with zeros to whole rows of 24, so
+    # column j of the (-1, 24) reshape holds the class (j + 1) mod 24
+    present = np.unpackbits(curvatures.bits, count=-(-n // 24) * 24,
+                            bitorder="little").view(bool)
+    present[n:] = False
+    per_class = np.roll(np.count_nonzero(present.reshape(-1, 24), axis=0), 1)
+    residue_counts = {r: int(c) for r, c in enumerate(per_class) if c}
+    admissible = np.resize(np.isin(np.roll(np.arange(24), -1),
+                                   list(admissible_classes)), n)
+    admissible_count = int(np.count_nonzero(admissible))
+    admissible &= ~present[:n]
+    exceptions = np.flatnonzero(admissible) + 1
+    edges = np.minimum(1 << np.arange(n.bit_length() + 1), n + 1)
+    counts = np.diff(np.searchsorted(exceptions, edges))
+    dyadic = [(k, int(c), int(length))
+              for k, (c, length) in enumerate(zip(counts, np.diff(edges)))]
+    curvature_count = int(per_class.sum())
     return CensusReport(
-        n_max=n_max,
+        n_max=n,
         residue_counts=residue_counts,
-        curvature_count=int(vals.size),
-        admissible_count=int(adm_mask.sum()),
+        curvature_count=curvature_count,
+        admissible_count=admissible_count,
         exceptions=exceptions,
         dyadic_exceptions=dyadic,
-        density=float(vals.size) / n_max,
+        density=curvature_count / n,
     )
 
 

@@ -69,12 +69,12 @@ def test_criterion_03_stated_so_f_equality():
 def test_criterion_04_curvature_census(curvatures_1e6, registry):
     cs100 = orbit.enumerate_curvatures(ROOT, 100)
     assert set(cs100.values().tolist()) == {21, 24, 28, 40, 52, 61, 76, 85, 96}
-    rep = orbit.census(ROOT, 10**6, cg.admissible_classes(24, ROOT),
-                       curvatures=curvatures_1e6)
+    rep = orbit.census(curvatures_1e6, cg.admissible_classes(24, ROOT))
     assert 0.2 <= rep.density <= 0.25
     registry.record("acceptance.exception_count_1e6", int(rep.exceptions.size))
-    # per-block exception density, nonincreasing beyond the frozen threshold
-    dens = [c / max(2**k, 1) for k, c in rep.dyadic_exceptions]
+    # per-block exception density, nonincreasing beyond the frozen threshold;
+    # the last block is cut at N, so each count is divided by its block length
+    dens = [c / length for k, c, length in rep.dyadic_exceptions]
     k0 = int(registry.record("acceptance.dyadic_threshold_k0", 10))
     tail = dens[k0:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])), tail

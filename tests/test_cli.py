@@ -53,6 +53,35 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     assert capsys.readouterr().err.strip() == "closure exceeded cap"
 
 
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--q0", "4", "--r", "2"],
+    ["expsum", "--q0", "3", "--form", "x"],
+    ["admissible", "--root", "x"],
+    ["gasket", "--root", "1,2", "--limit", "10"],
+    ["singular", "--n", "96", "--pcut", "1"],
+    ["gasket", "--limit", "100", "--threads", "0"],
+    ["gasket", "--limit", "100", "--threads", "-3"],
+    ["gasket", "--limit", "0"],
+    ["spectral", "--q", "x"],
+])
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["delta-fit"], "--threads"), (["verify"], "--root"), (["spectral"], "--root"),
+    (["expsum", "--q0", "3"], "--seed"), (["gasket"], "--seed"),
+    (["singular", "--n", "5"], "--threads"),
+])
+def test_flags_only_where_read(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_expsum_command(capsys):
     rc = run(["expsum", "--q0", "3", "--form", "10,7,17,-11"])
     assert rc == 0

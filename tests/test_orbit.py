@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apollonian import core, orbit
 
@@ -61,6 +62,21 @@ def test_monotone_and_thread_determinism():
     assert np.array_equal(b.bits, c.bits)
     d = orbit.enumerate_curvatures(ROOT, 5000, block_size=64)
     assert np.array_equal(b.bits, d.bits)
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            orbit.enumerate_curvatures(ROOT, 100, threads=bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(1, 3000), block_size=st.integers(1, 512),
+       threads=st.integers(1, 6))
+def test_walk_independent_of_blocks_and_threads(n_max, block_size, threads):
+    ref = orbit.enumerate_curvatures(ROOT, n_max)
+    cs = orbit.enumerate_curvatures(ROOT, n_max, record_witnesses=True,
+                                    block_size=block_size, threads=threads)
+    assert np.array_equal(cs.bits, ref.bits)
+    vals = cs.values()
+    assert (cs.witnesses[vals] == vals[:, None]).any(axis=1).all()
 
 
 def test_witness_words(curvatures_1e6):
@@ -84,9 +100,50 @@ def test_tangency_parabola_all_present(curvatures_1e6):
     assert vals.size >= int(np.sqrt(10**6) / 10)
 
 
+def reference_census(cs, admissible_classes):
+    """Independent oracle: the census over explicit int64 arrays of [1, N]."""
+    n_max = cs.n_max
+    vals = cs.values()
+    res = vals % 24
+    residue_counts = {int(r): int((res == r).sum()) for r in np.unique(res)}
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
+    adm_mask = np.isin(ns % 24, sorted(admissible_classes))
+    exceptions = ns[adm_mask & ~cs.to_bool()[1:]]
+    dyadic = []
+    k = 0
+    while (1 << k) <= n_max:
+        lo, hi = 1 << k, min((1 << (k + 1)) - 1, n_max)
+        count = int(((exceptions >= lo) & (exceptions <= hi)).sum())
+        dyadic.append((k, count, hi - lo + 1))
+        k += 1
+    return orbit.CensusReport(
+        n_max=n_max, residue_counts=residue_counts, curvature_count=int(vals.size),
+        admissible_count=int(adm_mask.sum()), exceptions=exceptions,
+        dyadic_exceptions=dyadic, density=float(vals.size) / n_max)
+
+
+def assert_same_census(got, want):
+    assert got.n_max == want.n_max
+    assert list(got.residue_counts.items()) == list(want.residue_counts.items())
+    assert got.curvature_count == want.curvature_count
+    assert got.admissible_count == want.admissible_count
+    assert got.exceptions.dtype == want.exceptions.dtype
+    assert np.array_equal(got.exceptions, want.exceptions)
+    assert got.dyadic_exceptions == want.dyadic_exceptions
+    assert got.density == want.density
+
+
+@pytest.mark.parametrize("n_max", [1, 23, 24, 25, 1023, 1024, 1025, 10**5])
+def test_census_matches_reference(n_max):
+    cs = orbit.enumerate_curvatures(ROOT, n_max)
+    for adm in ({0, 4, 12, 13, 16, 21}, {1, 5}, set(), set(range(24))):
+        assert_same_census(orbit.census(cs, adm), reference_census(cs, adm))
+
+
 def test_census(curvatures_1e6):
     adm = {0, 4, 12, 13, 16, 21}
-    rep = orbit.census(ROOT, 10**6, adm, curvatures=curvatures_1e6)
+    rep = orbit.census(curvatures_1e6, adm)
+    assert_same_census(rep, reference_census(curvatures_1e6, adm))
     assert sum(rep.residue_counts.values()) == rep.curvature_count
     assert set(rep.residue_counts) <= adm
     assert rep.admissible_count == sum(
