@@ -168,6 +168,10 @@ def cmd_gasket(args) -> int:
         raise ValueError(f"root {root} violates the Descartes relation")
     if args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    # checked before the walk, which at the default limit takes minutes
+    if args.snapshot and (os.path.isdir(args.snapshot)
+                          or not os.access(Path(args.snapshot).parent, os.W_OK)):
+        raise ValueError(f"--snapshot {args.snapshot} is not a writable file path")
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
               f"takes {GASKET_DEFAULT_COST}; time and memory grow about "
@@ -250,6 +254,7 @@ def cmd_spectral(args) -> int:
         entry["group_order"] = spec.group_order
         entry["s_size"] = spec.s_size
         entry["eigenvalues"] = list(spec.eigenvalues)
+        entry["matvecs"] = spec.matvecs
         if args.check == "transference":
             rep = spectral.transference_check(q)
             entry["transference"] = {
@@ -295,8 +300,12 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     registry = FrozenRegistry(args.registry or _default_registry_path(),
                               freeze=args.freeze, ci=args.ci)
-    mods = args.modules.split(",") if args.modules else [
-        "core", "orbit", "congruence", "forms", "expsums", "spectral"]
+    known = ("core", "orbit", "congruence", "forms", "expsums", "spectral")
+    mods = args.modules.split(",") if args.modules else known
+    unknown = [m for m in mods if m not in known]
+    if unknown:
+        raise ValueError(f"--modules: unknown {','.join(unknown)}; "
+                         f"choose from {','.join(known)}")
     root = DEFAULT_ROOT
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -560,6 +569,9 @@ def main(argv=None) -> int:
     except ValueError as e:  # bad input found below the argument parser
         print(e, file=sys.stderr)
         return EXIT_INPUT
+    except spectral.EigensolverError as e:
+        print(e, file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -314,6 +314,8 @@ def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTab
     monotone along words, so a margin is kept and validated separately.
     """
     ys = np.asarray(sorted(ys), dtype=float)
+    if ys.size == 0:
+        raise ValueError("norm_ball_count needs at least one radius Y")
     if ys[-1] > y_cap:
         raise CapExceededError(f"Y={ys[-1]} exceeds cap {y_cap}")
     norms = _gamma_norms(int((slack * ys[-1]) ** 2) + 1)
@@ -324,6 +326,8 @@ def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTab
 def fit_delta(table: NormBallTable) -> float:
     """Least-squares slope of log count against log Y."""
     sel = table.counts > 0
+    if np.unique(table.ys[sel]).size < 2:
+        raise ValueError("fitting delta needs two distinct radii with a nonzero count")
     x = np.log(table.ys[sel])
     y = np.log(table.counts[sel].astype(float))
     slope, _ = np.polyfit(x, y, 1)

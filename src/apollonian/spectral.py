@@ -405,14 +405,112 @@ class CayleySpectrum:
     group_order: int
     s_size: int            # distinct walk generators mod q
     eigenvalues: tuple     # descending, starting with 1.0
+    matvecs: int           # single-vector applications of T; 0 for a dense solve
 
 
 def _left_mult_perms(G: Sl2Closure, s_mats, q: int) -> np.ndarray:
+    """perms[k][i] = index of (s_k * element_i) for each distinct s_k mod q."""
     enc = np.unique(_encode(s_mats, q), axis=0)
-    out = np.empty((enc.shape[0], G.order), dtype=np.int64)
+    out = np.empty((enc.shape[0], G.order), dtype=np.int32)
     for k in range(enc.shape[0]):
         out[k] = G.index_of(_gmul(enc[k], G.elements, q))
     return out
+
+
+def _apply_walk(perms: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T applied to each row of the (b, n) block X: the mean of the rows
+    gathered through every generator's permutation."""
+    acc = np.take(X, perms[0], axis=1)
+    buf = np.empty_like(X)
+    for row in perms[1:]:
+        # the indices are in range; mode="clip" skips the buffered copy
+        # that the default bounds check makes of out
+        np.take(X, row, axis=1, out=buf, mode="clip")
+        acc += buf
+    acc /= perms.shape[0]
+    return acc
+
+
+def _unit_rows(V: np.ndarray, *alike: np.ndarray) -> None:
+    """Scale the rows of V to unit length in place, and those of each block
+    in alike by the same factors."""
+    norms = np.maximum(np.linalg.norm(V, axis=1, keepdims=True), np.finfo(float).tiny)
+    for block in (V,) + alike:
+        block /= norms
+
+
+def _rayleigh_ritz(blocks: list, tblocks: list, b: int):
+    """The b largest Ritz pairs of T on the span of the rows of blocks.
+
+    Works on the small Gram matrices only.  Directions along which the rows
+    are dependent to rounding are dropped, so the rows need not be
+    independent.  Returns the Ritz values, descending, and a (b, rows)
+    coefficient matrix C whose product with the stacked blocks gives
+    orthonormal Ritz vectors."""
+    gram = np.block([[u @ v.T for v in blocks] for u in blocks])
+    tgram = np.block([[u @ tv.T for tv in tblocks] for u in blocks])
+    w, v = np.linalg.eigh(gram)
+    keep = w > 1e-12 * w[-1]
+    whiten = v[:, keep] / np.sqrt(w[keep])
+    small = whiten.T @ tgram @ whiten
+    theta, z = np.linalg.eigh(0.5 * (small + small.T))
+    return theta[::-1][:b], (whiten @ z[:, ::-1][:, :b]).T
+
+
+def _top_eigenvalues(perms: np.ndarray, b: int, tol: float, max_iter: int, rng):
+    """The b largest eigenvalues of T on the functions of mean zero, with
+    multiplicity, by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001).
+
+    X holds the current Ritz vectors, R their residuals and P the last step
+    taken, each as b rows; TX and TP are carried along as the same linear
+    combinations, so each step applies T only to the new residual block.
+    A block Krylov space started from b random rows meets every eigenspace
+    in min(b, multiplicity) dimensions, so repeated eigenvalues come back as
+    often as the block has room for.  Returns (eigenvalues, matvecs)."""
+    n = perms.shape[1]
+    X = rng.standard_normal((b, n))
+    X -= X.mean(axis=1, keepdims=True)
+    TX = _apply_walk(perms, X)
+    matvecs = b
+    mu, c = _rayleigh_ritz([X], [TX], b)
+    X, TX = c @ X, c @ TX
+    P = TP = None
+    resid = np.inf
+    for _ in range(max_iter):
+        R = TX - mu[:, None] * X
+        resid = np.linalg.norm(R, axis=1).max()
+        if resid < tol * 10:
+            # confirm on a fresh product, which also clears the rounding
+            # that the carried combination TX has gathered
+            TX = _apply_walk(perms, X)
+            matvecs += b
+            R = TX - mu[:, None] * X
+            resid = np.linalg.norm(R, axis=1).max()
+            if resid < tol * 10:
+                return mu, matvecs
+        R -= R.mean(axis=1, keepdims=True)
+        R -= (R @ X.T) @ X
+        _unit_rows(R)
+        TR = _apply_walk(perms, R)
+        matvecs += b
+        blocks, tblocks = [X, R], [TX, TR]
+        if P is not None:
+            blocks.append(P)
+            tblocks.append(TP)
+        mu, c = _rayleigh_ritz(blocks, tblocks, b)
+        del blocks, tblocks  # so the old P and TP are freed as they are replaced
+        cx, cr = c[:, :b], c[:, b:2 * b]
+        if P is None:
+            P, TP = cr @ R, cr @ TR
+        else:
+            cp = c[:, 2 * b:]
+            P, TP = cr @ R + cp @ P, cr @ TR + cp @ TP
+        del R, TR
+        X, TX = cx @ X + P, cx @ TX + TP
+        _unit_rows(P, TP)
+    raise EigensolverError(
+        f"block eigensolver did not converge in {max_iter} iterations "
+        f"(residual {resid:.3g})")
 
 
 def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
@@ -420,63 +518,32 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     """Top eigenvalues of the walk operator T f(g) = |S|^-1 sum f(s g).
 
     S is symmetrized and deduplicated mod q; the operator is self-adjoint,
-    so the spectrum is real in [-1, 1].  Power iteration runs on the
-    half-shifted operator (T+1)/2 with deflation against the constant
-    vector (and previously found vectors), so it converges to the largest
-    signed eigenvalues below 1."""
+    so the spectrum is real in [-1, 1], and 1 is simple with the constants
+    as eigenvectors because S generates the group.  The top_k largest
+    signed eigenvalues below it come, with multiplicity, from one block
+    iteration (LOBPCG) of top_k rows drawn from seed on the functions of
+    mean zero; T is applied as gathers through the permutations g -> s g.
+    Every returned pair has residual |Tv - mu v| < 10 tol, or
+    EigensolverError is raised after max_iter block steps.  When the group
+    is too small for a block step (|G| <= 3 top_k + 1) the spectrum comes
+    from a dense eigvalsh instead."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     G = _closure_cached(q, "G") if s_mats is None else closure_sl2(q, s_mats)
     s_mats = S_BAR if s_mats is None else s_mats
     if q == 1 or G.order == 1:
-        return CayleySpectrum(q, 1, 1, (1.0,))
+        return CayleySpectrum(q, 1, 1, (1.0,), 0)
     perms = _left_mult_perms(G, s_mats, q)
-    n = G.order
-    ns = perms.shape[0]
-
-    def apply_t(v):
-        acc = np.zeros_like(v)
+    n, ns = G.order, perms.shape[0]
+    if n <= 3 * top_k + 1:
+        T = np.zeros((n, n))
         for row in perms:
-            acc += v[row]
-        return acc / ns
-
-    rng = np.random.default_rng(seed)
-    found_vecs = []
-    eigs = [1.0]
-    for _ in range(min(top_k, n - 1)):
-        v = rng.standard_normal(n)
-        v -= v.mean()
-        for w in found_vecs:
-            v -= (v @ w) * w
-        v /= np.linalg.norm(v)
-        lam = None
-        for it in range(max_iter):
-            tv = apply_t(v)
-            w = 0.5 * (v + tv)
-            w -= w.mean()
-            for fv in found_vecs:
-                w -= (w @ fv) * fv
-            nw = np.linalg.norm(w)
-            if nw < 1e-14:
-                lam = -1.0
-                break
-            w /= nw
-            mu = w @ apply_t(w)
-            if lam is not None and abs(mu - lam) < tol * 0.01:
-                resid = np.linalg.norm(apply_t(w) - mu * w)
-                if resid < tol * 10:
-                    lam = mu
-                    v = w
-                    break
-            lam = mu
-            v = w
-        else:
-            resid = float(np.linalg.norm(apply_t(v) - lam * v))
-            raise EigensolverError(
-                f"power iteration did not converge (residual {resid})"
-            )
-        eigs.append(float(lam))
-        found_vecs.append(v)
-    return CayleySpectrum(q, n, int(np.unique(_encode(s_mats, q), axis=0).shape[0]),
-                          tuple(eigs))
+            T[np.arange(n), row] += 1.0 / ns
+        eigs, matvecs = np.linalg.eigvalsh(T)[::-1][1:top_k + 1], 0
+    else:
+        eigs, matvecs = _top_eigenvalues(perms, top_k, tol, max_iter,
+                                         np.random.default_rng(seed))
+    return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs)
 
 
 def lambda1(q: int, **kw) -> float:
@@ -505,12 +572,11 @@ def transference_check(q: int) -> TransferenceReport:
     rhs_terms = []
     details = {"G_order": g_order, "S_size": s_total, "lambda1_G": spec_g.eigenvalues[1]}
     for name, gens in (("H1", H1_GENS), ("H2", H2_GENS)):
-        sub = closure_sl2(q, gens)
         spec_h = markov_spectrum(q, gens)
         s_cap = spec_h.s_size
         lam = spec_h.eigenvalues[1] if spec_h.group_order > 1 else -1.0
         term = (s_cap / s_total) * (1.0 - lam) / (2.0 * kprime * kprime)
         rhs_terms.append(term)
-        details[name] = {"order": sub.order, "s_cap": s_cap, "lambda1": lam}
+        details[name] = {"order": spec_h.group_order, "s_cap": s_cap, "lambda1": lam}
     rhs = min(rhs_terms)
     return TransferenceReport(q, k_alt, lhs, rhs, bool(lhs >= rhs), details)

@@ -1,10 +1,15 @@
+import functools
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from apollonian import cli, congruence, orbit
+from apollonian import cli, congruence, orbit, spectral
 from apollonian.cli import FrozenMismatch, FrozenRegistry
 
 
@@ -63,11 +68,46 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["gasket", "--limit", "100", "--threads", "-3"],
     ["gasket", "--limit", "0"],
     ["spectral", "--q", "x"],
+    ["delta-fit", "--points", "0"],
+    ["delta-fit", "--points", "1"],
+    ["verify", "--modules", "nosuch"],
+    ["verify", "--modules", "core,nosuch"],
+    ["gasket", "--limit", "100", "--snapshot", "/nonexistent/x"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+def test_gasket_snapshot_checked_before_walk(tmp_path, monkeypatch, capsys):
+    def walk(*args, **kw):
+        raise AssertionError("the walk ran before the snapshot path was checked")
+
+    monkeypatch.setattr(orbit, "enumerate_curvatures", walk)
+    for bad in (tmp_path / "missing" / "bits.bin", tmp_path):
+        assert run(["gasket", "--snapshot", str(bad)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+
+def test_spectral_non_convergence_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(spectral, "markov_spectrum",
+                        functools.partial(spectral.markov_spectrum, max_iter=2))
+    assert run(["spectral", "--q", "5"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "did not converge" in err, err
+
+
+def test_spectral_imports_no_scipy():
+    # scipy is a test-only extra: the package path must not import it
+    code = ("import contextlib, io, sys; from apollonian import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['spectral', '--q', '5'])\n"
+            "print(rc, 'scipy' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert out.stdout.split() == ["0", "False"], out.stderr
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -103,6 +143,7 @@ def test_spectral_command(capsys):
     assert rc == 0
     rep = json.loads(capsys.readouterr().out)
     entry = rep["results"]["4"]
+    assert entry["matvecs"] > 0
     assert entry["status"] == "PASS"
     assert entry["transference"]["holds"] is True
 

@@ -117,18 +117,115 @@ def test_markov_spectrum_small(registry):
         registry.record(f"spectral.s_size_q{q}", spec.s_size)
 
 
+def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
+                             max_iter=100_000, seed=0):
+    """Deflated power iteration on (T+1)/2, one vector at a time: the
+    eigensolver markov_spectrum had before its block iteration, kept as the
+    oracle.  Returns (1.0, then the top_k largest eigenvalues below it)."""
+    G = sp._closure_cached(q, "G") if s_mats is None else sp.closure_sl2(q, s_mats)
+    perms = sp._left_mult_perms(G, sp.S_BAR if s_mats is None else s_mats, q)
+    n = G.order
+    ns = perms.shape[0]
+
+    def apply_t(v):
+        acc = np.zeros_like(v)
+        for row in perms:
+            acc += v[row]
+        return acc / ns
+
+    rng = np.random.default_rng(seed)
+    found_vecs = []
+    eigs = [1.0]
+    for _ in range(min(top_k, n - 1)):
+        v = rng.standard_normal(n)
+        v -= v.mean()
+        for w in found_vecs:
+            v -= (v @ w) * w
+        v /= np.linalg.norm(v)
+        lam = None
+        for it in range(max_iter):
+            tv = apply_t(v)
+            w = 0.5 * (v + tv)
+            w -= w.mean()
+            for fv in found_vecs:
+                w -= (w @ fv) * fv
+            nw = np.linalg.norm(w)
+            if nw < 1e-14:
+                lam = -1.0
+                break
+            w /= nw
+            mu = w @ apply_t(w)
+            if lam is not None and abs(mu - lam) < tol * 0.01:
+                resid = np.linalg.norm(apply_t(w) - mu * w)
+                if resid < tol * 10:
+                    lam = mu
+                    v = w
+                    break
+            lam = mu
+            v = w
+        else:
+            raise AssertionError("reference power iteration did not converge")
+        eigs.append(float(lam))
+        found_vecs.append(v)
+    return tuple(eigs)
+
+
+def dense_walk_eigenvalues(q, s_mats=None):
+    """Every eigenvalue of the walk operator, descending, from a dense solve."""
+    G = sp._closure_cached(q, "G") if s_mats is None else sp.closure_sl2(q, s_mats)
+    perms = sp._left_mult_perms(G, sp.S_BAR if s_mats is None else s_mats, q)
+    n = G.order
+    T = np.zeros((n, n))
+    for row in perms:
+        T[np.arange(n), row] += 1
+    T /= perms.shape[0]
+    return np.linalg.eigvalsh((T + T.T) / 2)[::-1]
+
+
 def test_markov_vs_dense():
     for q in (2, 3, 4, 8):
-        G = sp._closure_cached(q, "G")
-        perms = sp._left_mult_perms(G, sp.S_BAR, q)
-        n = G.order
-        T = np.zeros((n, n))
-        for row in perms:
-            T[np.arange(n), row] += 1
-        T /= perms.shape[0]
-        dense = np.linalg.eigvalsh((T + T.T) / 2)[-2]
+        dense = dense_walk_eigenvalues(q)[1]
         assert sp.markov_spectrum(q).eigenvalues[1] == pytest.approx(
             dense, abs=1e-6)
+
+
+@pytest.mark.parametrize("q,gens", [
+    (3, None), (4, None), (6, None), (8, None),
+    (3, sp.H1_GENS), (3, sp.H2_GENS), (5, sp.H1_GENS), (5, sp.H2_GENS),
+])
+def test_block_spectrum_matches_dense_with_multiplicity(q, gens):
+    spec = sp.markov_spectrum(q, gens)
+    # large enough that the block iteration runs, not the dense branch
+    assert spec.group_order > 3 * 3 + 1 and spec.matvecs > 0
+    dense = dense_walk_eigenvalues(q, gens)
+    assert spec.eigenvalues == pytest.approx(tuple(dense[:4]), abs=1e-9)
+
+
+def test_block_spectrum_matches_power_oracle():
+    spec = sp.markov_spectrum(5)
+    oracle = reference_power_spectrum(5)
+    assert spec.eigenvalues == pytest.approx(oracle, abs=1e-9)
+    # lambda1 mod 5 has multiplicity at least 3: every returned value is it
+    assert spec.eigenvalues[1:] == pytest.approx((oracle[1],) * 3, abs=1e-9)
+    # the block iteration needs far fewer applications of T than deflation
+    assert spec.matvecs < 300
+
+
+def test_block_spectrum_independent_of_seed():
+    for q in (5, 8):
+        base = sp.markov_spectrum(q, seed=0).eigenvalues
+        for seed in range(1, 5):
+            assert sp.markov_spectrum(q, seed=seed).eigenvalues == \
+                pytest.approx(base, abs=1e-9)
+
+
+def test_block_spectrum_reports_non_convergence():
+    with pytest.raises(sp.EigensolverError, match="did not converge"):
+        sp.markov_spectrum(5, max_iter=2)
+    # the dense branch, for groups too small for a block step, counts no matvecs
+    assert sp.markov_spectrum(2).matvecs == 0
+    with pytest.raises(ValueError):
+        sp.markov_spectrum(5, top_k=0)
 
 
 def test_spectral_gap_flatness(registry):
