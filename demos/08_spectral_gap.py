@@ -25,12 +25,12 @@ for q in (2, 3, 4, 8):
           f"(sizes {sizes})")
 
 print("walk spectra (second eigenvalue):")
-for q in (2, 3, 4, 5, 8):
-    spec = sp.markov_spectrum(q)
+spectra = {q: sp.markov_spectrum(q) for q in (2, 3, 4, 5, 8)}
+for q, spec in spectra.items():
     print(f"  q={q}: |G| = {spec.group_order:5d}, |S| = {spec.s_size:2d}, "
           f"lambda1 = {spec.eigenvalues[1]:.6f}")
 
 for q in (2, 4):
-    rep = sp.transference_check(q)
+    rep = sp.transference_check(spectra[q])
     print(f"transference at q={q}: 1 - lambda1 = {rep.lhs:.4f} >= "
           f"{rep.rhs:.4f} (k = {rep.k_alt}) -> {rep.holds}")

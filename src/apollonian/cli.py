@@ -192,7 +192,7 @@ def cmd_gasket(args) -> int:
     }
     if args.limit <= 1000:
         results["curvatures"] = cs.values()
-    emit_report("gasket", vars(args), results, args.out, args.format, t0)
+    emit_report("gasket", vars(args), results, args.out, t0=t0)
     return EXIT_OK
 
 
@@ -201,12 +201,15 @@ def cmd_admissible(args) -> int:
     root = _parse_root(args.root)
     qs = _parse_qs(args.q)
     results = {str(q): sorted(congruence.admissible_classes(q, root)) for q in qs}
-    emit_report("admissible", vars(args), results, args.out, args.format, t0)
+    emit_report("admissible", vars(args), results, args.out, t0=t0)
     return EXIT_OK
 
 
 def cmd_delta_fit(args) -> int:
     t0 = time.time()
+    for flag, y in (("--ymin", args.ymin), ("--ymax", args.ymax)):
+        if not y > 0:
+            raise ValueError(f"{flag} must be positive, got {y}")
     ys = np.geomspace(args.ymin, args.ymax, args.points)
     table = orbit.norm_ball_count(ys)
     delta = orbit.fit_delta(table)
@@ -227,7 +230,7 @@ def cmd_expsum(args) -> int:
     if args.q0 % 2 == 1:
         results["sf_closed"] = expsums.sf_closed(f, args.q0, args.r, args.n, args.m)
         results["agreement"] = abs(results["sf_closed"] - val)
-    emit_report("expsum", vars(args), results, args.out, args.format, t0)
+    emit_report("expsum", vars(args), results, args.out, t0=t0)
     return EXIT_OK
 
 
@@ -241,7 +244,7 @@ def cmd_singular(args) -> int:
         "admissible": congruence.is_admissible(args.n, root),
         "note": "non-admissible" if val == 0 else "admissible",
     }
-    emit_report("singular", vars(args), results, args.out, args.format, t0)
+    emit_report("singular", vars(args), results, args.out, t0=t0)
     return EXIT_OK
 
 
@@ -256,7 +259,7 @@ def cmd_spectral(args) -> int:
         entry["eigenvalues"] = list(spec.eigenvalues)
         entry["matvecs"] = spec.matvecs
         if args.check == "transference":
-            rep = spectral.transference_check(q)
+            rep = spectral.transference_check(spec)
             entry["transference"] = {
                 "k": rep.k_alt, "lhs": rep.lhs, "rhs": rep.rhs,
                 "holds": rep.holds,
@@ -267,7 +270,7 @@ def cmd_spectral(args) -> int:
             entry["alternation_k"] = k
             entry["set_sizes"] = sizes
         results[str(q)] = entry
-    emit_report("spectral", vars(args), results, args.out, args.format, t0)
+    emit_report("spectral", vars(args), results, args.out, t0=t0)
     if args.check == "transference" and not all(
             v.get("transference", {}).get("holds", True) for v in results.values()):
         return EXIT_INVARIANT
@@ -277,6 +280,9 @@ def cmd_spectral(args) -> int:
 def cmd_circle(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
+    for flag, v in (("--q0cap", args.q0cap), ("--grid", args.grid), ("--k0", args.k0)):
+        if not v > 0:
+            raise ValueError(f"{flag} must be positive, got {v}")
     fam = orbit.build_family(root, args.t1, args.t2)
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
     n_scale = fam.t * args.x * args.x
@@ -292,7 +298,7 @@ def cmd_circle(args) -> int:
         "decomposition_residual": resid,
         "minor_arc_report": minor,
     }
-    emit_report("circle", vars(args), results, args.out, args.format, t0)
+    emit_report("circle", vars(args), results, args.out, t0=t0)
     return EXIT_OK
 
 
@@ -369,7 +375,7 @@ def cmd_verify(args) -> int:
         return EXIT_INVARIANT
     ok_all = all(ok for _, ok in checks)
     emit_report("verify", vars(args), {"checks": {n: ok for n, ok in checks}},
-                args.out, args.format, t0)
+                args.out, t0=t0)
     return EXIT_OK if ok_all else EXIT_INVARIANT
 
 
@@ -483,7 +489,6 @@ def _add_common(p, root=False, seed=False):
     if root:
         p.add_argument("--root", default="-11,21,24,28")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     if seed:
         p.add_argument("--seed", type=int, default=0)
 
@@ -511,6 +516,8 @@ def main(argv=None) -> int:
     p.add_argument("--ymin", type=float, default=100.0)
     p.add_argument("--ymax", type=float, default=10000.0)
     p.add_argument("--points", type=int, default=25)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv prints the (Y, count) table alone")
     p.set_defaults(func=cmd_delta_fit)
 
     p = sub.add_parser("expsum", help="local exponential sum values")

@@ -56,16 +56,26 @@ def _bfs_closure(start: np.ndarray, step, cap: int) -> np.ndarray:
 
 @dataclass
 class QuotientClosure:
+    """A finite quotient as the encoded rows of its elements, sorted by their
+    bytes: (n, 16) entries of 4x4 matrices here, (n, 8) residues in spectral."""
     q: int
-    elements: np.ndarray  # (n, 16) uint8, row-major entries in [0, q), sorted
+    elements: np.ndarray  # (n, d) uint8, rows in lexicographic order
 
     @property
     def order(self) -> int:
         return self.elements.shape[0]
 
+    def index_of(self, rows: np.ndarray) -> np.ndarray:
+        """Positions of the given encoded rows, by binary search."""
+        keys, k = _row_keys(self.elements), _row_keys(rows)
+        idx = np.searchsorted(keys, k)
+        if (idx >= keys.size).any() or (keys[idx] != k).any():
+            raise KeyError("element outside the closure")
+        return idx
+
     def element_set(self) -> set:
-        buf = self.elements.tobytes()
-        return {buf[16 * i: 16 * (i + 1)] for i in range(self.order)}
+        """The rows as a set of bytes."""
+        return {row.tobytes() for row in self.elements}
 
 
 def quotient_closure(q: int, gens=None, cap: int = 100_000_000) -> QuotientClosure:

@@ -38,10 +38,6 @@ def descartes_form(v) -> int:
     return 2 * (a * a + b * b + c * c + d * d) - s * s
 
 
-def is_on_cone(v) -> bool:
-    return descartes_form(v) == 0
-
-
 def is_primitive(v) -> bool:
     a, b, c, d = v
     return gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d))) == 1

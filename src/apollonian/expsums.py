@@ -307,6 +307,8 @@ def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
     primes = [p for p in range(2, prime_cutoff + 1) if _factorize(p) == [(p, 1)]]
     if not primes:
         raise ValueError(f"no prime is at most the cutoff {prime_cutoff}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     root = tuple(root)
     total = np.zeros(ns.shape, dtype=float)
     for slot in range(4):
@@ -348,8 +350,8 @@ def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
     """Spike bump: sum over q < q0_cut, (r,q)=1, |m| <= 2 of
     t((n_scale/k0)(theta + m - r/q)).  The m-window suffices because the
     spike width k0/n_scale is below 1."""
-    if not k0 < n_scale:
-        raise ValueError("need K0 < N")
+    if not 0 < k0 < n_scale:
+        raise ValueError(f"need 0 < K0 < N, got K0 = {k0}, N = {n_scale}")
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta)
     scale = n_scale / k0
@@ -523,6 +525,9 @@ def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,
     """Toy-scale quadrature of the three dissection integrals of
     |1 - bump|^2 |Rhat|^2: the inner major-arc rim, the near region, and
     the dyadic minor blocks.  Reported, never asserted."""
+    if q0_cut < 1:
+        # the dyadic blocks double q from q0_cut
+        raise ValueError(f"q0_cut must be at least 1, got {q0_cut}")
     theta = np.arange(grid) / grid
     rhat2 = np.abs(rhat_on_grid(rep, grid)) ** 2
     bump = big_theta(theta, n_scale, q0_cut, k0)

@@ -33,10 +33,6 @@ class ShiftedForm:
                 f"discriminant violation: 4(B^2-AC) != -4a^2 for {self}"
             )
 
-    @property
-    def coefficients(self):
-        return (self.A, self.B, self.C)
-
     def discriminant(self) -> int:
         return 4 * (self.B * self.B - self.A * self.C)
 
@@ -51,14 +47,6 @@ def extract_form(gamma, root=(-11, 21, 24, 28)) -> ShiftedForm:
     t = a + b - c + d
     if t % 2:
         raise AssertionError("odd a+b-c+d: input quadruple is off the cone")
-    return ShiftedForm(A=a + b, B=t // 2, C=a + d, a=a)
-
-
-def form_from_quadruple(quad) -> ShiftedForm:
-    a, b, c, d = quad
-    t = a + b - c + d
-    if t % 2:
-        raise AssertionError("odd a+b-c+d: quadruple is off the cone")
     return ShiftedForm(A=a + b, B=t // 2, C=a + d, a=a)
 
 

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .congruence import _bfs_closure, _row_keys
+from .congruence import QuotientClosure, _bfs_closure
 from .core import SPIN_PREIMAGE_GENERATORS, GaussInt, gi, m2_mul, m2_neg, m2_inv_det1
 from .orbit import CapExceededError
 
@@ -29,18 +29,15 @@ GAMMA1 = ((gi(1), gi(4)), (gi(0), gi(1)))
 GAMMA2 = ((gi(1), gi(0)), (gi(1), gi(1)))
 GAMMA3 = ((gi(1, 2), gi(4)), (gi(1), gi(1, -2)))
 
+IDENTITY2 = ((gi(1), gi(0)), (gi(0), gi(1)))
+
 # the conjugating data for the spin-preimage generators
 TWIST_A = ((gi(1), gi(0, 1)), (gi(0), gi(1)))
 
 
-def symmetric_set(mats) -> list:
-    """All of +-g^{+-1} for g in mats, as a list (duplicates possible mod q)."""
-    out = []
-    for g in mats:
-        for h in (g, m2_inv_det1(g)):
-            out.append(h)
-            out.append(m2_neg(h))
-    return out
+def symmetric_set(mats) -> tuple:
+    """All of +-g^{+-1} for g in mats, as a tuple (duplicates possible mod q)."""
+    return tuple(s for g in mats for h in (g, m2_inv_det1(g)) for s in (h, m2_neg(h)))
 
 
 S_BAR = symmetric_set((GAMMA1, GAMMA2, GAMMA3))
@@ -110,43 +107,27 @@ def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return (out % q).astype(np.uint8)
 
 
-@dataclass
-class Sl2Closure:
-    q: int
-    elements: np.ndarray   # (n, 8) uint8, rows in lexicographic order
-
-    @property
-    def order(self) -> int:
-        return self.elements.shape[0]
-
-    def index_of(self, enc_rows: np.ndarray) -> np.ndarray:
-        keys, k = _row_keys(self.elements), _row_keys(enc_rows)
-        idx = np.searchsorted(keys, k)
-        if (idx >= keys.size).any() or (keys[idx] != k).any():
-            raise KeyError("element outside the closure")
-        return idx
-
-
-def closure_sl2(q: int, gens=None, cap: int = 50_000_000) -> Sl2Closure:
-    """Breadth-first closure of the given generators mod q."""
+def closure_sl2(q: int, gens=None, cap: int = 50_000_000) -> QuotientClosure:
+    """Breadth-first closure of the given generators (S_BAR if None) mod q."""
     if q < 1:
         raise ValueError("q >= 1")
     if q > 255:
         raise CapExceededError("modulus above byte range is past the supported cap")
     genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
-    ident = _encode([((gi(1), gi(0)), (gi(0), gi(1)))], q)
-    elements = _bfs_closure(ident, lambda f: np.concatenate([_gmul(f, g, q) for g in genc]), cap)
-    return Sl2Closure(q, elements)
+    elements = _bfs_closure(_encode([IDENTITY2], q),
+                            lambda f: np.concatenate([_gmul(f, g, q) for g in genc]), cap)
+    return QuotientClosure(q, elements)
 
 
 @lru_cache(maxsize=32)
-def _closure_cached(q: int, which: str) -> Sl2Closure:
-    gens = {"G": S_BAR, "H1": H1_GENS, "H2": H2_GENS}[which]
+def _closure_cached(q: int, gens: tuple) -> QuotientClosure:
+    # gens has no default: the cache keys on the arguments as passed, and a
+    # default would give the closure of S_BAR two keys
     return closure_sl2(q, gens)
 
 
 def quotient_order_sl2(q: int) -> int:
-    return _closure_cached(q, "G").order
+    return _closure_cached(q, S_BAR).order
 
 
 def sl2_zi_full_order(q: int) -> int:
@@ -170,45 +151,45 @@ def sl2_zi_full_order(q: int) -> int:
 # alternating set products
 # ---------------------------------------------------------------------------
 
-def _right_mult_perms(G: Sl2Closure, subgroup: Sl2Closure) -> np.ndarray:
-    """perms[h][i] = index of (element_i * h) for each h in the subgroup."""
-    out = np.empty((subgroup.order, G.order), dtype=np.int64)
-    for k in range(subgroup.order):
-        out[k] = G.index_of(_gmul(G.elements, subgroup.elements[k], G.q))
-    return out
+def _left_product(perms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """H A as a boolean mask over G, for the set A given by mask and the
+    subgroup H whose generators act as the rows of perms (g -> s g).
+
+    H A is the smallest superset of A closed under left multiplication by
+    the generators, because H is finite: the frontier loop finds it with
+    one gather per generator per step."""
+    mask = mask.copy()
+    frontier = np.flatnonzero(mask)
+    while frontier.size:
+        images = perms[:, frontier].ravel()
+        frontier = np.unique(images[~mask[images]])
+        mask[frontier] = True
+    return mask
 
 
 def alternation_length(q: int, k_max: int = 64):
-    """Minimal k with (H1 H2)^k = the full quotient, by bitset set-products.
+    """Minimal k with (H1 H2)^k = the full quotient G mod q.
 
-    Returns (k, sizes) where sizes[j] is |A_{j+1}|."""
-    G = _closure_cached(q, "G")
-    H1 = _closure_cached(q, "H1")
-    H2 = _closure_cached(q, "H2")
-    p1 = _right_mult_perms(G, H1)
-    p2 = _right_mult_perms(G, H2)
-    if q == 1:
-        return 1, [1]
+    Set products are boolean masks over G.  Since (H1 H2)^k =
+    H1 H2 (H1 H2)^(k-1), each step left-multiplies by H2 and then by H1,
+    through the left-multiplication permutations of their generators, so
+    no subgroup is enumerated.  Returns (k, sizes) where sizes[j] is
+    |(H1 H2)^(j+1)|."""
+    G = _closure_cached(q, S_BAR)
+    p1 = _left_mult_perms(G, H1_GENS, q)
+    p2 = _left_mult_perms(G, H2_GENS, q)
     current = np.zeros(G.order, dtype=bool)
-    current[G.index_of(_encode([((gi(1), gi(0)), (gi(0), gi(1)))], q))[0]] = True
+    current[G.index_of(_encode([IDENTITY2], q))] = True
     sizes = []
-    prev = 0
     for k in range(1, k_max + 1):
-        for perms in (p1, p2):
-            nxt = np.zeros_like(current)
-            idx = np.flatnonzero(current)
-            for row in perms:
-                nxt[row[idx]] = True
-            current = nxt
-        size = int(current.sum())
-        sizes.append(size)
-        if size == G.order:
+        current = _left_product(p1, _left_product(p2, current))
+        sizes.append(int(current.sum()))
+        if sizes[-1] == G.order:
             return k, sizes
-        if size == prev:
+        if len(sizes) > 1 and sizes[-1] == sizes[-2]:
             raise RuntimeError(
-                f"set products stalled at {size} < {G.order} for q={q}"
+                f"set products stalled at {sizes[-1]} < {G.order} for q={q}"
             )
-        prev = size
     raise RuntimeError(f"alternation length exceeded {k_max} for q={q}")
 
 
@@ -408,7 +389,7 @@ class CayleySpectrum:
     matvecs: int           # single-vector applications of T; 0 for a dense solve
 
 
-def _left_mult_perms(G: Sl2Closure, s_mats, q: int) -> np.ndarray:
+def _left_mult_perms(G: QuotientClosure, s_mats, q: int) -> np.ndarray:
     """perms[k][i] = index of (s_k * element_i) for each distinct s_k mod q."""
     enc = np.unique(_encode(s_mats, q), axis=0)
     out = np.empty((enc.shape[0], G.order), dtype=np.int32)
@@ -529,8 +510,8 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     from a dense eigvalsh instead."""
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    G = _closure_cached(q, "G") if s_mats is None else closure_sl2(q, s_mats)
-    s_mats = S_BAR if s_mats is None else s_mats
+    s_mats = S_BAR if s_mats is None else tuple(s_mats)
+    G = _closure_cached(q, s_mats)
     if q == 1 or G.order == 1:
         return CayleySpectrum(q, 1, 1, (1.0,), 0)
     perms = _left_mult_perms(G, s_mats, q)
@@ -546,10 +527,6 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs)
 
 
-def lambda1(q: int, **kw) -> float:
-    return markov_spectrum(q, **kw).eigenvalues[1]
-
-
 @dataclass
 class TransferenceReport:
     q: int
@@ -560,12 +537,15 @@ class TransferenceReport:
     details: dict
 
 
-def transference_check(q: int) -> TransferenceReport:
+def transference_check(spec_g: CayleySpectrum) -> TransferenceReport:
     """The subgroup-decomposition bound for the spectral gap, with the
-    2k-factor alternating H1, H2 decomposition from alternation_length."""
+    2k-factor alternating H1, H2 decomposition from alternation_length.
+
+    spec_g is the spectrum of the full walk mod q, markov_spectrum(q), as
+    the caller already has it; only the H1 and H2 walks are solved here."""
+    q = spec_g.q
     k_alt, _ = alternation_length(q)
     kprime = 2 * k_alt
-    spec_g = markov_spectrum(q)
     g_order = spec_g.group_order
     s_total = spec_g.s_size
     lhs = 1.0 - spec_g.eigenvalues[1]

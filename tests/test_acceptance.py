@@ -247,7 +247,7 @@ def test_criterion_12_spectral_gap(registry):
         assert lam1 < 1 - 1e-3
         registry.record(f"acceptance.lambda1_q{q}", lam1, atol=1e-6)
     for q in (2, 4):
-        rep = sp.transference_check(q)
+        rep = sp.transference_check(sp.markov_spectrum(q))
         assert rep.holds
     passline(12, "lambda1 < 1 - 1e-3 for q in {2,3,4,5,8} (frozen to 1e-6); "
                  "transference inequality holds at q in {2,4}")

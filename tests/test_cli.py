@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apollonian import cli, congruence, orbit, spectral
 from apollonian.cli import FrozenMismatch, FrozenRegistry
@@ -73,6 +76,11 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["verify", "--modules", "nosuch"],
     ["verify", "--modules", "core,nosuch"],
     ["gasket", "--limit", "100", "--snapshot", "/nonexistent/x"],
+    ["circle", "--grid", "0"],
+    ["circle", "--k0", "0"],
+    ["singular", "--n", "96", "--depth", "-1"],
+    ["delta-fit", "--ymin", "-5"],
+    ["delta-fit", "--ymax", "0"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -88,6 +96,30 @@ def test_gasket_snapshot_checked_before_walk(tmp_path, monkeypatch, capsys):
     for bad in (tmp_path / "missing" / "bits.bin", tmp_path):
         assert run(["gasket", "--snapshot", str(bad)]) == 2
         assert str(bad) in capsys.readouterr().err
+
+
+def test_delta_fit_radii_checked_before_count(monkeypatch, capsys):
+    # a negative radius used to reach LAPACK, whose Fortran error lines
+    # capsys cannot see: the count must not run at all
+    def count(*args, **kw):
+        raise AssertionError("the norm-ball count ran before the radii were checked")
+
+    monkeypatch.setattr(orbit, "norm_ball_count", count)
+    for flag, bad in (("--ymin", "-5"), ("--ymax", "0")):
+        assert run(["delta-fit", flag, bad]) == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_circle_q0cap_0_exits_2():
+    # the dyadic minor-arc blocks doubled q from 0 forever; a subprocess
+    # with a timeout fails instead of hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "apollonian", "circle", "--q0cap", "0",
+                          "--t1", "8", "--t2", "8", "--x", "8"],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 2
+    assert len(out.stderr.splitlines()) == 1 and "--q0cap" in out.stderr, out.stderr
 
 
 def test_spectral_non_convergence_exits_1(monkeypatch, capsys):
@@ -110,16 +142,85 @@ def test_spectral_imports_no_scipy():
     assert out.stdout.split() == ["0", "False"], out.stderr
 
 
+def test_spectral_alternation_memory():
+    # set products through generator permutations, not |H| x |G| tables
+    # (672 MB peak at q = 7 with the tables).  The child reports the peak of
+    # its own address space: RUSAGE_CHILDREN here would mix in the other
+    # children of this process, and the child's ru_maxrss keeps the peak of
+    # this process, which it inherits across the exec
+    code = ("import contextlib, io, json, re; from apollonian import cli\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    rc = cli.main(['spectral', '--q', '7', '--check', 'alternation'])\n"
+            "entry = json.loads(buf.getvalue())['results']['7']\n"
+            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+            "print(json.dumps([rc, entry['alternation_k'], entry['set_sizes'],\n"
+            "                  int(hwm.group(1))]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, k, sizes, peak_kb = json.loads(out.stdout)
+    assert (rc, k, sizes) == (0, 2, [8064, 117600])
+    assert peak_kb < 200 * 1024
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["delta-fit"], "--threads"), (["verify"], "--root"), (["spectral"], "--root"),
     (["expsum", "--q0", "3"], "--seed"), (["gasket"], "--seed"),
     (["singular", "--n", "5"], "--threads"),
+    # only delta-fit has a table for --format csv to print
+    (["gasket"], "--format"), (["admissible"], "--format"),
+    (["expsum", "--q0", "3"], "--format"), (["singular", "--n", "5"], "--format"),
+    (["spectral"], "--format"), (["circle"], "--format"), (["verify"], "--format"),
+    (["render"], "--format"),
 ])
 def test_flags_only_where_read(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv + [flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _opt(flag, values):
+    # --flag=value, as argparse reads "-1e-05" after a space as a flag
+    return values.map(lambda v: f"{flag}={v!r}")
+
+
+def _ints(flag, lo, hi):
+    return _opt(flag, st.integers(lo, hi))
+
+
+def _floats(flag, lo, hi):
+    return _opt(flag, st.floats(lo, hi))
+
+
+# cheap commands with every numeric flag drawn over a range holding 0 and
+# negative values; circle runs on the smallest family
+CHEAP_ARGV = st.one_of(
+    st.tuples(st.just("admissible"), _ints("--q", -3, 30)),
+    st.tuples(st.just("expsum"), _ints("--q0", -3, 30), _ints("--r", -5, 30)),
+    st.tuples(st.just("singular"), _ints("--n", -100, 1000), _ints("--pcut", -3, 7),
+              _ints("--depth", -2, 2)),
+    st.tuples(st.just("delta-fit"), _floats("--ymin", -10, 300),
+              _floats("--ymax", -10, 300), _ints("--points", -3, 30)),
+    st.tuples(st.just("circle"), st.just("--t1=8"), st.just("--t2=8"), st.just("--x=8"),
+              _ints("--q0cap", -3, 12), _ints("--grid", -3, 4096),
+              _floats("--k0", -10, 1000)),
+).map(list)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CHEAP_ARGV)
+def test_exit_code_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    err = err.getvalue()
+    assert rc in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if rc:
+        assert len(err.splitlines()) == 1, (argv, err)
 
 
 def test_expsum_command(capsys):

@@ -70,6 +70,36 @@ def test_alternation_length(registry):
         sp.alternation_length(4)[0], sp.alternation_length(3)[0])
 
 
+def reference_alternation(q, k_max=64):
+    """(H1 H2)^k by right multiplication with every element of H1 and of H2,
+    through one |H| x |G| index table per subgroup: the set products
+    alternation_length computed before it went through the generators,
+    kept as the oracle.  Returns (k, sizes)."""
+    G = sp.closure_sl2(q)
+    tables = []
+    for gens in (sp.H1_GENS, sp.H2_GENS):
+        H = sp.closure_sl2(q, gens)
+        tables.append(np.stack([G.index_of(sp._gmul(G.elements, h, q))
+                                for h in H.elements]))
+    current = np.zeros(G.order, dtype=bool)
+    current[G.index_of(sp._encode([sp.IDENTITY2], q))] = True
+    sizes = []
+    for k in range(1, k_max + 1):
+        for table in tables:
+            nxt = np.zeros_like(current)
+            nxt[table[:, current]] = True
+            current = nxt
+        sizes.append(int(current.sum()))
+        if sizes[-1] == G.order:
+            return k, sizes
+    raise AssertionError(f"reference alternation exceeded {k_max} for q={q}")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 8, 12])
+def test_alternation_matches_reference(q):
+    assert sp.alternation_length(q) == reference_alternation(q)
+
+
 def test_local_identities():
     for m in (8, 10, 12):
         assert sp.local_identity_check(2, m)["all_hold"]
@@ -122,10 +152,9 @@ def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
     """Deflated power iteration on (T+1)/2, one vector at a time: the
     eigensolver markov_spectrum had before its block iteration, kept as the
     oracle.  Returns (1.0, then the top_k largest eigenvalues below it)."""
-    G = sp._closure_cached(q, "G") if s_mats is None else sp.closure_sl2(q, s_mats)
-    perms = sp._left_mult_perms(G, sp.S_BAR if s_mats is None else s_mats, q)
-    n = G.order
-    ns = perms.shape[0]
+    s_mats = sp.S_BAR if s_mats is None else s_mats
+    perms = sp._left_mult_perms(sp._closure_cached(q, s_mats), s_mats, q)
+    n, ns = perms.shape[1], perms.shape[0]
 
     def apply_t(v):
         acc = np.zeros_like(v)
@@ -172,9 +201,9 @@ def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
 
 def dense_walk_eigenvalues(q, s_mats=None):
     """Every eigenvalue of the walk operator, descending, from a dense solve."""
-    G = sp._closure_cached(q, "G") if s_mats is None else sp.closure_sl2(q, s_mats)
-    perms = sp._left_mult_perms(G, sp.S_BAR if s_mats is None else s_mats, q)
-    n = G.order
+    s_mats = sp.S_BAR if s_mats is None else s_mats
+    perms = sp._left_mult_perms(sp._closure_cached(q, s_mats), s_mats, q)
+    n = perms.shape[1]
     T = np.zeros((n, n))
     for row in perms:
         T[np.arange(n), row] += 1
@@ -237,7 +266,7 @@ def test_spectral_gap_flatness(registry):
 
 def test_transference():
     for q in (2, 4):
-        rep = sp.transference_check(q)
+        rep = sp.transference_check(sp.markov_spectrum(q))
         assert rep.holds
         assert rep.lhs >= rep.rhs > 0
     # degenerate single-factor bound where H1 already fills the quotient
