@@ -34,7 +34,7 @@ EXIT_RESOURCE = 3
 DEFAULT_ROOT = (-11, 21, 24, 28)
 GASKET_DEFAULT_LIMIT = 10**8
 # `gasket` at the default limit with one thread, measured on a 2-CPU machine
-GASKET_DEFAULT_COST = "about 95 s and 0.96 GB peak RSS on a 2-CPU machine"
+GASKET_DEFAULT_COST = "about 55 s and 0.35 GB peak RSS on a 2-CPU machine"
 
 
 def _default_registry_path() -> Path:

@@ -4,19 +4,23 @@ bilinear family of shifted forms.
 The curvature set of a gasket is enumerated by walking the quadruple tree:
 children of a quadruple are the three (four at the root) swap reflections
 that do not undo the parent, and a child is pruned once its fresh entry
-exceeds the bound N.  This is valid because the fresh entry strictly
-increases along reduced words from the root.  The walk is vectorized over
-numpy blocks, one walk per thread below the root's children; the result is
-a bitset with set semantics, whatever the thread count or block size.  The
-census reads its counts off one boolean view of that bitset.
+exceeds the bound N.  Below the root the fresh entry is the strict maximum,
+so quadruples are kept as four sorted columns a <= b <= c <= d, and the
+children (b, c, d, 2(b+c+d) - a), (a, c, d, 2(a+c+d) - b) and
+(a, b, d, 2(a+b+d) - c) come out sorted: each fresh entry exceeds d, since
+a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
+along the walk and the pruning is exact.  The result is a bitset with set
+semantics, whatever the thread count or block size.  The census reads its
+counts off one boolean view of that bitset.
 """
 
 from __future__ import annotations
 
+import contextlib
 import struct
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -35,7 +39,7 @@ class CurvatureSet:
 
     n_max: int
     bits: np.ndarray                    # packed little-endian uint8, bit k <-> curvature k+1
-    witnesses: np.ndarray | None = None  # optional (N+1, 4) int64, first quadruple seen per curvature
+    witnesses: np.ndarray | None = None  # optional (N+1, 4), first sorted quadruple seen per curvature
 
     @classmethod
     def from_bool(cls, n_max, mask, witnesses=None):
@@ -71,10 +75,15 @@ class CurvatureSet:
         return tuple(int(x) for x in self.witnesses[n])
 
     def witness_word(self, n: int):
-        """Reflection word from the root reproducing a quadruple containing n."""
+        """Reflection word from the sorted root and the quadruple it reaches, holding n:
+        the letters and the sorted witness's slots are relabelled by the argsort
+        of the witness reduced to the root."""
         quad = self.witness_quadruple(n)
         _, word = core.reduce_to_root(quad)
-        return list(reversed(word)), quad
+        order = np.argsort(core.apply_word(word, quad), kind="stable")
+        slot = np.argsort(order)
+        return ([int(slot[i - 1]) + 1 for i in reversed(word)],
+                tuple(quad[k] for k in order))
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -108,14 +117,14 @@ def _validate_root(root):
 
 
 def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
-                         block_size: int = 1 << 20, threads: int = 1) -> CurvatureSet:
+                         block_size: int = 1 << 16, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    The root's children are dealt round-robin to min(threads, children)
-    walks, whose bitsets OR-merge in part order.  The bits do not depend on
-    threads or block_size; the witnesses (first quadruple seen per
-    curvature) follow the traversal, so they are fixed only for a fixed
-    thread count, and at threads=1 they are those of one depth-first walk.
+    The root's children, sorted once, are dealt round-robin to
+    min(threads, children) depth-first walks over sorted columns of at most
+    block_size quadruples a step, which all write one shared mask.  The
+    witness of a curvature is the first sorted quadruple seen to hold it; it
+    follows the traversal, so it is fixed only at threads=1.
     """
     root = _validate_root(root)
     if threads < 1:
@@ -124,77 +133,66 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
         return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool))
     from concurrent.futures import ThreadPoolExecutor
 
+    dtype = _column_dtype(root, n_max)
     mask = np.zeros(n_max + 1, dtype=bool)
-    wit = np.zeros((n_max + 1, 4), dtype=np.int64) if record_witnesses else None
-    rr = np.array(root, dtype=np.int64)
-    for x in root:
-        if 1 <= x <= n_max:
-            mask[x] = True
-            if wit is not None:
-                wit[x] = rr
-    q, l = _children_block(rr[None, :], np.array([-1], dtype=np.int8), n_max)
-    _mark(q, l, mask, wit)
-
-    parts = min(threads, q.shape[0])
+    wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
+    seen = [x for x in root if 1 <= x <= n_max]
+    mask[seen] = True
+    if wit is not None:
+        wit[seen] = sorted(root)
+    s = sum(root)
+    kids = np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
+                     for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
+                    dtype=dtype).reshape(-1, 4)
+    # setting True is idempotent: without witnesses the mask needs no lock
+    lock = threading.Lock() if record_witnesses else contextlib.nullcontext()
+    parts = min(threads, kids.shape[0])
     with ThreadPoolExecutor(max_workers=max(parts, 1)) as ex:
-        walks = list(ex.map(lambda k: _walk(q[k::parts], l[k::parts], n_max,
-                                            record_witnesses, block_size),
-                            range(parts)))
-    for m2, w2 in walks:
-        if wit is not None:
-            fresh = (~mask) & m2
-            wit[fresh] = w2[fresh]
-        mask |= m2
+        list(ex.map(lambda k: _walk(tuple(kids[k::parts].T), n_max, block_size,
+                                    mask, wit, lock),
+                    range(parts)))
     return CurvatureSet.from_bool(n_max, mask, wit)
 
 
-def _children_block(quads, last, n_max):
-    """All admissible children of a block: fresh entry strictly larger, <= n_max."""
-    outs = []
-    outl = []
-    s = quads.sum(axis=1)
-    for i in range(4):
-        old = quads[:, i]
-        new = 2 * s - 3 * old
-        keep = (last != i) & (new > old) & (new <= n_max)
-        if not keep.any():
-            continue
-        child = quads[keep].copy()
-        child[:, i] = new[keep]
-        outs.append(child)
-        outl.append(np.full(child.shape[0], i, dtype=np.int8))
-    if not outs:
-        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int8)
-    return np.concatenate(outs), np.concatenate(outl)
+def _column_dtype(root, n_max):
+    """int32 when every value `_children` forms fits, else int64: entries are
+    at most n_max and only the root's outer circle can be negative, so the
+    largest value formed is 2*(b + c + d) - a <= 6*n_max + |min(root)|."""
+    return np.int32 if 6 * n_max + abs(min(root)) < 2**31 else np.int64
 
 
-def _mark(quads, last, mask, wit):
-    """Set the bits of the fresh entries; record the first quadruple for new bits."""
-    fresh = quads[np.arange(quads.shape[0]), last.astype(np.int64)]
-    if wit is not None:
-        new_bits = ~mask[fresh]
-        if new_bits.any():
-            vals, first = np.unique(fresh[new_bits], return_index=True)
-            wit[vals] = quads[new_bits][first]
-    mask[fresh] = True
+def _children(a, b, c, d, n_max):
+    """Sorted columns of the children of sorted quadruples with fresh entry d
+    whose fresh entry is at most n_max; the fresh entries obey na >= nb >= nc."""
+    nc = 2 * (a + b + d) - c
+    keep = nc <= n_max
+    a, b, c, d, nc = a[keep], b[keep], c[keep], d[keep], nc[keep]
+    nb = 2 * (a + c + d) - b
+    na = 2 * (b + c + d) - a
+    kb, ka = nb <= n_max, na <= n_max
+    return (np.concatenate((a, a[kb], b[ka])), np.concatenate((b, c[kb], c[ka])),
+            np.concatenate((d, d[kb], d[ka])), np.concatenate((nc, nb[kb], na[ka])))
 
 
-def _walk(quads, last, n_max, record_witnesses, block_size):
-    """Depth-first walk below the given quadruples, which are not marked."""
-    mask = np.zeros(n_max + 1, dtype=bool)
-    wit = np.zeros((n_max + 1, 4), dtype=np.int64) if record_witnesses else None
-    stack = [(quads, last)]
+def _walk(cols, n_max, block_size, mask, wit, lock):
+    """Depth-first walk from the given sorted quadruples, marking each as
+    popped; new bits and their witnesses are read and written under the lock."""
+    stack = [cols]
     while stack:
-        q, l = stack.pop()
-        if q.shape[0] > block_size:
-            stack.append((q[block_size:], l[block_size:]))
-            q, l = q[:block_size], l[:block_size]
-        cq, cl = _children_block(q, l, n_max)
-        if cq.shape[0] == 0:
-            continue
-        _mark(cq, cl, mask, wit)
-        stack.append((cq, cl))
-    return mask, wit
+        cols = stack.pop()
+        if cols[0].size > block_size:
+            stack.append(tuple(x[block_size:] for x in cols))
+            cols = tuple(x[:block_size] for x in cols)
+        d = cols[3]
+        with lock:
+            if wit is not None:
+                new = np.flatnonzero(~mask[d])
+                vals, first = np.unique(d[new], return_index=True)
+                wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
+            mask[d] = True
+        cols = _children(*cols, n_max)
+        if cols[0].size:
+            stack.append(cols)
 
 
 @dataclass
@@ -326,8 +324,8 @@ def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTab
 def fit_delta(table: NormBallTable) -> float:
     """Least-squares slope of log count against log Y."""
     sel = table.counts > 0
-    if np.unique(table.ys[sel]).size < 2:
-        raise ValueError("fitting delta needs two distinct radii with a nonzero count")
+    if np.unique(table.counts[sel]).size < 2:
+        raise ValueError("fitting delta needs two distinct nonzero counts")
     x = np.log(table.ys[sel])
     y = np.log(table.counts[sel].astype(float))
     slope, _ = np.polyfit(x, y, 1)

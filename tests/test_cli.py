@@ -81,6 +81,7 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["singular", "--n", "96", "--depth", "-1"],
     ["delta-fit", "--ymin", "-5"],
     ["delta-fit", "--ymax", "0"],
+    ["delta-fit", "--ymin", "100", "--ymax", "100.000001", "--points", "3"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,89 @@ def test_walk_independent_of_blocks_and_threads(n_max, block_size, threads):
     assert np.array_equal(cs.bits, ref.bits)
     vals = cs.values()
     assert (cs.witnesses[vals] == vals[:, None]).any(axis=1).all()
+    w = cs.witnesses[vals].astype(np.int64)
+    assert (w.sum(axis=1) ** 2 == 2 * (w * w).sum(axis=1)).all()
+
+
+def reference_curvatures(root, n_max):
+    """Independent oracle: the walk over unsorted int64 rows that remembers
+    which entry each quadruple last replaced.  A child replaces any other
+    entry i when the fresh entry 2*sum - 3*old is larger than the old one
+    and at most n_max."""
+    mask = np.zeros(n_max + 1, dtype=bool)
+    for x in root:
+        if 1 <= x <= n_max:
+            mask[x] = True
+    stack = [(np.array([root], dtype=np.int64), np.array([-1], dtype=np.int8))]
+    while stack:
+        quads, last = stack.pop()
+        s = quads.sum(axis=1)
+        children, lasts = [], []
+        for i in range(4):
+            old = quads[:, i]
+            new = 2 * s - 3 * old
+            keep = (last != i) & (new > old) & (new <= n_max)
+            child = quads[keep].copy()
+            child[:, i] = new[keep]
+            mask[child[:, i]] = True
+            children.append(child)
+            lasts.append(np.full(child.shape[0], i, dtype=np.int8))
+        if sum(c.shape[0] for c in children):
+            stack.append((np.concatenate(children), np.concatenate(lasts)))
+    return mask
+
+
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
+                                  (-6, 11, 14, 15), ROOT])
+@pytest.mark.parametrize("n_max", [1, 28, 100, 5000, 2 * 10**5])
+def test_walk_matches_reference(root, n_max):
+    want = reference_curvatures(root, n_max)
+    # one-row blocks cost about 50 us a step: 65 s for (-1, 2, 2, 3) at 2e5
+    small = (1, 7) if n_max <= 5000 else (1 << 10,)
+    for block_size in small + (1 << 20,):
+        for threads in (1, 3):
+            cs = orbit.enumerate_curvatures(root, n_max, block_size=block_size,
+                                            threads=threads)
+            assert np.array_equal(cs.to_bool(), want), (block_size, threads)
+
+
+def test_shared_witnesses_under_thread_switching():
+    # more threads than cores, switching as often as the interpreter allows:
+    # a witness row torn between two threads would leave the Descartes cone
+    root, n_max = (-1, 2, 2, 3), 20000
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True,
+                                        block_size=16, threads=8)
+    finally:
+        sys.setswitchinterval(old)
+    assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
+    vals = cs.values()
+    w = cs.witnesses[vals].astype(np.int64)
+    assert (w == vals[:, None]).any(axis=1).all()
+    assert (w.sum(axis=1) ** 2 == 2 * (w * w).sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("root_min", [0, -11])
+def test_children_at_the_int32_bound(root_min):
+    # the largest bound with int32 columns; rows whose entries sit at it,
+    # where every child is pruned, and rows spread below it, where some are kept
+    n_max = (2**31 - 1 - abs(root_min)) // 6
+    assert orbit._column_dtype((root_min, 1, 1, 1), n_max) == np.int32
+    assert orbit._column_dtype((root_min, 1, 1, 1), n_max + 1) == np.int64
+    rng = np.random.default_rng(0)
+    rows = np.sort(np.concatenate([
+        rng.integers(n_max - 1000, n_max, (1000, 4), endpoint=True),
+        rng.integers(abs(root_min) + 1, n_max, (1000, 4), endpoint=True),
+        rng.integers(abs(root_min) + 1, n_max // 3, (1000, 4), endpoint=True)]), axis=1)
+    rows[::2, 0] = root_min
+    rows[:500, 1:] = n_max
+    want = orbit._children(*rows.T, n_max)
+    got = orbit._children(*rows.astype(np.int32).T, n_max)
+    assert got[3].dtype == np.int32 and got[3].size > 0
+    for g, w in zip(got, want):
+        assert np.array_equal(g.astype(np.int64), w)
 
 
 def test_witness_words(curvatures_1e6):
@@ -186,6 +270,13 @@ def test_norm_ball_counts_and_slack():
     assert np.array_equal(t4.counts, t16.counts)
     with pytest.raises(orbit.CapExceededError):
         orbit.norm_ball_count([10**5], y_cap=2.0e4)
+
+
+def test_fit_delta_needs_two_counts():
+    flat = orbit.NormBallTable(ys=np.array([100.0, 100.0000005, 100.000001]),
+                               counts=np.array([30, 30, 30]))
+    with pytest.raises(ValueError):
+        orbit.fit_delta(flat)
 
 
 def test_family_constraints(family_8):
