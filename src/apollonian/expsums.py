@@ -463,16 +463,15 @@ def representation_number(family: Family, x_scale: int,
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:
-    folded = np.zeros(grid)
-    for v, s in rep.values.items():
-        folded[v % grid] += s
-    return folded
+    """The weights R(n) summed over each class n mod grid."""
+    keys = np.fromiter(rep.values.keys(), dtype=np.int64, count=len(rep.values))
+    weights = np.fromiter(rep.values.values(), dtype=float, count=len(rep.values))
+    return np.bincount(keys % grid, weights, minlength=grid)
 
 
 def rhat_on_grid(rep: Representation, grid: int) -> np.ndarray:
     """Exact samples of the exponential sum at theta = j/grid via one FFT."""
-    folded = fold_weights(rep, grid)
-    return grid * np.fft.ifft(folded)
+    return grid * np.fft.ifft(fold_weights(rep, grid))
 
 
 @dataclass
@@ -513,11 +512,11 @@ def major_arc_decomposition(rep: Representation, n_scale: float, q0_cut: int,
         raise GridTooCoarseError(
             f"bump quadrature {got} vs exact {exact_mass}; refine the grid"
         )
-    rhat = rhat_on_grid(rep, grid)
+    folded = fold_weights(rep, grid)
+    rhat = grid * np.fft.ifft(folded)
     major = np.fft.fft(bump * rhat) / grid
     error = np.fft.fft((1.0 - bump) * rhat) / grid
-    return ArcDecomposition(n_scale, q0_cut, k0, grid, major, error,
-                            fold_weights(rep, grid))
+    return ArcDecomposition(n_scale, q0_cut, k0, grid, major, error, folded)
 
 
 def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,

@@ -120,7 +120,7 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                          block_size: int = 1 << 16, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    The root's children, sorted once, are dealt round-robin to
+    The root's distinct children, sorted once, are dealt round-robin to
     min(threads, children) depth-first walks over sorted columns of at most
     block_size quadruples a step, which all write one shared mask.  The
     witness of a curvature is the first sorted quadruple seen to hold it; it
@@ -141,9 +141,10 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     if wit is not None:
         wit[seen] = sorted(root)
     s = sum(root)
-    kids = np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
-                     for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
-                    dtype=dtype).reshape(-1, 4)
+    # a root with two equal entries has two equal children: walk one of them
+    kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
+                               for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
+                              dtype=dtype).reshape(-1, 4), axis=0)
     # setting True is idempotent: without witnesses the mask needs no lock
     lock = threading.Lock() if record_witnesses else contextlib.nullcontext()
     parts = min(threads, kids.shape[0])
@@ -163,13 +164,15 @@ def _column_dtype(root, n_max):
 
 def _children(a, b, c, d, n_max):
     """Sorted columns of the children of sorted quadruples with fresh entry d
-    whose fresh entry is at most n_max; the fresh entries obey na >= nb >= nc."""
+    whose fresh entry is at most n_max; the fresh entries obey na >= nb >= nc.
+    The b-child equals the c-child when b == c, and the a-child the b-child
+    when a == b, so each is kept only when the entries differ."""
     nc = 2 * (a + b + d) - c
     keep = nc <= n_max
     a, b, c, d, nc = a[keep], b[keep], c[keep], d[keep], nc[keep]
     nb = 2 * (a + c + d) - b
     na = 2 * (b + c + d) - a
-    kb, ka = nb <= n_max, na <= n_max
+    kb, ka = (nb <= n_max) & (b != c), (na <= n_max) & (a != b)
     return (np.concatenate((a, a[kb], b[ka])), np.concatenate((b, c[kb], c[ka])),
             np.concatenate((d, d[kb], d[ka])), np.concatenate((nc, nb[kb], na[ka])))
 
@@ -250,48 +253,45 @@ def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_
                     block_size: int = 1 << 18):
     """Walk reduced words of the free group Gamma, pruning at norm^2 > cap.
 
-    Returns (norms_sq sorted ascending, kept) where kept is an (m,4,4) array
-    of the elements whose norm^2 lies in the half-open integer window
-    keep_window = (lo_sq, hi_sq) with lo_sq < norm^2 < hi_sq (strict), or
-    None.  The identity is included.
+    The walk goes one word length at a time: each step multiplies every
+    word of the level by each letter that does not cancel its last one and
+    keeps the products with norm^2 <= norm_cap_sq.  block_size caps how
+    many words of a level are multiplied at once, so no product holds more
+    than block_size 4x4 int64 matrices; it does not change the result.  A
+    CapExceededError is raised once more than count_cap elements are kept.
+
+    Returns (norms_sq sorted ascending, kept) where kept is an (m,4,4) array,
+    in lexicographic order of the 16 entries, of the elements whose norm^2
+    lies in the half-open integer window keep_window = (lo_sq, hi_sq) with
+    lo_sq < norm^2 < hi_sq (strict), or None.  The identity is included.
     """
+    mats = np.eye(4, dtype=np.int64)[None]
+    last = np.array([-1], dtype=np.int8)
     norms = [np.array([4], dtype=np.int64)]  # ||I||^2 = 4
-    kept = []
-    if keep_window is not None:
-        lo, hi = keep_window
-        if lo < 4 < hi:
-            kept.append(np.eye(4, dtype=np.int64)[None])
+    kept = [mats] if keep_window is not None and keep_window[0] < 4 < keep_window[1] else []
     total = 1
-    stack = [(np.eye(4, dtype=np.int64)[None], np.array([-1], dtype=np.int8))]
-    while stack:
-        mats, last = stack.pop()
-        if mats.shape[0] > block_size:
-            stack.append((mats[block_size:], last[block_size:]))
-            mats, last = mats[:block_size], last[:block_size]
-        for letter in range(6):
-            allowed = last != ((letter + 3) % 6)
-            if not allowed.any():
-                continue
-            child = mats[allowed] @ _GEN_STACK[letter]
-            nsq = np.einsum("nij,nij->n", child, child)
-            keep = nsq <= norm_cap_sq
-            if not keep.any():
-                continue
-            child = child[keep]
-            nsq = nsq[keep]
-            total += child.shape[0]
-            if total > count_cap:
-                raise CapExceededError(f"norm-ball walk exceeded {count_cap} elements")
-            norms.append(nsq)
-            if keep_window is not None:
-                lo, hi = keep_window
-                inwin = (nsq > lo) & (nsq < hi)
-                if inwin.any():
-                    kept.append(child[inwin])
-            stack.append((child, np.full(child.shape[0], letter, dtype=np.int8)))
+    while mats.shape[0]:
+        level, letters = [], []
+        for start in range(0, mats.shape[0], block_size):
+            stop = start + block_size
+            block, block_last = mats[start:stop], last[start:stop]
+            for letter in range(6):
+                child = block[block_last != (letter + 3) % 6] @ _GEN_STACK[letter]
+                nsq = np.einsum("nij,nij->n", child, child)
+                keep = nsq <= norm_cap_sq
+                child, nsq = child[keep], nsq[keep]
+                total += nsq.size
+                if total > count_cap:
+                    raise CapExceededError(f"norm-ball walk exceeded {count_cap} elements")
+                norms.append(nsq)
+                if keep_window is not None:
+                    kept.append(child[(nsq > keep_window[0]) & (nsq < keep_window[1])])
+                level.append(child)
+                letters.append(np.full(nsq.size, letter, dtype=np.int8))
+        mats, last = np.concatenate(level), np.concatenate(letters)
     all_norms = np.sort(np.concatenate(norms))
     kept_arr = np.concatenate(kept) if kept else np.empty((0, 4, 4), dtype=np.int64)
-    return all_norms, kept_arr
+    return all_norms, kept_arr[np.lexsort(kept_arr.reshape(-1, 16).T[::-1])]
 
 
 @dataclass

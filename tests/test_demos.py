@@ -8,9 +8,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-# demo 03 fits the growth exponent for about 17 s; test_criterion_05 covers it
-DEMOS = sorted(p for p in (REPO / "demos").glob("*.py")
-               if not p.name.startswith("03_"))
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

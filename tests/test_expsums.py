@@ -273,6 +273,23 @@ def test_representation_numbers(family_8, curvatures_1e6):
         assert core.reduce_to_root(quad)[0] == ROOT
 
 
+def reference_fold(rep, grid):
+    """Independent oracle: the weights folded one dict item at a time."""
+    folded = np.zeros(grid)
+    for v, s in rep.values.items():
+        folded[v % grid] += s
+    return folded
+
+
+def test_fold_weights_matches_loop(family_8):
+    signed = es.representation_number(family_8, 32, truncation=4)
+    odd = es.Representation(family_8, 32, None,
+                            {-7: 0.5, 3: -1.25, 10**12 + 3: 2.0, 5: 0.25}, {})
+    for rep in (signed, odd):
+        for grid in (1, 7, 2048):
+            assert np.array_equal(es.fold_weights(rep, grid), reference_fold(rep, grid))
+
+
 def test_truncated_moebius_l1(family_8):
     rep = es.representation_number(family_8, 32)
     diffs = []

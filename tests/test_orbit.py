@@ -124,6 +124,24 @@ def test_walk_matches_reference(root, n_max):
             assert np.array_equal(cs.to_bool(), want), (block_size, threads)
 
 
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
+                                  (-6, 11, 14, 15), ROOT])
+def test_walk_expands_each_quadruple_once(root, monkeypatch):
+    # equal root children and the equal b-/c- and a-/b-children below the
+    # root would walk one subtree twice
+    rows = []
+    children = orbit._children
+
+    def spy(a, b, c, d, n_max):
+        rows.append(np.stack([a, b, c, d], axis=1))
+        return children(a, b, c, d, n_max)
+
+    monkeypatch.setattr(orbit, "_children", spy)
+    orbit.enumerate_curvatures(root, 10**5)
+    rows = np.concatenate(rows)
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+
+
 def test_shared_witnesses_under_thread_switching():
     # more threads than cores, switching as often as the interpreter allows:
     # a witness row torn between two threads would leave the Descartes cone
@@ -259,6 +277,62 @@ def test_merge():
     b = orbit.CurvatureSet(1000, np.zeros_like(a.bits))
     m = a.merge(b)
     assert np.array_equal(m.bits, a.bits)
+
+
+def reference_gamma(norm_cap_sq, keep_window=None):
+    """Independent oracle: the depth-first walk over reduced words, one
+    block of children per letter, pushed on a stack."""
+    norms = [np.array([4], dtype=np.int64)]
+    kept = []
+    if keep_window is not None and keep_window[0] < 4 < keep_window[1]:
+        kept.append(np.eye(4, dtype=np.int64)[None])
+    stack = [(np.eye(4, dtype=np.int64)[None], np.array([-1], dtype=np.int8))]
+    while stack:
+        mats, last = stack.pop()
+        for letter in range(6):
+            child = mats[last != (letter + 3) % 6] @ orbit._GEN_STACK[letter]
+            nsq = np.einsum("nij,nij->n", child, child)
+            keep = nsq <= norm_cap_sq
+            child, nsq = child[keep], nsq[keep]
+            if not nsq.size:
+                continue
+            norms.append(nsq)
+            if keep_window is not None:
+                lo, hi = keep_window
+                kept.append(child[(nsq > lo) & (nsq < hi)])
+            stack.append((child, np.full(nsq.size, letter, dtype=np.int8)))
+    kept = np.concatenate(kept) if kept else np.empty((0, 4, 4), dtype=np.int64)
+    return np.sort(np.concatenate(norms)), kept
+
+
+@pytest.mark.parametrize("y", [2.1, 10, 100, 1000])
+def test_gamma_walk_matches_reference(y):
+    cap = int((4 * y) ** 2) + 1
+    want, _ = reference_gamma(cap)
+    for block_size in (1, 5, 1 << 18):
+        got, kept = orbit.enumerate_gamma(cap, block_size=block_size)
+        assert got.dtype == want.dtype and np.array_equal(got, want), block_size
+        assert kept.shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("t", [4, 8, 32])
+def test_gamma_window_matches_reference(t):
+    cap, window = (4 * t) ** 2, (t * t, 4 * t * t)
+    want_norms, want = reference_gamma(cap, window)
+    for block_size in (1, 5, 1 << 18):
+        norms, kept = orbit.enumerate_gamma(cap, keep_window=window,
+                                            block_size=block_size)
+        assert np.array_equal(norms, want_norms)
+        # the same set, in lexicographic order of the 16 entries
+        assert kept.reshape(-1, 16).tolist() == sorted(want.reshape(-1, 16).tolist())
+
+
+def test_gamma_count_cap():
+    cap = (4 * 100) ** 2 + 1
+    total = reference_gamma(cap)[0].size
+    with pytest.raises(orbit.CapExceededError):
+        orbit.enumerate_gamma(cap, count_cap=total - 1)
+    assert orbit.enumerate_gamma(cap, count_cap=total)[0].size == total
 
 
 def test_norm_ball_counts_and_slack():
