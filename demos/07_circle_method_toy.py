@@ -17,15 +17,15 @@ print(f"family: {len(fam)} products of two norm-shell elements, "
       f"anchor curvatures {fam.a.min()}..{fam.a.max()}")
 
 rep = es.representation_number(fam, 32)
-print(f"support: {len(rep.values)} integers, total mass {rep.total_mass():.2f}")
+print(f"support: {rep.values.size} integers, total mass {rep.total_mass():.2f}")
 
 n_scale = fam.t * 32 * 32
 dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
 resid = np.abs(dec.major + dec.error - dec.folded).max()
 print(f"max |M + E - folded R| = {resid:.2e}")
 
-n = sorted(rep.values)[0]
-idx, x, y = rep.witnesses[n]
+n = int(rep.values[0])
+idx, x, y = rep.witnesses[0].tolist()
 gam = tuple(map(tuple, fam.mats[idx].tolist()))
 quad = core.mat_vec(core.mat_mul(core.xi(x, y), gam), root)
 print(f"smallest represented n = {n}: witness quadruple {quad}, "
@@ -34,8 +34,9 @@ print(f"smallest represented n = {n}: witness quadruple {quad}, "
 
 for u in (2, 4, 8):
     ru = es.representation_number(fam, 32, truncation=u)
-    keys = set(rep.values) | set(ru.values)
-    l1 = sum(abs(rep.values.get(k, 0.0) - ru.values.get(k, 0.0)) for k in keys)
+    # |R(n) - R_U(n)| summed over the union of the two supports
+    _, inverse = np.unique(np.concatenate((rep.values, ru.values)), return_inverse=True)
+    l1 = np.abs(np.bincount(inverse, np.concatenate((rep.weights, -ru.weights)))).sum()
     print(f"L1 cost of truncating the coprimality at U={u}: {l1:.1f}")
 
 print("minor-arc dissection report:",

@@ -52,7 +52,10 @@ class FrozenMismatch(AssertionError):
 
 
 class FrozenRegistry:
-    """First run records constants; later runs regress against them."""
+    """First run records constants; later runs regress against them.
+
+    margins maps each recorded name to one line: the measured value, the
+    frozen value and the tolerance left."""
 
     def __init__(self, path, freeze: bool = False, ci: bool = False):
         self.path = Path(path)
@@ -61,6 +64,7 @@ class FrozenRegistry:
         self.data = {}
         self.dirty = False
         self.mismatches = []
+        self.margins = {}
         if self.path.exists():
             self.data = json.loads(self.path.read_text()).get("constants", {})
 
@@ -72,9 +76,11 @@ class FrozenRegistry:
         if name not in self.data or self.freeze:
             if self.ci and name not in self.data:
                 self.mismatches.append(f"{name}: missing from registry in CI mode")
+                self.margins[name] = f"value {value!r}, missing from the registry"
                 return value
             self.data[name] = {"value": value, "rtol": rtol, "atol": atol}
             self.dirty = True
+            self.margins[name] = f"value {value!r} frozen now (rtol {rtol}, atol {atol})"
             return value
         ref = self.data[name]
         rv = ref["value"]
@@ -82,8 +88,12 @@ class FrozenRegistry:
         if isinstance(rv, (int, float)) and isinstance(value, (int, float)):
             if abs(value - rv) > tol:
                 self.mismatches.append(f"{name}: got {value}, frozen {rv} (tol {tol})")
-        elif value != rv:
-            self.mismatches.append(f"{name}: got {value!r}, frozen {rv!r}")
+            self.margins[name] = (f"value {value!r}, frozen {rv!r}, tolerance left "
+                                  f"{tol - abs(value - rv):.3g} of {tol:.3g}")
+        else:
+            if value != rv:
+                self.mismatches.append(f"{name}: got {value!r}, frozen {rv!r}")
+            self.margins[name] = f"value {value!r}, frozen {rv!r}, exact"
         return value
 
     def save(self):
@@ -292,7 +302,7 @@ def cmd_circle(args) -> int:
                                      min(args.grid, 1 << 12), args.x * fam.t)
     results = {
         "family_size": len(fam),
-        "support_size": len(rep.values),
+        "support_size": rep.values.size,
         "total_mass": rep.total_mass(),
         "n_scale": n_scale,
         "decomposition_residual": resid,
@@ -316,9 +326,14 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     checks = []
 
-    def check(name, ok):
+    def check(name, ok, detail=None):
         checks.append((name, bool(ok)))
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+        print(f"  [{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
+
+    def frozen_check(label, name, value, **tolerance):
+        before = len(registry.mismatches)
+        registry.record(name, value, **tolerance)
+        check(label, len(registry.mismatches) == before, registry.margins[name])
 
     if "core" in mods:
         ok = core.descartes_form(root) == 0
@@ -357,15 +372,13 @@ def cmd_verify(args) -> int:
                     ok &= abs(expsums.sf_closed(f, q0, r, n, m)
                               - expsums.sf_direct(f, q0, r, n, m)) < 1e-9
         check("expsums: closed form vs direct sum", ok)
-        val = registry.record("verify.singular_series_96",
-                              expsums.singular_series(96, root), rtol=1e-9)
-        check("expsums: singular series at 96 frozen", not registry.mismatches)
+        frozen_check("expsums: singular series at 96 frozen", "verify.singular_series_96",
+                     expsums.singular_series(96, root), rtol=1e-9)
     if "spectral" in mods:
         ok = spectral.generator_correspondence_check()["all_match"]
         check("spectral: generator correspondence", ok)
-        lam = registry.record("verify.lambda1_q4",
-                              spectral.markov_spectrum(4).eigenvalues[1], atol=1e-6)
-        check("spectral: lambda1(4) frozen", not registry.mismatches)
+        frozen_check("spectral: lambda1(4) frozen", "verify.lambda1_q4",
+                     spectral.markov_spectrum(4).eigenvalues[1], atol=1e-6)
 
     try:
         registry.check()
@@ -545,9 +558,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("circle", help="toy circle-method decomposition")
     _add_common(p, root=True)
-    p.add_argument("--t1", type=int, default=8)
+    p.add_argument("--t1", type=int, default=8,
+                   help=f"norm shell of gamma1; with --t2, more than "
+                        f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (about 1.4 GB) exit 3")
     p.add_argument("--t2", type=int, default=8)
-    p.add_argument("--x", type=int, default=32)
+    p.add_argument("--x", type=int, default=32,
+                   help=f"box scale X; members times live (x, y) points above "
+                        f"{expsums.REPRESENTATION_CAP:,} (about 1.4 GB) exit 3")
     p.add_argument("--u", type=int, default=0)
     p.add_argument("--q0cap", type=int, default=8)
     p.add_argument("--k0", type=float, default=64.0)

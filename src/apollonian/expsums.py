@@ -21,7 +21,7 @@ import numpy as np
 
 from . import congruence
 from .forms import ShiftedForm, _factorize
-from .orbit import Family
+from .orbit import CapExceededError, Family
 
 
 class UnsupportedModulusError(ValueError):
@@ -247,11 +247,6 @@ def ramanujan(q: int, m: int) -> int:
     return total
 
 
-def ramanujan_direct(q: int, m: int) -> complex:
-    roots = _roots_of_unity(q)
-    return complex(sum(roots[(r * m) % q] for r in range(q) if gcd(r, q) == 1))
-
-
 # ---------------------------------------------------------------------------
 # Singular series
 # ---------------------------------------------------------------------------
@@ -393,43 +388,63 @@ def upsilon(t) -> np.ndarray:
     return _bump_raw(2.0 * t - 3.0) * (2.0 / _BUMP_MASS)
 
 
+# (member, point) values evaluated and merged per chunk; bounds the chunk's
+# temporaries, not the result
+_CHUNK_ELEMENTS = 1 << 20
+# default cap on family size times live (x, y) points, and on the points of
+# the (x, y) box: `circle` peaks at about 40 MB plus 85 bytes per (member,
+# point) pair, so near 1.4 GB at the cap
+REPRESENTATION_CAP = 1 << 24
+
+
 @dataclass
 class Representation:
     """Weighted representation numbers of a family at scale X.
 
-    values maps n to R(n); witnesses maps n to (member index, x, y) with
-    n = (f - a)(2x, y) and gcd(2x, y) = 1 (exact-coprime runs only).
+    values holds the represented integers n in ascending order and weights
+    the R(n) aligned with them.  witnesses, for exact-coprime runs only (else
+    None), is the aligned (m, 3) array of (member index, x, y) with
+    n = (f - a)(2x, y) and gcd(2x, y) = 1: the first such pair in member
+    order, then in row-major order of the (x, y) box.
     """
     family: Family
     x_scale: int
     truncation: int | None
-    values: dict
-    witnesses: dict
+    values: np.ndarray
+    weights: np.ndarray
+    witnesses: np.ndarray | None
 
     def total_mass(self) -> float:
-        return float(sum(self.values.values()))
+        return float(self.weights.sum())
 
 
 def representation_number(family: Family, x_scale: int,
-                          truncation: int | None = None) -> Representation:
+                          truncation: int | None = None,
+                          count_cap: int = REPRESENTATION_CAP) -> Representation:
     """Direct double sum over the family and the smoothed (x, y) box.
 
     With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
     with truncation=U the Moebius sum over u | (2x, y), u < U is used
-    instead (values may then be negative)."""
+    instead (values may then be negative).  Whole members are evaluated at
+    every live point in chunks of about _CHUNK_ELEMENTS values, and each
+    chunk is merged into the running sorted sums by one stable sort.  A
+    CapExceededError is raised, before anything that size is allocated, when
+    the (x, y) box or family size times live points exceeds count_cap."""
     X = x_scale
     if X < 4:
         raise ValueError("X >= 4")
     xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
     ys = np.arange(X, 2 * X + 1, dtype=np.int64)
+    if xs.size * ys.size > count_cap:
+        raise CapExceededError(f"the (x, y) box at X = {X} has {xs.size * ys.size} "
+                               f"points, above the cap {count_cap}")
     wx = upsilon(2.0 * xs / X)
     wy = upsilon(ys / X)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     weights = np.outer(wx, wy)
     g = np.gcd(2 * gx, gy)
     if truncation is None:
-        mask = g == 1
-        mult = mask.astype(float)
+        mult = (g == 1).astype(float)
     else:
         gmax = int(g.max())
         mu_tab = np.zeros(gmax + 1)
@@ -438,35 +453,51 @@ def representation_number(family: Family, x_scale: int,
                              if gg % u == 0)
         mult = mu_tab[g]
     weights = weights * mult
-    values: dict = {}
-    witnesses: dict = {}
     live = np.abs(weights) > 0
-    fx = gx[live]
-    fy = gy[live]
-    fw = weights[live]
-    coprime = (g[live] == 1)
-    for idx, (A, B, C, a) in enumerate(family.forms):
-        vals = (4 * int(A) * fx * fx + 4 * int(B) * fx * fy
-                + int(C) * fy * fy - int(a))
-        uniq, first, inverse = np.unique(vals, return_index=True,
-                                         return_inverse=True)
-        sums = np.bincount(inverse, weights=fw)
-        for v, s in zip(uniq.tolist(), sums.tolist()):
-            values[v] = values.get(v, 0.0) + s
-        if truncation is None:
-            for v, fi in zip(uniq.tolist(), first.tolist()):
-                if v not in witnesses and coprime[fi]:
-                    witnesses[v] = (idx, int(fx[fi]), int(fy[fi]))
+    fx, fy, fw = gx[live], gy[live], weights[live]
+    if len(family) * fx.size > count_cap:
+        raise CapExceededError(f"{len(family)} members at {fx.size} live points "
+                               f"exceed the cap {count_cap}")
+    # n = A (4x^2) + B (4xy) + C y^2 - a, one row per member of a chunk
+    mono = np.stack([4 * fx * fx, 4 * fx * fy, fy * fy])
+    values, sums = np.empty(0, dtype=np.int64), np.empty(0)
+    origin = np.empty(0, dtype=np.int64)   # member * points + point of the first pair
+    step = max(1, _CHUNK_ELEMENTS // max(fx.size, 1))
+    for lo in range(0, len(family), step):
+        A, B, C, a = family.forms[lo:lo + step].T[:, :, None]
+        vals = (A * mono[0] + B * mono[1] + C * mono[2] - a).ravel()
+        first = lo * fx.size
+        values, sums, origin = _merge(
+            (values, sums, origin),
+            (vals, np.tile(fw, A.shape[0]), np.arange(first, first + vals.size)))
     # drop numerically zero entries
-    values = {v: s for v, s in values.items() if abs(s) > 1e-14}
-    return Representation(family, X, truncation, values, witnesses)
+    keep = np.abs(sums) > 1e-14
+    values, sums, origin = values[keep], sums[keep], origin[keep]
+    witnesses = None
+    if truncation is None:
+        member, point = np.divmod(origin, max(fx.size, 1))
+        witnesses = np.stack([member, fx[point], fy[point]], axis=1)
+    return Representation(family, X, truncation, values, sums, witnesses)
+
+
+def _merge(running, chunk):
+    """Distinct sorted values, summed weights and first origins of the
+    running arrays and a chunk of (value, weight, origin) pairs.  The stable
+    sort puts a value's running entry before its chunk pairs and keeps the
+    chunk's order, so the first entry of each value holds its first origin."""
+    vals, weights, origin = (np.concatenate(pair) for pair in zip(running, chunk))
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    head = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    return (vals[starts], np.add.reduceat(weights[order], starts),
+            origin[order[starts]])
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:
     """The weights R(n) summed over each class n mod grid."""
-    keys = np.fromiter(rep.values.keys(), dtype=np.int64, count=len(rep.values))
-    weights = np.fromiter(rep.values.values(), dtype=float, count=len(rep.values))
-    return np.bincount(keys % grid, weights, minlength=grid)
+    return np.bincount(rep.values % grid, rep.weights, minlength=grid)
 
 
 def rhat_on_grid(rep: Representation, grid: int) -> np.ndarray:

@@ -262,15 +262,6 @@ def zero_pairs_count(A: int, B: int, C: int, d: int, M: int) -> int:
     return int((cm * cn).sum())
 
 
-def zero_pairs_bruteforce(A, B, C, d, M) -> int:
-    cnt = 0
-    for m in range(M):
-        for n in range(M):
-            if (A * m * m + 2 * B * m * n + C * n * n) % d == 0:
-                cnt += 1
-    return cnt
-
-
 def coincidence_count(form: ShiftedForm, family: Family, M: int) -> int:
     """#{(f', m, n, m', n') : a' = a, (f-a)(m,-n) = (f'-a')(m',-n'),
     0 <= m,n,m',n' < M} by a value-indexed hash join."""
@@ -289,23 +280,6 @@ def coincidence_count(form: ShiftedForm, family: Family, M: int) -> int:
             continue
         vals = values(int(A), int(B), int(C), int(a))
         total += sum(base_counter.get(v, 0) for v in vals.tolist())
-    return total
-
-
-def coincidence_bruteforce(form: ShiftedForm, family: Family, M: int) -> int:
-    total = 0
-    rng = range(M)
-    for A, B, C, a in family.forms:
-        if a != form.a:
-            continue
-        A, B, C, a = int(A), int(B), int(C), int(a)
-        for m in rng:
-            for n in rng:
-                lhs = form.A * m * m - 2 * form.B * m * n + form.C * n * n - form.a
-                for m2 in rng:
-                    for n2 in rng:
-                        if lhs == A * m2 * m2 - 2 * B * m2 * n2 + C * n2 * n2 - a:
-                            total += 1
     return total
 
 

@@ -361,8 +361,16 @@ class Family:
         return self.mats.shape[0]
 
 
-def build_family(root, t1: int, t2: int) -> Family:
-    """All products gamma1*gamma2 from the two norm shells passing the anchor cut."""
+# shell pairs build_family multiplies by default: about 330 bytes of peak
+# memory each, so 2^22 pairs peak near 1.4 GB
+FAMILY_PAIR_CAP = 1 << 22
+
+
+def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Family:
+    """All products gamma1*gamma2 from the two norm shells passing the anchor cut.
+
+    A CapExceededError is raised, before the products are formed, when the
+    shells hold more than count_cap pairs."""
     if t1 < 4 or t2 < 4:
         raise ValueError("norm windows need T1, T2 >= 4")
     root = _validate_root(root)
@@ -372,6 +380,10 @@ def build_family(root, t1: int, t2: int) -> Family:
         shell2 = shell1
     else:
         _, shell2 = enumerate_gamma(cap_sq, keep_window=(t2 * t2, 4 * t2 * t2))
+    pairs = shell1.shape[0] * shell2.shape[0]
+    if pairs > count_cap:
+        raise CapExceededError(f"norm shells at T1 = {t1}, T2 = {t2} hold {pairs} pairs, "
+                               f"above the cap {count_cap}")
     t = t1 * t2
     if shell1.size == 0 or shell2.size == 0:
         empty = np.empty(0, dtype=np.int64)

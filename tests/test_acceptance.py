@@ -23,6 +23,8 @@ import pytest
 from apollonian import congruence as cg
 from apollonian import core, expsums as es, forms, orbit, spectral as sp
 from apollonian.forms import ShiftedForm
+from test_expsums import l1_distance
+from test_forms import coincidence_bruteforce, zero_pairs_bruteforce
 
 ROOT = (-11, 21, 24, 28)
 F0 = ShiftedForm(10, 7, 17, -11)
@@ -210,12 +212,12 @@ def test_criterion_10_local_lemmata(family_8):
     for d in (11, 121):
         assert forms.kl_lift_check(10, 7, 17, d)
     assert forms.zero_pairs_count(10, 7, 17, 11, 11) == \
-        forms.zero_pairs_bruteforce(10, 7, 17, 11, 11)
+        zero_pairs_bruteforce(10, 7, 17, 11, 11)
     assert forms.zero_pairs_count(10, 7, 17, 121, 50) == \
-        forms.zero_pairs_bruteforce(10, 7, 17, 121, 50)
+        zero_pairs_bruteforce(10, 7, 17, 121, 50)
     f = ShiftedForm(*(int(v) for v in family_8.forms[0]))
     assert forms.coincidence_count(f, family_8, 12) == \
-        forms.coincidence_bruteforce(f, family_8, 12)
+        coincidence_bruteforce(f, family_8, 12)
     passline(10, "(k,l) lifts exhaustive at d in {11,121}, zero-pair sieve "
                  "and coincidence join match brute force")
 
@@ -259,20 +261,17 @@ def test_criterion_13_circle_method(family_8):
     dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
     resid = np.abs(dec.major + dec.error - dec.folded).max()
     assert resid <= 1e-6 * max(np.abs(dec.folded).max(), 1.0)
-    for n, (idx, x, y) in rep.witnesses.items():
-        assert rep.values[n] > 0
+    assert rep.witnesses.shape == (rep.values.size, 3)
+    for n, w, (idx, x, y) in zip(rep.values.tolist(), rep.weights.tolist(),
+                                 rep.witnesses.tolist()):
+        assert w > 0
         assert cg.is_admissible(n, ROOT)
         gam = tuple(map(tuple, family_8.mats[idx].tolist()))
         quad = core.mat_vec(core.mat_mul(core.xi(x, y), gam), ROOT)
         assert quad[3] == n
         assert core.reduce_to_root(quad)[0] == ROOT
-    assert set(rep.witnesses) == set(rep.values)
-    diffs = []
-    for u in (2, 4, 8):
-        ru = es.representation_number(family_8, 32, truncation=u)
-        keys = set(rep.values) | set(ru.values)
-        diffs.append(sum(abs(rep.values.get(k, 0.0) - ru.values.get(k, 0.0))
-                         for k in keys))
+    diffs = [l1_distance(rep, es.representation_number(family_8, 32, truncation=u))
+             for u in (2, 4, 8)]
     assert diffs[0] > diffs[1] > diffs[2]
     passline(13, "M + E = R to 1e-6 on the 2^16 grid, every represented n "
                  "certified admissible and in the gasket, L1 Moebius "

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -164,6 +165,68 @@ def test_spectral_alternation_memory():
     rc, k, sizes, peak_kb = json.loads(out.stdout)
     assert (rc, k, sizes) == (0, 2, [8064, 117600])
     assert peak_kb < 200 * 1024
+
+
+def test_circle_memory():
+    # chunked sorted arrays, not dicts of every represented integer (198 MB
+    # peak with the dicts); VmHWM as in test_spectral_alternation_memory
+    code = ("import contextlib, io, json, re; from apollonian import cli\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    rc = cli.main(['circle', '--t1', '32', '--t2', '32', '--x', '32'])\n"
+            "res = json.loads(buf.getvalue())['results']\n"
+            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+            "print(json.dumps([rc, res['family_size'], res['support_size'],\n"
+            "                  int(hwm.group(1))]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, family_size, support_size, peak_kb = json.loads(out.stdout)
+    assert (rc, family_size, support_size) == (0, 3180, 560_345)
+    assert peak_kb < 160 * 1024
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # the (x, y) box of 2e10 points: 149 GiB for the grid
+    ["circle", "--x", "200000"],
+    # 3120^2 shell pairs: 1.05 GiB for the products alone
+    ["circle", "--t1", "1024", "--t2", "1024", "--x", "8"],
+])
+def test_circle_over_cap_exits_3_before_allocating(argv):
+    # under a 3 GB address-space limit the allocation itself would fail,
+    # so only a check made before it can exit 3
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "apollonian", *argv],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_address_space,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 3, out.stderr
+    assert len(out.stderr.splitlines()) == 1 and "cap" in out.stderr, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_verify_prints_frozen_margins(tmp_path, capsys):
+    reg = tmp_path / "frozen.json"
+    assert run(["verify", "--modules", "expsums", "--freeze", "--registry", str(reg)]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--modules", "expsums", "--registry", str(reg)]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "frozen:" in ln]
+    assert len(lines) == 1
+    assert lines[0].startswith("  [PASS] expsums: singular series at 96 frozen: value ")
+    assert "frozen 2.44438" in lines[0] and "tolerance left" in lines[0]
+    # a value off by more than its tolerance fails only its own line
+    data = json.loads(reg.read_text())
+    data["constants"]["verify.singular_series_96"]["value"] += 1.0
+    reg.write_text(json.dumps(data))
+    assert run(["verify", "--modules", "expsums,spectral", "--registry", str(reg)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] expsums: singular series at 96 frozen" in out
+    assert "[PASS] spectral: lambda1(4) frozen: value " in out
 
 
 @pytest.mark.parametrize("argv,flag", [

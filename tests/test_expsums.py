@@ -170,6 +170,12 @@ def test_kloosterman_bound(registry):
     assert worst <= 1.0 + 1e-9  # Kloosterman's elementary 3/4 bound, a = b = units
 
 
+def ramanujan_direct(q: int, m: int) -> complex:
+    """Oracle for expsums.ramanujan: the sum of e_q(r m) over the units r."""
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    return complex(sum(roots[(r * m) % q] for r in range(q) if gcd(r, q) == 1))
+
+
 def test_ramanujan():
     assert es.ramanujan(1, 7) == 1
     assert es.ramanujan(3, 1) == -1
@@ -177,13 +183,13 @@ def test_ramanujan():
         assert es.ramanujan(p, 0) == p - 1
     for q in range(1, 501):
         for m in (0, 1, q // 2, q - 1):
-            assert abs(es.ramanujan(q, m) - es.ramanujan_direct(q, m)) < 1e-7
+            assert abs(es.ramanujan(q, m) - ramanujan_direct(q, m)) < 1e-7
 
 
 def test_ramanujan_exhaustive_small():
     for q in range(1, 121):
         for m in range(q):
-            assert abs(es.ramanujan(q, m) - es.ramanujan_direct(q, m)) < 1e-8
+            assert abs(es.ramanujan(q, m) - ramanujan_direct(q, m)) < 1e-8
 
 
 def test_singular_series_vanishing():
@@ -258,47 +264,125 @@ def test_representation_numbers(family_8, curvatures_1e6):
     rhat = es.rhat_on_grid(rep, 2048)
     assert abs(rep.total_mass() - rhat[0].real) < 1e-8
     # positivity and support admissibility
-    samples = sorted(rep.values)[:200]
-    for n in samples:
-        assert rep.values[n] > 0
+    for n, w in zip(rep.values[:200].tolist(), rep.weights[:200].tolist()):
+        assert w > 0
         assert cg.is_admissible(n, ROOT)
     # membership: spot-check reduction certificates
     import random
     rng = random.Random(4)
-    for n in rng.sample(sorted(rep.values), 40):
-        idx, x, y = rep.witnesses[n]
+    for i in rng.sample(range(rep.values.size), 40):
+        idx, x, y = rep.witnesses[i].tolist()
         gam = tuple(map(tuple, family_8.mats[idx].tolist()))
         quad = core.mat_vec(core.mat_mul(core.xi(x, y), gam), ROOT)
-        assert quad[3] == n
+        assert quad[3] == rep.values[i]
         assert core.reduce_to_root(quad)[0] == ROOT
 
 
+def reference_representation(family, X, truncation=None):
+    """Independent oracle: one np.unique per member, merged into dicts one
+    (member, value) pair at a time.  Returns ({n: R(n)}, {n: witness})."""
+    xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
+    ys = np.arange(X, 2 * X + 1, dtype=np.int64)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    weights = np.outer(es.upsilon(2.0 * xs / X), es.upsilon(ys / X))
+    g = np.gcd(2 * gx, gy)
+    if truncation is None:
+        mult = (g == 1).astype(float)
+    else:
+        mu_tab = np.zeros(int(g.max()) + 1)
+        for gg in range(1, mu_tab.size):
+            mu_tab[gg] = sum(es.mobius(u) for u in range(1, min(truncation, gg + 1))
+                             if gg % u == 0)
+        mult = mu_tab[g]
+    weights = weights * mult
+    values, witnesses = {}, {}
+    live = np.abs(weights) > 0
+    fx, fy, fw = gx[live], gy[live], weights[live]
+    coprime = g[live] == 1
+    for idx, (A, B, C, a) in enumerate(family.forms):
+        vals = (4 * int(A) * fx * fx + 4 * int(B) * fx * fy
+                + int(C) * fy * fy - int(a))
+        uniq, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, weights=fw)
+        for v, s in zip(uniq.tolist(), sums.tolist()):
+            values[v] = values.get(v, 0.0) + s
+        if truncation is None:
+            for v, fi in zip(uniq.tolist(), first.tolist()):
+                if v not in witnesses and coprime[fi]:
+                    witnesses[v] = (idx, int(fx[fi]), int(fy[fi]))
+    values = {v: s for v, s in values.items() if abs(s) > 1e-14}
+    return values, witnesses
+
+
+# build_family(ROOT, 8, 16) is empty (no element of Gamma has its norm in
+# (16, 32)), so (8, 32) adds a family of two different shells
+@pytest.mark.parametrize("shells", [(8, 8), (8, 16), (8, 32)], ids=["8x8", "8x16", "8x32"])
+@pytest.mark.parametrize("truncation", [None, 2, 4, 8])
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["default_chunk", "chunk1000"])
+def test_representation_matches_reference(shells, truncation, chunk, monkeypatch):
+    # chunk=1000 merges a few members at a time, as large families do
+    if chunk is not None:
+        monkeypatch.setattr(es, "_CHUNK_ELEMENTS", chunk)
+    family = orbit.build_family(ROOT, *shells)
+    rep = es.representation_number(family, 32, truncation)
+    values, witnesses = reference_representation(family, 32, truncation)
+    keys = sorted(values)
+    assert rep.values.dtype == np.int64 and rep.values.tolist() == keys
+    ref = np.array([values[k] for k in keys])
+    assert rep.weights.shape == ref.shape
+    assert np.all(np.abs(rep.weights - ref) <= 1e-12 * np.abs(ref))
+    if truncation is None:
+        assert rep.witnesses.dtype == np.int64
+        assert rep.witnesses.tolist() == [list(witnesses[k]) for k in keys]
+    else:
+        assert rep.witnesses is None
+
+
+def test_representation_count_cap(family_8):
+    # 96 members at 192 live points of the X = 32 box (561 points)
+    es.representation_number(family_8, 32, count_cap=96 * 192)
+    with pytest.raises(orbit.CapExceededError):
+        es.representation_number(family_8, 32, count_cap=96 * 192 - 1)
+    # the box is checked before it is built, even for an empty family
+    with pytest.raises(orbit.CapExceededError):
+        es.representation_number(orbit.build_family(ROOT, 8, 16), 32, count_cap=560)
+
+
 def reference_fold(rep, grid):
-    """Independent oracle: the weights folded one dict item at a time."""
+    """Independent oracle: the weights folded one (n, R(n)) pair at a time."""
     folded = np.zeros(grid)
-    for v, s in rep.values.items():
+    for v, s in zip(rep.values.tolist(), rep.weights.tolist()):
         folded[v % grid] += s
     return folded
 
 
 def test_fold_weights_matches_loop(family_8):
     signed = es.representation_number(family_8, 32, truncation=4)
-    odd = es.Representation(family_8, 32, None,
-                            {-7: 0.5, 3: -1.25, 10**12 + 3: 2.0, 5: 0.25}, {})
+    odd = es.Representation(family_8, 32, None, np.array([-7, 3, 5, 10**12 + 3]),
+                            np.array([0.5, -1.25, 0.25, 2.0]), None)
     for rep in (signed, odd):
         for grid in (1, 7, 2048):
             assert np.array_equal(es.fold_weights(rep, grid), reference_fold(rep, grid))
 
 
+def l1_distance(rep, other):
+    """Sum over n of |R(n) - R'(n)|, an n missing from one side counting 0."""
+    _, inverse = np.unique(np.concatenate((rep.values, other.values)), return_inverse=True)
+    return float(np.abs(np.bincount(
+        inverse, np.concatenate((rep.weights, -other.weights)))).sum())
+
+
 def test_truncated_moebius_l1(family_8):
     rep = es.representation_number(family_8, 32)
-    diffs = []
-    for u in (2, 4, 8):
-        ru = es.representation_number(family_8, 32, truncation=u)
-        keys = set(rep.values) | set(ru.values)
-        diffs.append(sum(abs(rep.values.get(k, 0.0) - ru.values.get(k, 0.0))
-                         for k in keys))
+    truncated = [es.representation_number(family_8, 32, truncation=u) for u in (2, 4, 8)]
+    diffs = [l1_distance(rep, ru) for ru in truncated]
     assert diffs[0] > diffs[1] > diffs[2]
+    # l1_distance against a sum over the union of the two supports
+    exact = dict(zip(rep.values.tolist(), rep.weights.tolist()))
+    for ru, diff in zip(truncated, diffs):
+        cut = dict(zip(ru.values.tolist(), ru.weights.tolist()))
+        direct = sum(abs(exact.get(k, 0.0) - cut.get(k, 0.0)) for k in exact.keys() | cut)
+        assert abs(diff - direct) <= 1e-12 * direct
 
 
 def test_major_arc_decomposition(family_8):

@@ -424,3 +424,11 @@ def test_modular_equidistribution(family_32):
     rep5 = orbit.modular_equidistribution_report(family_32, 5)
     counts = list(rep5["counts"].values())
     assert max(counts) <= 4 * min(counts)
+
+
+def test_family_count_cap():
+    # the T = 8 shell holds 12 elements, so the family multiplies 144 pairs
+    fam = orbit.build_family(ROOT, 8, 8, count_cap=144)
+    assert fam.shell1.shape[0] * fam.shell2.shape[0] == 144
+    with pytest.raises(orbit.CapExceededError):
+        orbit.build_family(ROOT, 8, 8, count_cap=143)
