@@ -158,7 +158,7 @@ def _parse_root(s: str):
             return parts
     except ValueError:
         pass
-    raise ValueError(f"--root must be four integers a,b,c,d, got {s!r}")
+    raise core.InputError(f"--root must be four integers a,b,c,d, got {s!r}")
 
 
 def _parse_qs(s: str):
@@ -168,20 +168,20 @@ def _parse_qs(s: str):
             return qs
     except ValueError:
         pass
-    raise ValueError(f"--q must be a comma-separated list of positive integers, got {s!r}")
+    raise core.InputError(f"--q must be a comma-separated list of positive integers, got {s!r}")
 
 
 def cmd_gasket(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
     if core.descartes_form(root) != 0:
-        raise ValueError(f"root {root} violates the Descartes relation")
+        raise core.InputError(f"root {root} violates the Descartes relation")
     if args.limit < 1:
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+        raise core.InputError(f"--limit must be at least 1, got {args.limit}")
     # checked before the walk, which at the default limit takes minutes
     if args.snapshot and (os.path.isdir(args.snapshot)
                           or not os.access(Path(args.snapshot).parent, os.W_OK)):
-        raise ValueError(f"--snapshot {args.snapshot} is not a writable file path")
+        raise core.InputError(f"--snapshot {args.snapshot} is not a writable file path")
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
               f"takes {GASKET_DEFAULT_COST}; time and memory grow about "
@@ -218,8 +218,10 @@ def cmd_admissible(args) -> int:
 def cmd_delta_fit(args) -> int:
     t0 = time.time()
     for flag, y in (("--ymin", args.ymin), ("--ymax", args.ymax)):
-        if not y > 0:
-            raise ValueError(f"{flag} must be positive, got {y}")
+        if not 0 < y < math.inf:
+            raise core.InputError(f"{flag} must be positive and finite, got {y}")
+    if args.points < 2:
+        raise core.InputError(f"--points must be at least 2 to fit a slope, got {args.points}")
     ys = np.geomspace(args.ymin, args.ymax, args.points)
     table = orbit.norm_ball_count(ys)
     delta = orbit.fit_delta(table)
@@ -231,10 +233,19 @@ def cmd_delta_fit(args) -> int:
     return EXIT_OK
 
 
+def _parse_form(s: str) -> forms.ShiftedForm:
+    try:
+        parts = tuple(int(x) for x in s.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 4:
+        raise core.InputError(f"--form must be four integers A,B,C,a, got {s!r}")
+    return forms.ShiftedForm(*parts)
+
+
 def cmd_expsum(args) -> int:
     t0 = time.time()
-    A, B, C, a = (int(x) for x in args.form.split(","))
-    f = forms.ShiftedForm(A, B, C, a)
+    f = _parse_form(args.form)
     val = expsums.sf_direct(f, args.q0, args.r, args.n, args.m)
     results = {"sf_direct": val}
     if args.q0 % 2 == 1:
@@ -268,6 +279,7 @@ def cmd_spectral(args) -> int:
         entry["s_size"] = spec.s_size
         entry["eigenvalues"] = list(spec.eigenvalues)
         entry["matvecs"] = spec.matvecs
+        entry["stages"] = {k: round(v, 3) for k, v in spec.stages.items()}
         if args.check == "transference":
             rep = spectral.transference_check(spec)
             entry["transference"] = {
@@ -292,7 +304,7 @@ def cmd_circle(args) -> int:
     root = _parse_root(args.root)
     for flag, v in (("--q0cap", args.q0cap), ("--grid", args.grid), ("--k0", args.k0)):
         if not v > 0:
-            raise ValueError(f"{flag} must be positive, got {v}")
+            raise core.InputError(f"{flag} must be positive, got {v}")
     fam = orbit.build_family(root, args.t1, args.t2)
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
     n_scale = fam.t * args.x * args.x
@@ -320,8 +332,8 @@ def cmd_verify(args) -> int:
     mods = args.modules.split(",") if args.modules else known
     unknown = [m for m in mods if m not in known]
     if unknown:
-        raise ValueError(f"--modules: unknown {','.join(unknown)}; "
-                         f"choose from {','.join(known)}")
+        raise core.InputError(f"--modules: unknown {','.join(unknown)}; "
+                              f"choose from {','.join(known)}")
     root = DEFAULT_ROOT
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -406,7 +418,7 @@ def _root_positions(root):
     circle (negative curvature), centered at the origin."""
     b1, b2, b3, b4 = root
     if b1 >= 0 or min(b2, b3, b4) <= 0:
-        raise ValueError("expected one bounding circle and three positive")
+        raise core.InputError("expected one bounding circle and three positive")
     r1, r2, r3, r4 = (1 / abs(b1), 1 / b2, 1 / b3, 1 / b4)
     z1 = 0 + 0j
     z2 = complex(r1 - r2, 0)
@@ -426,7 +438,7 @@ def _root_positions(root):
                 z4b = cand
                 break
     if z4b is None:
-        raise ValueError("could not realize the root quadruple")
+        raise core.InputError("could not realize the root quadruple")
     return [(b1, z1), (b2, z2), (b3, z3), (b4, z4b)]
 
 
@@ -490,7 +502,7 @@ def cmd_render(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
     if core.descartes_form(root) != 0:
-        raise ValueError(f"root {root} violates the Descartes relation")
+        raise core.InputError(f"root {root} violates the Descartes relation")
     svg = render_svg(root, args.depth)
     out = args.out or "gasket.svg"
     Path(out).write_text(svg)
@@ -551,7 +563,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("spectral", help="quotient spectra and transference")
     _add_common(p, seed=True)
-    p.add_argument("--q", default="2,3,4")
+    p.add_argument("--q", default="2,3,4",
+                   help=f"comma-separated moduli; a quotient of more than "
+                        f"{spectral.CLOSURE_CAP:,} elements exits 3 (q = 11 has "
+                        f"1,771,440 and takes about 90 s and 0.5 GB)")
     p.add_argument("--check", choices=("spectrum", "transference", "alternation"),
                    default="spectrum")
     p.set_defaults(func=cmd_spectral)
@@ -590,11 +605,14 @@ def main(argv=None) -> int:
     except orbit.CapExceededError as e:
         print(e, file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as e:  # bad input found below the argument parser
+    except core.InputError as e:  # bad input found below the argument parser
         print(e, file=sys.stderr)
         return EXIT_INPUT
     except spectral.EigensolverError as e:
         print(e, file=sys.stderr)
+        return EXIT_INVARIANT
+    except ValueError as e:  # any other ValueError is a fault of the program
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

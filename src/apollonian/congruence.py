@@ -5,7 +5,8 @@ package: the image of Gamma modulo q (4x4 matrices as 16 bytes of entries
 in [0, q)), the orbit of the root quadruple modulo q, and, in spectral, the
 image of the spin preimage in SL(2, Z[i]/(q)).  Each caller encodes an
 element as a fixed-width row and supplies a vectorised step giving all its
-generator images; the engine deduplicates rows by sorting their byte keys.
+generator images; the engine deduplicates rows by sorting their keys,
+one machine word per row where the row fits in one.
 The order of the special orthogonal group of the Descartes form over F_p is
 computed independently by orbit-stabilizer counting on spheres, giving an
 oracle for the structure of the quotients at primes away from 2 and 3.
@@ -27,31 +28,46 @@ _GENS6 = np.array(core.GAMMA_GENERATORS + core.GAMMA_GENERATOR_INVERSES,
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width void scalar per row, ordered as the row's bytes."""
+    """One key per row, ordered as the row's bytes.
+
+    A row of 1, 2, 4 or 8 bytes is read as a big-endian unsigned integer and
+    kept in native byte order, so integer order is byte order and sorting
+    and searching run on machine words.  Wider rows get a void scalar."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    width = rows.dtype.itemsize * rows.shape[1]
+    if width in (1, 2, 4, 8):
+        return rows.view(f">u{width}").ravel().astype(f"=u{width}")
+    return rows.view(np.dtype((np.void, width))).ravel()
+
+
+def _key_rows(keys: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """The rows of the dtype and width of like whose keys are keys."""
+    if keys.dtype.kind == "u":
+        keys = keys.astype(keys.dtype.newbyteorder(">"))
+    return keys.view(like.dtype).reshape(-1, like.shape[1])
 
 
 def _bfs_closure(start: np.ndarray, step, cap: int) -> np.ndarray:
     """Every row reachable from the (1, d) row start, sorted by its bytes.
 
     step maps an (n, d) frontier to all of its generator images, in the
-    dtype of start.  Rows are deduplicated by sorting their byte keys, so
-    rows wider than a byte sort lexicographically only in a big-endian
-    dtype.  Raises CapExceededError once more than cap rows are reached.
+    dtype of start.  Rows are deduplicated by sorting their keys, so rows
+    wider than a byte sort lexicographically only in a big-endian dtype.
+    Raises CapExceededError once more than cap rows are reached.
     """
     seen = _row_keys(start)
     frontier = start
     while frontier.shape[0]:
-        images = step(frontier)
-        keys, first = np.unique(_row_keys(images), return_index=True)
+        keys = np.sort(_row_keys(step(frontier)))
         pos = np.searchsorted(seen, keys)
         new = seen[np.minimum(pos, seen.size - 1)] != keys
-        seen = np.insert(seen, pos[new], keys[new])
+        new[1:] &= keys[1:] != keys[:-1]
+        keys = keys[new]
+        seen = np.insert(seen, pos[new], keys)
         if seen.size > cap:
             raise CapExceededError(f"closure exceeded cap {cap}")
-        frontier = images[first[new]]
-    return seen.view(start.dtype).reshape(-1, start.shape[1])
+        frontier = _key_rows(keys, start)
+    return _key_rows(seen, start)
 
 
 @dataclass
@@ -81,7 +97,7 @@ class QuotientClosure:
 def quotient_closure(q: int, gens=None, cap: int = 100_000_000) -> QuotientClosure:
     """Image of Gamma (or of the given 4x4 generators) in matrices mod q."""
     if q < 1:
-        raise ValueError("q >= 1")
+        raise core.InputError("q >= 1")
     if q > 255:
         raise CapExceededError("modulus above byte range is past the supported cap")
     if gens is None:
@@ -215,7 +231,7 @@ def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
     """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array
     with rows in lexicographic order."""
     if q < 1:
-        raise ValueError("q >= 1")
+        raise core.InputError("q >= 1")
     gens = _GENS6 % q
     # big-endian residues, so that byte order is lexicographic order
     dtype = np.dtype(f">u{np.min_scalar_type(q - 1).itemsize}")

@@ -22,6 +22,12 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
+
+class InputError(ValueError):
+    """A value given by the user is malformed or out of range: the command
+    line reports it with exit code 2.  Any other ValueError is a fault."""
+
+
 Mat4 = tuple  # 4x4 nested tuples, int or Fraction entries
 Vec4 = tuple
 

@@ -20,15 +20,16 @@ from math import gcd
 import numpy as np
 
 from . import congruence
+from .core import InputError
 from .forms import ShiftedForm, _factorize
 from .orbit import CapExceededError, Family
 
 
-class UnsupportedModulusError(ValueError):
+class UnsupportedModulusError(InputError):
     pass
 
 
-class GridTooCoarseError(ValueError):
+class GridTooCoarseError(InputError):
     pass
 
 
@@ -66,9 +67,9 @@ def _residue_counts(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> np.nd
 def sf_direct(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> complex:
     """The normalized double sum, exactly tallied by residue classes."""
     if q0 < 1:
-        raise ValueError("q0 >= 1")
+        raise InputError("q0 >= 1")
     if gcd(r, q0) != 1:
-        raise ValueError("requires (r, q0) = 1")
+        raise InputError("requires (r, q0) = 1")
     if q0 == 1:
         return 1.0 + 0.0j
     counts = _residue_counts(form, q0, r % q0, n % q0, m % q0)
@@ -141,11 +142,11 @@ def sf_closed(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> complex:
     carrying (n, m) -> (n, n t + m).
     """
     if q0 < 1:
-        raise ValueError("q0 >= 1")
+        raise InputError("q0 >= 1")
     if q0 % 2 == 0:
         raise UnsupportedModulusError("closed form implemented for odd q0 only")
     if gcd(r, q0) != 1:
-        raise ValueError("requires (r, q0) = 1")
+        raise InputError("requires (r, q0) = 1")
     if q0 == 1:
         return 1.0 + 0.0j
     A, B, C, a = form.A, form.B, form.C, form.a
@@ -154,7 +155,8 @@ def sf_closed(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> complex:
         while gcd(A * t * t + 2 * B * t + C, q0) != 1:
             t += 1
             if t > q0:
-                raise ArithmeticError("no unimodular shear found; form imprimitive?")
+                raise InputError(f"no unimodular shear makes the form a unit mod {q0}; "
+                                 f"is {form} imprimitive?")
         A, B, C = A, A * t + B, A * t * t + 2 * B * t + C
         n, m = n, n * t + m
         form = ShiftedForm(A, B, C, a)
@@ -301,9 +303,9 @@ def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
     ns = np.asarray(ns, dtype=np.int64)
     primes = [p for p in range(2, prime_cutoff + 1) if _factorize(p) == [(p, 1)]]
     if not primes:
-        raise ValueError(f"no prime is at most the cutoff {prime_cutoff}")
+        raise InputError(f"no prime is at most the cutoff {prime_cutoff}")
     if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+        raise InputError(f"depth must be at least 1, got {depth}")
     root = tuple(root)
     total = np.zeros(ns.shape, dtype=float)
     for slot in range(4):
@@ -346,7 +348,7 @@ def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
     t((n_scale/k0)(theta + m - r/q)).  The m-window suffices because the
     spike width k0/n_scale is below 1."""
     if not 0 < k0 < n_scale:
-        raise ValueError(f"need 0 < K0 < N, got K0 = {k0}, N = {n_scale}")
+        raise InputError(f"need 0 < K0 < N, got K0 = {k0}, N = {n_scale}")
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta)
     scale = n_scale / k0
@@ -427,12 +429,12 @@ def representation_number(family: Family, x_scale: int,
     with truncation=U the Moebius sum over u | (2x, y), u < U is used
     instead (values may then be negative).  Whole members are evaluated at
     every live point in chunks of about _CHUNK_ELEMENTS values, and each
-    chunk is merged into the running sorted sums by one stable sort.  A
+    chunk, sorted on its own, is merged into the running sorted sums.  A
     CapExceededError is raised, before anything that size is allocated, when
     the (x, y) box or family size times live points exceeds count_cap."""
     X = x_scale
     if X < 4:
-        raise ValueError("X >= 4")
+        raise InputError("X >= 4")
     xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
     ys = np.arange(X, 2 * X + 1, dtype=np.int64)
     if xs.size * ys.size > count_cap:
@@ -466,10 +468,8 @@ def representation_number(family: Family, x_scale: int,
     for lo in range(0, len(family), step):
         A, B, C, a = family.forms[lo:lo + step].T[:, :, None]
         vals = (A * mono[0] + B * mono[1] + C * mono[2] - a).ravel()
-        first = lo * fx.size
-        values, sums, origin = _merge(
-            (values, sums, origin),
-            (vals, np.tile(fw, A.shape[0]), np.arange(first, first + vals.size)))
+        values, sums, origin = _merge((values, sums, origin), vals,
+                                      np.tile(fw, A.shape[0]), lo * fx.size)
     # drop numerically zero entries
     keep = np.abs(sums) > 1e-14
     values, sums, origin = values[keep], sums[keep], origin[keep]
@@ -480,19 +480,43 @@ def representation_number(family: Family, x_scale: int,
     return Representation(family, X, truncation, values, sums, witnesses)
 
 
-def _merge(running, chunk):
+def _merge(running, vals, weights, first):
     """Distinct sorted values, summed weights and first origins of the
-    running arrays and a chunk of (value, weight, origin) pairs.  The stable
-    sort puts a value's running entry before its chunk pairs and keeps the
-    chunk's order, so the first entry of each value holds its first origin."""
-    vals, weights, origin = (np.concatenate(pair) for pair in zip(running, chunk))
-    order = np.argsort(vals, kind="stable")
+    running arrays and a chunk of (value, weight) pairs, whose origins are
+    first, first + 1, and so on.
+
+    The chunk alone is sorted and reduced, each value keeping its smallest
+    origin, then merged into the running arrays in one pass, so the running
+    support is not sorted again.  Chunks come in order of origin, so a value
+    already running keeps its origin; the chunk's sum is added to its
+    running weight in place."""
+    order = np.argsort(vals)
     vals = vals[order]
     head = np.ones(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=head[1:])
     starts = np.flatnonzero(head)
-    return (vals[starts], np.add.reduceat(weights[order], starts),
-            origin[order[starts]])
+    vals = vals[starts]
+    weights = np.add.reduceat(weights[order], starts)
+    origin = first + np.minimum.reduceat(order, starts)
+    run_vals, run_weights, run_origin = running
+    if not run_vals.size:
+        return vals, weights, origin
+    pos = np.searchsorted(run_vals, vals)
+    hit = pos < run_vals.size
+    hit[hit] = run_vals[pos[hit]] == vals[hit]
+    run_weights[pos[hit]] += weights[hit]
+    new = ~hit
+    # the new values are sorted, so the j-th of them lands at pos + j
+    dest = pos[new] + np.arange(np.count_nonzero(new))
+    kept = np.ones(run_vals.size + dest.size, dtype=bool)
+    kept[dest] = False
+    merged = []
+    for run, add in ((run_vals, vals), (run_weights, weights), (run_origin, origin)):
+        out = np.empty(kept.size, dtype=run.dtype)
+        out[kept] = run
+        out[dest] = add[new]
+        merged.append(out)
+    return tuple(merged)
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:
@@ -557,7 +581,7 @@ def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,
     the dyadic minor blocks.  Reported, never asserted."""
     if q0_cut < 1:
         # the dyadic blocks double q from q0_cut
-        raise ValueError(f"q0_cut must be at least 1, got {q0_cut}")
+        raise InputError(f"q0_cut must be at least 1, got {q0_cut}")
     theta = np.arange(grid) / grid
     rhat2 = np.abs(rhat_on_grid(rep, grid)) ** 2
     bump = big_theta(theta, n_scale, q0_cut, k0)

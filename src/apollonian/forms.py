@@ -29,7 +29,7 @@ class ShiftedForm:
 
     def __post_init__(self):
         if 4 * (self.B * self.B - self.A * self.C) != -4 * self.a * self.a:
-            raise ValueError(
+            raise core.InputError(
                 f"discriminant violation: 4(B^2-AC) != -4a^2 for {self}"
             )
 

@@ -108,11 +108,11 @@ class CurvatureSet:
 def _validate_root(root):
     root = tuple(int(x) for x in root)
     if core.descartes_form(root) != 0:
-        raise ValueError(f"root {root} is not on the Descartes cone")
+        raise core.InputError(f"root {root} is not on the Descartes cone")
     if not core.is_primitive(root):
-        raise ValueError(f"root {root} is not primitive")
+        raise core.InputError(f"root {root} is not primitive")
     if not core.is_reduced(root):
-        raise ValueError(f"root {root} is not reduced")
+        raise core.InputError(f"root {root} is not reduced")
     return root
 
 
@@ -128,7 +128,7 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     """
     root = _validate_root(root)
     if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise core.InputError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
         return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool))
     from concurrent.futures import ThreadPoolExecutor
@@ -313,7 +313,7 @@ def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTab
     """
     ys = np.asarray(sorted(ys), dtype=float)
     if ys.size == 0:
-        raise ValueError("norm_ball_count needs at least one radius Y")
+        raise core.InputError("norm_ball_count needs at least one radius Y")
     if ys[-1] > y_cap:
         raise CapExceededError(f"Y={ys[-1]} exceeds cap {y_cap}")
     norms = _gamma_norms(int((slack * ys[-1]) ** 2) + 1)
@@ -325,7 +325,7 @@ def fit_delta(table: NormBallTable) -> float:
     """Least-squares slope of log count against log Y."""
     sel = table.counts > 0
     if np.unique(table.counts[sel]).size < 2:
-        raise ValueError("fitting delta needs two distinct nonzero counts")
+        raise core.InputError("fitting delta needs two distinct nonzero counts")
     x = np.log(table.ys[sel])
     y = np.log(table.counts[sel].astype(float))
     slope, _ = np.polyfit(x, y, 1)
@@ -372,7 +372,7 @@ def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Fa
     A CapExceededError is raised, before the products are formed, when the
     shells hold more than count_cap pairs."""
     if t1 < 4 or t2 < 4:
-        raise ValueError("norm windows need T1, T2 >= 4")
+        raise core.InputError("norm windows need T1, T2 >= 4")
     root = _validate_root(root)
     cap_sq = int((4 * max(t1, t2)) ** 2)
     _, shell1 = enumerate_gamma(cap_sq, keep_window=(t1 * t1, 4 * t1 * t1))

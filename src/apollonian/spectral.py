@@ -15,6 +15,7 @@ order, so an element's index is found by binary search over its bytes.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -22,7 +23,8 @@ from math import gcd
 import numpy as np
 
 from .congruence import QuotientClosure, _bfs_closure
-from .core import SPIN_PREIMAGE_GENERATORS, GaussInt, gi, m2_mul, m2_neg, m2_inv_det1
+from .core import (SPIN_PREIMAGE_GENERATORS, GaussInt, InputError, gi, m2_mul, m2_neg,
+                   m2_inv_det1)
 from .orbit import CapExceededError
 
 GAMMA1 = ((gi(1), gi(4)), (gi(0), gi(1)))
@@ -89,9 +91,12 @@ def _encode(mats, q: int) -> np.ndarray:
 
 def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """Products x y mod q of encoded matrices; x and y are (..., 8) arrays
-    that broadcast against each other, so either may be a single (8,) row."""
-    ar, ai, br, bi, cr, ci, dr, di = np.moveaxis(np.asarray(x, dtype=np.int64), -1, 0)
-    er, ei, fr, fi, gr_, gi_, hr, hi = np.moveaxis(np.asarray(y, dtype=np.int64), -1, 0)
+    that broadcast against each other, so either may be a single (8,) row.
+
+    Residues are below q <= 255, so each entry, a sum of four products of
+    two residues, stays below 4 * 254^2 < 2^31: int32 does not wrap."""
+    ar, ai, br, bi, cr, ci, dr, di = np.moveaxis(np.asarray(x, dtype=np.int32), -1, 0)
+    er, ei, fr, fi, gr_, gi_, hr, hi = np.moveaxis(np.asarray(y, dtype=np.int32), -1, 0)
     out = np.stack([
         # row 1
         ar * er - ai * ei + br * gr_ - bi * gi_,
@@ -107,10 +112,20 @@ def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return (out % q).astype(np.uint8)
 
 
-def closure_sl2(q: int, gens=None, cap: int = 50_000_000) -> QuotientClosure:
-    """Breadth-first closure of the given generators (S_BAR if None) mod q."""
+# Largest closure markov_spectrum takes on.  spectral --q at q = 9 (87,480
+# elements) takes 2.6 s and 62 MB, at q = 11 (1,771,440) 88 s and 513 MB on
+# a 2-CPU machine, about 270 bytes an element; q = 13 (4,769,856) would need
+# about 1.3 GB, so the closure stops between the two.
+CLOSURE_CAP = 2_000_000
+
+
+def closure_sl2(q: int, gens=None, cap: int = CLOSURE_CAP) -> QuotientClosure:
+    """Breadth-first closure of the given generators (S_BAR if None) mod q.
+
+    Raises CapExceededError once more than cap elements are reached, before
+    anything that scales with the closure times the generators is built."""
     if q < 1:
-        raise ValueError("q >= 1")
+        raise InputError("q >= 1")
     if q > 255:
         raise CapExceededError("modulus above byte range is past the supported cap")
     genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
@@ -387,6 +402,7 @@ class CayleySpectrum:
     s_size: int            # distinct walk generators mod q
     eigenvalues: tuple     # descending, starting with 1.0
     matvecs: int           # single-vector applications of T; 0 for a dense solve
+    stages: dict           # seconds spent in closure_s, permutations_s and solve_s
 
 
 def _left_mult_perms(G: QuotientClosure, s_mats, q: int) -> np.ndarray:
@@ -398,38 +414,49 @@ def _left_mult_perms(G: QuotientClosure, s_mats, q: int) -> np.ndarray:
     return out
 
 
-def _apply_walk(perms: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T applied to each row of the (b, n) block X: the mean of the rows
-    gathered through every generator's permutation."""
-    acc = np.take(X, perms[0], axis=1)
-    buf = np.empty_like(X)
+def _apply_walk(perms: np.ndarray, X: np.ndarray, out: np.ndarray,
+                buf: np.ndarray) -> np.ndarray:
+    """T applied to each row of the (b, n) block X, written into out: the
+    mean of the rows gathered through every generator's permutation.  buf
+    is (b, n) scratch."""
+    # the indices are in range; mode="clip" skips the buffered copy that
+    # the default bounds check makes of out
+    np.take(X, perms[0], axis=1, out=out, mode="clip")
     for row in perms[1:]:
-        # the indices are in range; mode="clip" skips the buffered copy
-        # that the default bounds check makes of out
         np.take(X, row, axis=1, out=buf, mode="clip")
-        acc += buf
-    acc /= perms.shape[0]
-    return acc
+        out += buf
+    out /= perms.shape[0]
+    return out
 
 
-def _unit_rows(V: np.ndarray, *alike: np.ndarray) -> None:
-    """Scale the rows of V to unit length in place, and those of each block
-    in alike by the same factors."""
-    norms = np.maximum(np.linalg.norm(V, axis=1, keepdims=True), np.finfo(float).tiny)
-    for block in (V,) + alike:
-        block /= norms
+def _lengths(V: np.ndarray) -> np.ndarray:
+    """The length of each row of V, with no temporary of the size of V."""
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
 
 
-def _rayleigh_ritz(blocks: list, tblocks: list, b: int):
-    """The b largest Ritz pairs of T on the span of the rows of blocks.
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The length of each row of V, as a column, kept above zero."""
+    return np.maximum(_lengths(V), np.finfo(float).tiny)[:, None]
+
+
+def _residual(X: np.ndarray, TX: np.ndarray, mu: np.ndarray, out: np.ndarray) -> float:
+    """Write the residual rows TX - mu X into out; return the largest length."""
+    np.multiply(mu[:, None], X, out=out)
+    np.subtract(TX, out, out=out)
+    return _lengths(out).max()
+
+
+def _rayleigh_ritz(S: np.ndarray, TS: np.ndarray, b: int):
+    """The b largest Ritz pairs of T on the span of the rows of S, where TS
+    holds T applied to each row.
 
     Works on the small Gram matrices only.  Directions along which the rows
     are dependent to rounding are dropped, so the rows need not be
     independent.  Returns the Ritz values, descending, and a (b, rows)
-    coefficient matrix C whose product with the stacked blocks gives
-    orthonormal Ritz vectors."""
-    gram = np.block([[u @ v.T for v in blocks] for u in blocks])
-    tgram = np.block([[u @ tv.T for tv in tblocks] for u in blocks])
+    coefficient matrix C whose product with S gives orthonormal Ritz
+    vectors."""
+    gram = S @ S.T
+    tgram = S @ TS.T
     w, v = np.linalg.eigh(gram)
     keep = w > 1e-12 * w[-1]
     whiten = v[:, keep] / np.sqrt(w[keep])
@@ -443,52 +470,54 @@ def _top_eigenvalues(perms: np.ndarray, b: int, tol: float, max_iter: int, rng):
     multiplicity, by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001).
 
     X holds the current Ritz vectors, R their residuals and P the last step
-    taken, each as b rows; TX and TP are carried along as the same linear
+    taken, each as b rows of one (3b, n) array S, so that each Gram matrix
+    is one product; TS holds TX, TR and TP, carried along as the same linear
     combinations, so each step applies T only to the new residual block.
-    A block Krylov space started from b random rows meets every eigenspace
-    in min(b, multiplicity) dimensions, so repeated eigenvalues come back as
+    Every update is written in place; the next P and TP are formed in two
+    (b, n) buffers, which are the scratch of the other steps.  A block
+    Krylov space started from b random rows meets every eigenspace in
+    min(b, multiplicity) dimensions, so repeated eigenvalues come back as
     often as the block has room for.  Returns (eigenvalues, matvecs)."""
     n = perms.shape[1]
-    X = rng.standard_normal((b, n))
+    S, TS = np.empty((3 * b, n)), np.empty((3 * b, n))
+    buf, tbuf = np.empty((b, n)), np.empty((b, n))
+    X, R, P = S[:b], S[b:2 * b], S[2 * b:]
+    TX, TR, TP = TS[:b], TS[b:2 * b], TS[2 * b:]
+    rng.standard_normal(out=X)
     X -= X.mean(axis=1, keepdims=True)
-    TX = _apply_walk(perms, X)
+    _apply_walk(perms, X, TX, buf)
     matvecs = b
-    mu, c = _rayleigh_ritz([X], [TX], b)
-    X, TX = c @ X, c @ TX
-    P = TP = None
+    mu, c = _rayleigh_ritz(X, TX, b)
+    X[...] = np.matmul(c, X, out=buf)
+    TX[...] = np.matmul(c, TX, out=buf)
+    rows = 2 * b   # rows of S in the basis: X and R, then also P
     resid = np.inf
     for _ in range(max_iter):
-        R = TX - mu[:, None] * X
-        resid = np.linalg.norm(R, axis=1).max()
+        resid = _residual(X, TX, mu, R)
         if resid < tol * 10:
             # confirm on a fresh product, which also clears the rounding
             # that the carried combination TX has gathered
-            TX = _apply_walk(perms, X)
+            _apply_walk(perms, X, TX, buf)
             matvecs += b
-            R = TX - mu[:, None] * X
-            resid = np.linalg.norm(R, axis=1).max()
+            resid = _residual(X, TX, mu, R)
             if resid < tol * 10:
                 return mu, matvecs
         R -= R.mean(axis=1, keepdims=True)
-        R -= (R @ X.T) @ X
-        _unit_rows(R)
-        TR = _apply_walk(perms, R)
+        R -= np.matmul(R @ X.T, X, out=buf)
+        R /= _row_norms(R)
+        _apply_walk(perms, R, TR, buf)
         matvecs += b
-        blocks, tblocks = [X, R], [TX, TR]
-        if P is not None:
-            blocks.append(P)
-            tblocks.append(TP)
-        mu, c = _rayleigh_ritz(blocks, tblocks, b)
-        del blocks, tblocks  # so the old P and TP are freed as they are replaced
-        cx, cr = c[:, :b], c[:, b:2 * b]
-        if P is None:
-            P, TP = cr @ R, cr @ TR
-        else:
-            cp = c[:, 2 * b:]
-            P, TP = cr @ R + cp @ P, cr @ TR + cp @ TP
-        del R, TR
-        X, TX = cx @ X + P, cx @ TX + TP
-        _unit_rows(P, TP)
+        mu, c = _rayleigh_ritz(S[:rows], TS[:rows], b)
+        # the next P is cr R + cp P; X moves to cx X + P, with cx X formed
+        # in the rows of R, which are spent
+        np.matmul(c[:, b:], S[b:rows], out=buf)
+        np.matmul(c[:, b:], TS[b:rows], out=tbuf)
+        np.add(np.matmul(c[:, :b], X, out=R), buf, out=X)
+        np.add(np.matmul(c[:, :b], TX, out=TR), tbuf, out=TX)
+        norms = _row_norms(buf)
+        np.divide(buf, norms, out=P)
+        np.divide(tbuf, norms, out=TP)
+        rows = 3 * b
     raise EigensolverError(
         f"block eigensolver did not converge in {max_iter} iterations "
         f"(residual {resid:.3g})")
@@ -511,10 +540,16 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     s_mats = S_BAR if s_mats is None else tuple(s_mats)
+    stages = dict.fromkeys(("closure_s", "permutations_s", "solve_s"), 0.0)
+    t0 = time.perf_counter()
     G = _closure_cached(q, s_mats)
+    t1 = time.perf_counter()
+    stages["closure_s"] = t1 - t0
     if q == 1 or G.order == 1:
-        return CayleySpectrum(q, 1, 1, (1.0,), 0)
+        return CayleySpectrum(q, 1, 1, (1.0,), 0, stages)
     perms = _left_mult_perms(G, s_mats, q)
+    t0 = time.perf_counter()
+    stages["permutations_s"] = t0 - t1
     n, ns = G.order, perms.shape[0]
     if n <= 3 * top_k + 1:
         T = np.zeros((n, n))
@@ -524,7 +559,9 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     else:
         eigs, matvecs = _top_eigenvalues(perms, top_k, tol, max_iter,
                                          np.random.default_rng(seed))
-    return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs)
+    stages["solve_s"] = time.perf_counter() - t0
+    return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs,
+                          stages)
 
 
 @dataclass

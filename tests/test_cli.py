@@ -83,11 +83,27 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["delta-fit", "--ymin", "-5"],
     ["delta-fit", "--ymax", "0"],
     ["delta-fit", "--ymin", "100", "--ymax", "100.000001", "--points", "3"],
+    ["delta-fit", "--points", "-3"],
+    ["delta-fit", "--ymin", "inf"],
+    ["expsum", "--q0", "3", "--form", "1,2,3"],
+    # a form imprimitive at 3 has no unimodular shear for the closed form
+    ["expsum", "--q0", "3", "--form", "3,0,3,3"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+
+
+def test_internal_value_error_exits_1(monkeypatch, capsys):
+    # only InputError is bad input; any other ValueError is a fault
+    def broken(q, root):
+        raise ValueError("not a user error")
+
+    monkeypatch.setattr(congruence, "admissible_classes", broken)
+    assert run(["admissible", "--q", "24"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "internal error: ValueError: not a user error"
 
 
 def test_gasket_snapshot_checked_before_walk(tmp_path, monkeypatch, capsys):
@@ -167,6 +183,27 @@ def test_spectral_alternation_memory():
     assert peak_kb < 200 * 1024
 
 
+def test_spectral_memory():
+    # the block solve updates two (3b, n) arrays in place and the process
+    # peaks at about 70 MB; the bound leaves room for platform variation.
+    # VmHWM as in test_spectral_alternation_memory
+    code = ("import contextlib, io, json, re; from apollonian import cli\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    rc = cli.main(['spectral', '--q', '5,7'])\n"
+            "res = json.loads(buf.getvalue())['results']\n"
+            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+            "print(json.dumps([rc, res['5']['group_order'], res['7']['group_order'],\n"
+            "                  res['7']['matvecs'], int(hwm.group(1))]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, order5, order7, matvecs7, peak_kb = json.loads(out.stdout)
+    assert (rc, order5, order7, matvecs7) == (0, 14_400, 117_600, 153)
+    assert peak_kb < 80 * 1024
+
+
 def test_circle_memory():
     # chunked sorted arrays, not dicts of every represented integer (198 MB
     # peak with the dicts); VmHWM as in test_spectral_alternation_memory
@@ -208,6 +245,18 @@ def test_circle_over_cap_exits_3_before_allocating(argv):
     assert out.returncode == 3, out.stderr
     assert len(out.stderr.splitlines()) == 1 and "cap" in out.stderr, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_spectral_over_cap_exits_3():
+    # q = 13 has 4,769,856 elements, past the closure cap: the closure stops
+    # at the cap, before the permutations and blocks that scale with it
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "apollonian", "spectral", "--q", "13"],
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=_limit_address_space,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"closure exceeded cap {spectral.CLOSURE_CAP}", out.stderr
 
 
 def test_verify_prints_frozen_margins(tmp_path, capsys):
@@ -309,6 +358,8 @@ def test_spectral_command(capsys):
     rep = json.loads(capsys.readouterr().out)
     entry = rep["results"]["4"]
     assert entry["matvecs"] > 0
+    assert set(entry["stages"]) == {"closure_s", "permutations_s", "solve_s"}
+    assert all(v >= 0 for v in entry["stages"].values())
     assert entry["status"] == "PASS"
     assert entry["transference"]["holds"] is True
 

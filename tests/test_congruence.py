@@ -63,6 +63,29 @@ def test_vector_orbit_matches_reference():
         assert orb.tolist() == sorted(map(list, ref)), q
 
 
+@pytest.mark.parametrize("dtype,cols", [
+    # uint8 rows of 1, 2, 4 and 8 bytes, and big-endian uint16 rows of 2, 4
+    # and 8 bytes, as vector_orbit builds them for q > 256
+    (np.uint8, 1), (np.uint8, 2), (np.uint8, 4), (np.uint8, 8),
+    (">u2", 1), (">u2", 2), (">u2", 4),
+])
+def test_integer_keys_order_rows_as_void_keys(dtype, cols):
+    rng = np.random.default_rng(cols)
+    hi = np.iinfo(np.dtype(dtype)).max
+    # a small range as well as the full one, so that equal rows occur
+    for top in (3, hi):
+        rows = rng.integers(0, top, size=(4000, cols), endpoint=True).astype(dtype)
+        keys = cg._row_keys(rows)
+        assert keys.dtype.kind == "u" and keys.dtype.isnative
+        void = rows.view(np.dtype((np.void, rows.dtype.itemsize * cols))).ravel()
+        order = np.argsort(keys, kind="stable")
+        assert (order == np.argsort(void, kind="stable")).all()
+        assert ((keys[1:] == keys[:-1]) == (void[1:] == void[:-1])).all()
+        back = cg._key_rows(keys[order], rows)
+        assert back.dtype == rows.dtype and (back == rows[order]).all()
+        assert back.tolist() == sorted(rows.tolist())
+
+
 def test_trivial_and_small_orders():
     assert cg.quotient_order(1) == 1
     # every generator of Gamma reduces to the identity mod 2

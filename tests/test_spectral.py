@@ -100,6 +100,49 @@ def test_alternation_matches_reference(q):
     assert sp.alternation_length(q) == reference_alternation(q)
 
 
+def test_gmul_exact_at_largest_modulus():
+    # every residue at most 254, so the int32 products reach 4 * 254^2
+    q = 255
+    rng = np.random.default_rng(255)
+    x = rng.integers(0, q, size=(200, 8)).astype(np.uint8)
+    y = rng.integers(0, q, size=(200, 8)).astype(np.uint8)
+    x[0] = y[0] = q - 1
+    x[1], y[1] = [q - 1, 0] * 4, [0, q - 1] * 4
+
+    def decode(t):
+        e = [core.gi(int(t[k]), int(t[k + 1])) for k in range(0, 8, 2)]
+        return ((e[0], e[1]), (e[2], e[3]))
+
+    want = [[v % q for row in core.m2_mul(decode(a), decode(b)) for e in row
+             for v in (e.re, e.im)] for a, b in zip(x, y)]
+    assert sp._gmul(x, y, q).tolist() == want
+
+
+def reference_left_mult_perms(q, s_mats):
+    """perms[k][i] = index of s_k g_i by a dict lookup of each product,
+    with the distinct generators mod q in the order of their encoded rows."""
+    def encode(m):
+        return tuple(x % q for row in m for e in row for x in (e.re, e.im))
+
+    def decode(t):
+        e = [core.gi(t[k], t[k + 1]) for k in range(0, 8, 2)]
+        return ((e[0], e[1]), (e[2], e[3]))
+
+    elements = sp.closure_sl2(q, s_mats).elements.tolist()
+    index = {tuple(row): i for i, row in enumerate(elements)}
+    gens = {encode(s): s for s in s_mats}
+    return np.array([[index[encode(core.m2_mul(gens[key], decode(g)))] for g in elements]
+                     for key in sorted(gens)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+def test_left_mult_perms_match_reference(q):
+    for gens in (sp.S_BAR, sp.H1_GENS):
+        got = sp._left_mult_perms(sp.closure_sl2(q, gens), gens, q)
+        assert got.dtype == np.int32
+        assert got.tolist() == reference_left_mult_perms(q, gens).tolist()
+
+
 def test_local_identities():
     for m in (8, 10, 12):
         assert sp.local_identity_check(2, m)["all_hold"]
