@@ -35,6 +35,11 @@ DEFAULT_ROOT = (-11, 21, 24, 28)
 GASKET_DEFAULT_LIMIT = 10**8
 # `gasket` at the default limit with one thread, measured on a 2-CPU machine
 GASKET_DEFAULT_COST = "about 55 s and 0.35 GB peak RSS on a 2-CPU machine"
+# `render` keeps every circle of the reflection tree, 4 * 3^(depth - 1) at the
+# last level, so memory grows about 2.8x per level: depth 10 takes about 2 s
+# and 105 MB, 11 about 4.5 s and 257 MB, 12 about 15 s and 713 MB on a 2-CPU
+# machine, and 13 would need about 2 GB
+RENDER_DEPTH_CAP = 12
 
 
 def _default_registry_path() -> Path:
@@ -457,6 +462,10 @@ def _tangent_point(z1, r1, inside1, z2, r2, inside2, r):
 def render_svg(root, depth: int, size: int = 800) -> str:
     """SVG of the gasket: the reflection tree acts on curvature and
     curvature-times-center coordinates jointly."""
+    if depth < 0:
+        raise core.InputError(f"--depth must be >= 0, got {depth}")
+    if depth > RENDER_DEPTH_CAP:
+        raise orbit.CapExceededError(f"--depth {depth} is above the cap {RENDER_DEPTH_CAP}")
     circles = _root_positions(root)
     state = np.array(
         [[b, b * z.real, b * z.imag] for b, z in circles], dtype=float)
@@ -579,8 +588,10 @@ def main(argv=None) -> int:
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32,
                    help=f"box scale X; members times live (x, y) points above "
-                        f"{expsums.REPRESENTATION_CAP:,} (about 1.4 GB) exit 3")
-    p.add_argument("--u", type=int, default=0)
+                        f"{expsums.REPRESENTATION_CAP:,} (about 1.2 GB) exit 3")
+    p.add_argument("--u", type=int, default=0,
+                   help="Moebius truncation U >= 2: sum mu(u) over u | (2x, y), u < U, "
+                        "in place of gcd(2x, y) = 1; 0 (default) keeps the exact gcd")
     p.add_argument("--q0cap", type=int, default=8)
     p.add_argument("--k0", type=float, default=64.0)
     p.add_argument("--grid", type=int, default=1 << 16)
@@ -596,7 +607,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("render", help="SVG of the gasket")
     _add_common(p, root=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=int, default=4,
+                   help=f"levels of the reflection tree; above {RENDER_DEPTH_CAP} "
+                        f"(about 15 s and 0.7 GB) exit 3")
     p.set_defaults(func=cmd_render)
 
     args = ap.parse_args(argv)

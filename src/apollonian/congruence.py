@@ -21,10 +21,7 @@ from math import gcd
 import numpy as np
 
 from . import core
-from .orbit import CapExceededError
-
-_GENS6 = np.array(core.GAMMA_GENERATORS + core.GAMMA_GENERATOR_INVERSES,
-                  dtype=np.int64)
+from .orbit import _GEN_STACK, CapExceededError
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -94,18 +91,13 @@ class QuotientClosure:
         return {row.tobytes() for row in self.elements}
 
 
-def quotient_closure(q: int, gens=None, cap: int = 100_000_000) -> QuotientClosure:
-    """Image of Gamma (or of the given 4x4 generators) in matrices mod q."""
+def quotient_closure(q: int, cap: int = 100_000_000) -> QuotientClosure:
+    """Image of Gamma in matrices mod q."""
     if q < 1:
         raise core.InputError("q >= 1")
     if q > 255:
         raise CapExceededError("modulus above byte range is past the supported cap")
-    if gens is None:
-        gmats = _GENS6 % q
-    else:
-        # exact inverses may be rational only if det not unit; expect group input
-        gm = [m for g in gens for m in (g, core.mat_inv(tuple(map(tuple, g))))]
-        gmats = np.array([np.array(m, dtype=object).astype(np.int64) for m in gm]) % q
+    gmats = _GEN_STACK % q
 
     def step(frontier):
         mats = frontier.reshape(-1, 4, 4).astype(np.int64)
@@ -232,7 +224,7 @@ def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
     with rows in lexicographic order."""
     if q < 1:
         raise core.InputError("q >= 1")
-    gens = _GENS6 % q
+    gens = _GEN_STACK % q
     # big-endian residues, so that byte order is lexicographic order
     dtype = np.dtype(f">u{np.min_scalar_type(q - 1).itemsize}")
 

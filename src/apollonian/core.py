@@ -366,8 +366,9 @@ def xi(x: int, y: int) -> Mat4:
 # ---------------------------------------------------------------------------
 
 class GaussInt(NamedTuple):
-    re: int
-    im: int
+    """a + bi; the parts are ints, or Fractions inside the spin cover iota."""
+    re: int | Fraction
+    im: int | Fraction
 
     def __add__(self, other):
         return GaussInt(self.re + other.re, self.im + other.im)
@@ -395,7 +396,7 @@ def gi(re, im=0) -> GaussInt:
     return GaussInt(re, im)
 
 
-Mat2 = tuple  # ((GaussInt, GaussInt), (GaussInt, GaussInt)) or rational pairs
+Mat2 = tuple  # ((GaussInt, GaussInt), (GaussInt, GaussInt))
 
 
 def m2_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -418,70 +419,24 @@ def m2_inv_det1(a: Mat2) -> Mat2:
     return ((a[1][1], -a[0][1]), (-a[1][0], a[0][0]))
 
 
-class _CFrac(NamedTuple):
-    """Complex number with Fraction components, for the cover's conjugation."""
-    re: Fraction
-    im: Fraction
-
-    def __add__(self, other):
-        return _CFrac(self.re + other.re, self.im + other.im)
-
-    def __mul__(self, other):
-        return _CFrac(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return _CFrac(-self.re, -self.im)
-
-    def conj(self):
-        return _CFrac(self.re, -self.im)
-
-
-def _cf(re, im=0) -> _CFrac:
-    return _CFrac(Fraction(re), Fraction(im))
-
-
-def _m2c(a):
-    """Coerce a 2x2 of GaussInt / (re, im) pairs to _CFrac entries."""
-    out = []
-    for row in a:
-        r = []
-        for e in row:
-            if isinstance(e, (_CFrac, GaussInt)):
-                r.append(_CFrac(Fraction(e.re), Fraction(e.im)))
-            else:
-                r.append(_CFrac(Fraction(e[0]), Fraction(e[1])))
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def _m2c_mul(a, b):
-    return tuple(
-        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2))
-        for i in range(2)
-    )
-
-
 # Circle-coordinate basis of the degenerate strip quadruple (0,0,1,1) in
 # (curvature, curvature*center, co-curvature) coordinates, and the
 # normalizing 2x2 conjugator.  Fixed once: with these choices the three
 # standard generators of the spin preimage of Gamma map to S1S4, S1S2, S1S3.
 _IOTA_R = _frac_mat(((0, 0, 1, 1), (0, 0, 2, 0), (-1, 1, 1, 1), (0, 4, 4, 0)))
 _IOTA_R_INV = mat_inv(_IOTA_R)
-_IOTA_K = ((_cf(0, 4), _cf(1)), (_cf(0), _cf(0, -1)))
+_IOTA_K = ((gi(0, 4), gi(1)), (gi(0), gi(0, -1)))
 # K^-1 = adj(K)/det(K), det = 4i*(-i) = 4
 _IOTA_K_INV = (
-    (_cf(Fraction(0), Fraction(-1, 4)), _cf(Fraction(-1, 4), Fraction(0))),
-    (_cf(0), _cf(Fraction(0), Fraction(1))),
+    (gi(0, Fraction(-1, 4)), gi(Fraction(-1, 4))),
+    (gi(0), gi(0, 1)),
 )
 
 _HERM_BASIS = (
-    ((_cf(1), _cf(0)), (_cf(0), _cf(0))),
-    ((_cf(0), _cf(1)), (_cf(1), _cf(0))),
-    ((_cf(0), _cf(0, 1)), (_cf(0, -1), _cf(0))),
-    ((_cf(0), _cf(0)), (_cf(0), _cf(1))),
+    ((gi(1), gi(0)), (gi(0), gi(0))),
+    ((gi(0), gi(1)), (gi(1), gi(0))),
+    ((gi(0), gi(0, 1)), (gi(0, -1), gi(0))),
+    ((gi(0), gi(0)), (gi(0), gi(1))),
 )
 
 
@@ -490,7 +445,7 @@ def _hermitian_action(u):
     ustar = tuple(tuple(u[j][i].conj() for j in range(2)) for i in range(2))
     cols = []
     for m in _HERM_BASIS:
-        p = _m2c_mul(_m2c_mul(u, m), ustar)
+        p = m2_mul(m2_mul(u, m), ustar)
         cols.append((p[0][0].re, p[0][1].re, p[0][1].im, p[1][1].re))
     return tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
 
@@ -503,11 +458,9 @@ def iota(g) -> Mat4:
     (1, 4i; 0, 1), (-2, i; i, 0), (2+2i, 4+3i; -i, -2i), map to the
     integer matrices S1S4, S1S2, S1S3 respectively.
     """
-    gc = _m2c(g)
-    det = gc[0][0] * gc[1][1] + (-(gc[0][1] * gc[1][0]))
-    if not (det.re == 1 and det.im == 0):
+    if m2_det(g) != gi(1):
         raise ValueError("iota requires determinant 1")
-    u = _m2c_mul(_m2c_mul(_IOTA_K_INV, gc), _IOTA_K)
+    u = m2_mul(m2_mul(_IOTA_K_INV, g), _IOTA_K)
     out = mat_mul(_IOTA_R_INV, mat_mul(_hermitian_action(u), _IOTA_R))
     return tuple(
         tuple(int(x) if x.denominator == 1 else x for x in row) for row in out

@@ -390,12 +390,12 @@ def upsilon(t) -> np.ndarray:
     return _bump_raw(2.0 * t - 3.0) * (2.0 / _BUMP_MASS)
 
 
-# (member, point) values evaluated and merged per chunk; bounds the chunk's
+# (member, point) values evaluated per chunk; bounds the evaluation's
 # temporaries, not the result
 _CHUNK_ELEMENTS = 1 << 20
 # default cap on family size times live (x, y) points, and on the points of
-# the (x, y) box: `circle` peaks at about 40 MB plus 85 bytes per (member,
-# point) pair, so near 1.4 GB at the cap
+# the (x, y) box: `circle` peaks at about 50 MB plus 71 bytes per (member,
+# point) pair (measured at 5.8M and 16.3M pairs), so near 1.2 GB at the cap
 REPRESENTATION_CAP = 1 << 24
 
 
@@ -426,15 +426,19 @@ def representation_number(family: Family, x_scale: int,
     """Direct double sum over the family and the smoothed (x, y) box.
 
     With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
-    with truncation=U the Moebius sum over u | (2x, y), u < U is used
+    with truncation=U >= 2 the Moebius sum over u | (2x, y), u < U is used
     instead (values may then be negative).  Whole members are evaluated at
-    every live point in chunks of about _CHUNK_ELEMENTS values, and each
-    chunk, sorted on its own, is merged into the running sorted sums.  A
-    CapExceededError is raised, before anything that size is allocated, when
-    the (x, y) box or family size times live points exceeds count_cap."""
+    every live point in chunks of about _CHUNK_ELEMENTS values; all the
+    (member, point) values are then sorted once and reduced once, so the
+    result does not depend on the chunk size.  A CapExceededError is raised,
+    before anything that size is allocated, when the (x, y) box or family
+    size times live points exceeds count_cap."""
     X = x_scale
     if X < 4:
         raise InputError("X >= 4")
+    if truncation is not None and truncation < 2:
+        raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
+                         f"u < U is empty below), got {truncation}")
     xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
     ys = np.arange(X, 2 * X + 1, dtype=np.int64)
     if xs.size * ys.size > count_cap:
@@ -457,66 +461,38 @@ def representation_number(family: Family, x_scale: int,
     weights = weights * mult
     live = np.abs(weights) > 0
     fx, fy, fw = gx[live], gy[live], weights[live]
-    if len(family) * fx.size > count_cap:
-        raise CapExceededError(f"{len(family)} members at {fx.size} live points "
+    points = fx.size
+    if len(family) * points > count_cap:
+        raise CapExceededError(f"{len(family)} members at {points} live points "
                                f"exceed the cap {count_cap}")
-    # n = A (4x^2) + B (4xy) + C y^2 - a, one row per member of a chunk
+    # n = A (4x^2) + B (4xy) + C y^2 - a, one row per member of a chunk; pair
+    # k of the concatenation is member k // points at point k % points
     mono = np.stack([4 * fx * fx, 4 * fx * fy, fy * fy])
-    values, sums = np.empty(0, dtype=np.int64), np.empty(0)
-    origin = np.empty(0, dtype=np.int64)   # member * points + point of the first pair
-    step = max(1, _CHUNK_ELEMENTS // max(fx.size, 1))
+    chunks = [np.empty(0, dtype=np.int64)]
+    step = max(1, _CHUNK_ELEMENTS // max(points, 1))
     for lo in range(0, len(family), step):
         A, B, C, a = family.forms[lo:lo + step].T[:, :, None]
-        vals = (A * mono[0] + B * mono[1] + C * mono[2] - a).ravel()
-        values, sums, origin = _merge((values, sums, origin), vals,
-                                      np.tile(fw, A.shape[0]), lo * fx.size)
-    # drop numerically zero entries
-    keep = np.abs(sums) > 1e-14
-    values, sums, origin = values[keep], sums[keep], origin[keep]
-    witnesses = None
-    if truncation is None:
-        member, point = np.divmod(origin, max(fx.size, 1))
-        witnesses = np.stack([member, fx[point], fy[point]], axis=1)
-    return Representation(family, X, truncation, values, sums, witnesses)
-
-
-def _merge(running, vals, weights, first):
-    """Distinct sorted values, summed weights and first origins of the
-    running arrays and a chunk of (value, weight) pairs, whose origins are
-    first, first + 1, and so on.
-
-    The chunk alone is sorted and reduced, each value keeping its smallest
-    origin, then merged into the running arrays in one pass, so the running
-    support is not sorted again.  Chunks come in order of origin, so a value
-    already running keeps its origin; the chunk's sum is added to its
-    running weight in place."""
+        chunks.append((A * mono[0] + B * mono[1] + C * mono[2] - a).ravel())
+    vals = np.concatenate(chunks)
+    del chunks
     order = np.argsort(vals)
     vals = vals[order]
     head = np.ones(vals.size, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=head[1:])
     starts = np.flatnonzero(head)
-    vals = vals[starts]
-    weights = np.add.reduceat(weights[order], starts)
-    origin = first + np.minimum.reduceat(order, starts)
-    run_vals, run_weights, run_origin = running
-    if not run_vals.size:
-        return vals, weights, origin
-    pos = np.searchsorted(run_vals, vals)
-    hit = pos < run_vals.size
-    hit[hit] = run_vals[pos[hit]] == vals[hit]
-    run_weights[pos[hit]] += weights[hit]
-    new = ~hit
-    # the new values are sorted, so the j-th of them lands at pos + j
-    dest = pos[new] + np.arange(np.count_nonzero(new))
-    kept = np.ones(run_vals.size + dest.size, dtype=bool)
-    kept[dest] = False
-    merged = []
-    for run, add in ((run_vals, vals), (run_weights, weights), (run_origin, origin)):
-        out = np.empty(kept.size, dtype=run.dtype)
-        out[kept] = run
-        out[dest] = add[new]
-        merged.append(out)
-    return tuple(merged)
+    values = vals[starts]
+    del vals, head
+    sums = np.add.reduceat(fw[order % points], starts)
+    origin = np.minimum.reduceat(order, starts)   # first pair of each value
+    del order, starts
+    # drop numerically zero entries
+    keep = np.abs(sums) > 1e-14
+    values, sums, origin = values[keep], sums[keep], origin[keep]
+    witnesses = None
+    if truncation is None:
+        member, point = np.divmod(origin, points)
+        witnesses = np.stack([member, fx[point], fy[point]], axis=1)
+    return Representation(family, X, truncation, values, sums, witnesses)
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:

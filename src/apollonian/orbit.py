@@ -62,11 +62,6 @@ class CurvatureSet:
     def values(self) -> np.ndarray:
         return np.flatnonzero(self.to_bool())
 
-    def merge(self, other: "CurvatureSet") -> "CurvatureSet":
-        if self.n_max != other.n_max:
-            raise ValueError("bitset bounds differ")
-        return CurvatureSet(self.n_max, np.bitwise_or(self.bits, other.bits), self.witnesses)
-
     def witness_quadruple(self, n: int):
         if self.witnesses is None:
             raise ValueError("witnesses were not recorded")

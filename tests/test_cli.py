@@ -88,6 +88,10 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["expsum", "--q0", "3", "--form", "1,2,3"],
     # a form imprimitive at 3 has no unimodular shear for the closed form
     ["expsum", "--q0", "3", "--form", "3,0,3,3"],
+    # the Moebius sum over u < U is empty below U = 2
+    ["circle", "--u", "1"],
+    ["circle", "--u", "-1"],
+    ["render", "--depth", "-1"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -245,6 +249,18 @@ def test_circle_over_cap_exits_3_before_allocating(argv):
     assert out.returncode == 3, out.stderr
     assert len(out.stderr.splitlines()) == 1 and "cap" in out.stderr, out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_render_over_cap_exits_3_before_building():
+    # without the check, depth 40 would keep 4 * 3^39 circles: under the
+    # 3 GB address-space limit only a check made before the tree can exit 3
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-m", "apollonian", "render", "--depth", "40"],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_address_space,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"--depth 40 is above the cap {cli.RENDER_DEPTH_CAP}"
 
 
 def test_spectral_over_cap_exits_3():

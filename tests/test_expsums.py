@@ -338,6 +338,20 @@ def test_representation_matches_reference(shells, truncation, chunk, monkeypatch
         assert rep.witnesses is None
 
 
+@pytest.mark.parametrize("truncation", [None, 4])
+def test_representation_independent_of_chunk(truncation, monkeypatch):
+    # every (member, point) pair is reduced in one pass after evaluation, so
+    # the chunk size changes no bit of the values, weights or witnesses
+    family = orbit.build_family(ROOT, 8, 32)
+    reps = []
+    for chunk in (1, 1000, es._CHUNK_ELEMENTS):
+        monkeypatch.setattr(es, "_CHUNK_ELEMENTS", chunk)
+        reps.append(es.representation_number(family, 32, truncation))
+    for rep in reps[1:]:
+        for name in ("values", "weights", "witnesses"):
+            assert np.array_equal(getattr(rep, name), getattr(reps[0], name)), name
+
+
 def test_representation_count_cap(family_8):
     # 96 members at 192 live points of the X = 32 box (561 points)
     es.representation_number(family_8, 32, count_cap=96 * 192)

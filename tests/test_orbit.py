@@ -272,13 +272,6 @@ def test_snapshot_roundtrip(tmp_path, curvatures_1e6):
         orbit.CurvatureSet.load(bad)
 
 
-def test_merge():
-    a = orbit.enumerate_curvatures(ROOT, 1000)
-    b = orbit.CurvatureSet(1000, np.zeros_like(a.bits))
-    m = a.merge(b)
-    assert np.array_equal(m.bits, a.bits)
-
-
 def reference_gamma(norm_cap_sq, keep_window=None):
     """Independent oracle: the depth-first walk over reduced words, one
     block of children per letter, pushed on a stack."""
