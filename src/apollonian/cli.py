@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -33,8 +34,16 @@ EXIT_RESOURCE = 3
 
 DEFAULT_ROOT = (-11, 21, 24, 28)
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit with one thread, measured on a 2-CPU machine
-GASKET_DEFAULT_COST = "about 55 s and 0.35 GB peak RSS on a 2-CPU machine"
+# `gasket` at the default limit on a 2-CPU machine: 25 s wall, 43 s CPU and
+# 208 MB with both CPUs, 47 s and 193 MB with --threads 1
+GASKET_DEFAULT_COST = ("about 25 s and 0.21 GB peak RSS on 2 CPUs "
+                       "(about 47 s with --threads 1)")
+# the walk expands about one quadruple per circle of curvature at most N, a
+# count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
+# 4.90e8 at 1e8 and 2.06e9 at 3e8, at about 90 ns of CPU each; the peak is
+# the N-byte mask plus the walk's stack (107 MB, 208 MB and 464 MB)
+GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's "
+                 "stack: 3e8 took 141 s and 0.46 GB on 2 CPUs")
 # `render` keeps every circle of the reflection tree, 4 * 3^(depth - 1) at the
 # last level, so memory grows about 2.8x per level: depth 10 takes about 2 s
 # and 105 MB, 11 about 4.5 s and 257 MB, 12 about 15 s and 713 MB on a 2-CPU
@@ -135,7 +144,11 @@ def _jsonable(x):
 
 
 def emit_report(command: str, config: dict, results: dict, out=None,
-                fmt: str = "json", t0: float | None = None) -> dict:
+                fmt: str = "json", t0: float | None = None,
+                stages: dict | None = None) -> dict:
+    """stages, when given, maps each stage to its seconds, the items it
+    processed and the peak RSS after it; it sits beside elapsed_s, outside
+    results, because it changes from run to run."""
     config = {k: v for k, v in config.items() if not callable(v)}
     report = {
         "command": command,
@@ -144,6 +157,8 @@ def emit_report(command: str, config: dict, results: dict, out=None,
         "version": __version__,
         "elapsed_s": round(time.time() - t0, 3) if t0 else None,
     }
+    if stages is not None:
+        report["stages"] = stages
     text = json.dumps(report, indent=1, sort_keys=True)
     if fmt == "csv" and isinstance(results.get("table"), list):
         rows = results["table"]
@@ -189,13 +204,26 @@ def cmd_gasket(args) -> int:
         raise core.InputError(f"--snapshot {args.snapshot} is not a writable file path")
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
-              f"takes {GASKET_DEFAULT_COST}; time and memory grow about "
-              f"linearly with the limit", file=sys.stderr)
+              f"takes {GASKET_DEFAULT_COST}; {GASKET_GROWTH}", file=sys.stderr)
     adm = congruence.admissible_classes(24, root)
+    stages = {}
+
+    def stage(name, start, items):
+        """Record a stage begun at start; returns the time it ended."""
+        end = time.time()
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        stages[name] = {"s": round(end - start, 3), "items": int(items),
+                        "peak_rss_mb": round(peak_mb, 1)}
+        return end
+
+    start = time.time()
     cs = orbit.enumerate_curvatures(root, args.limit, threads=args.threads)
+    start = stage("walk", start, cs.rows)
     rep = orbit.census(cs, adm)
+    start = stage("census", start, cs.n_max)
     if args.snapshot:
         cs.save(args.snapshot)
+        stage("snapshot", start, cs.bits.size)
     results = {
         "residue_counts": rep.residue_counts,
         "curvature_count": rep.curvature_count,
@@ -207,7 +235,7 @@ def cmd_gasket(args) -> int:
     }
     if args.limit <= 1000:
         results["curvatures"] = cs.values()
-    emit_report("gasket", vars(args), results, args.out, t0=t0)
+    emit_report("gasket", vars(args), results, args.out, t0=t0, stages=stages)
     return EXIT_OK
 
 
@@ -310,10 +338,15 @@ def cmd_circle(args) -> int:
     for flag, v in (("--q0cap", args.q0cap), ("--grid", args.grid), ("--k0", args.k0)):
         if not v > 0:
             raise core.InputError(f"{flag} must be positive, got {v}")
-    fam = orbit.build_family(root, args.t1, args.t2)
+    # the caps, then the grid, are checked before the family is built
+    expsums.box_axes(args.x)
+    shells = orbit.norm_shells(args.t1, args.t2)
+    n_scale = args.t1 * args.t2 * args.x * args.x
+    bump = expsums.bump_on_grid(n_scale, args.q0cap, args.k0, args.grid)
+    fam = orbit.build_family(root, args.t1, args.t2, shells=shells)
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
-    n_scale = fam.t * args.x * args.x
-    dec = expsums.major_arc_decomposition(rep, n_scale, args.q0cap, args.k0, args.grid)
+    dec = expsums.major_arc_decomposition(rep, n_scale, args.q0cap, args.k0, args.grid,
+                                          bump=bump)
     resid = float(np.abs(dec.major + dec.error - dec.folded).max())
     minor = expsums.minor_arc_report(rep, n_scale, args.q0cap, args.k0,
                                      min(args.grid, 1 << 12), args.x * fam.t)
@@ -535,8 +568,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("gasket", help="curvature census up to a bound")
     _add_common(p, root=True)
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
-                   help=f"bound N (default 1e8: {GASKET_DEFAULT_COST})")
-    p.add_argument("--threads", type=int, default=1)
+                   help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
+                        f"{GASKET_GROWTH}")
+    p.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
+                   help="threads sharing the tree walk; default: the CPUs this "
+                        "process may run on (os.sched_getaffinity)")
     p.add_argument("--snapshot", default=None, help="write the bitset file")
     p.set_defaults(func=cmd_gasket)
 

@@ -327,10 +327,12 @@ def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
 # Hat function, smoothing, and the representation-number harness
 # ---------------------------------------------------------------------------
 
-def hat_t(x) -> np.ndarray:
-    """Tent function min(1+x, 1-x)^+."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(np.minimum(1 + x, 1 - x), 0.0)
+def hat_t(x, out=None) -> np.ndarray:
+    """Tent function min(1+x, 1-x)^+, computed as max(1 - |x|, 0), which
+    rounds the same; out may be x itself."""
+    out = np.abs(np.asarray(x, dtype=float), out=out)
+    np.subtract(1.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def hat_t_fourier(y) -> np.ndarray:
@@ -347,11 +349,12 @@ def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
     """Spike bump: sum over q < q0_cut, (r,q)=1, |m| <= 2 of
     t((n_scale/k0)(theta + m - r/q)).  The m-window suffices because the
     spike width k0/n_scale is below 1."""
-    if not 0 < k0 < n_scale:
-        raise InputError(f"need 0 < K0 < N, got K0 = {k0}, N = {n_scale}")
+    scale = n_scale / k0 if k0 > 0 else math.inf
+    if not (k0 < n_scale and math.isfinite(scale)):
+        raise InputError(f"need 0 < K0 < N with N/K0 finite, got K0 = {k0}, N = {n_scale}")
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta)
-    scale = n_scale / k0
+    x = np.empty_like(theta)  # one buffer for every term
     for q in range(1, q0_cut):
         for r in range(q):
             if q > 1 and (gcd(r, q) != 1 or r == 0):
@@ -359,7 +362,10 @@ def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
             if q == 1 and r != 0:
                 continue
             for m in (-2, -1, 0, 1, 2):
-                out += hat_t(scale * (theta + m - r / q))
+                np.add(theta, m, out=x)
+                x -= r / q
+                x *= scale
+                out += hat_t(x, out=x)
     return out
 
 
@@ -420,6 +426,21 @@ class Representation:
         return float(self.weights.sum())
 
 
+def box_axes(x_scale: int, count_cap: int = REPRESENTATION_CAP):
+    """The x and y ranges of the smoothed box at scale X: X/2 <= x <= X and
+    X <= y <= 2X.  A CapExceededError is raised when the box holds more than
+    count_cap points."""
+    X = x_scale
+    if X < 4:
+        raise InputError("X >= 4")
+    xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
+    ys = np.arange(X, 2 * X + 1, dtype=np.int64)
+    if xs.size * ys.size > count_cap:
+        raise CapExceededError(f"the (x, y) box at X = {X} has {xs.size * ys.size} "
+                               f"points, above the cap {count_cap}")
+    return xs, ys
+
+
 def representation_number(family: Family, x_scale: int,
                           truncation: int | None = None,
                           count_cap: int = REPRESENTATION_CAP) -> Representation:
@@ -434,16 +455,10 @@ def representation_number(family: Family, x_scale: int,
     before anything that size is allocated, when the (x, y) box or family
     size times live points exceeds count_cap."""
     X = x_scale
-    if X < 4:
-        raise InputError("X >= 4")
     if truncation is not None and truncation < 2:
         raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
                          f"u < U is empty below), got {truncation}")
-    xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
-    ys = np.arange(X, 2 * X + 1, dtype=np.int64)
-    if xs.size * ys.size > count_cap:
-        raise CapExceededError(f"the (x, y) box at X = {X} has {xs.size * ys.size} "
-                               f"points, above the cap {count_cap}")
+    xs, ys = box_axes(X, count_cap)
     wx = upsilon(2.0 * xs / X)
     wy = upsilon(ys / X)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -519,18 +534,11 @@ class ArcDecomposition:
         return self.major[n % self.grid], self.error[n % self.grid]
 
 
-def major_arc_decomposition(rep: Representation, n_scale: float, q0_cut: int,
-                            k0: float, grid: int,
-                            tol: float = 1e-6) -> ArcDecomposition:
-    """Split R(n) = M(n) + E(n) through the spike bump on a uniform grid.
-
-    M integrates bump * Rhat against e(-n theta); E the complement.  The
-    grid must resolve the spikes; the quadrature of the bump is checked
-    against its exact mass and a GridTooCoarseError is raised otherwise.
-    The sum M + E reproduces the grid-folded representation weights
-    exactly (up to float roundoff); for parameter choices whose values
-    exceed the grid this folding is the documented aliasing.
-    """
+def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarray:
+    """The spike bump on a uniform grid of the circle, checked against its
+    exact mass: a GridTooCoarseError is raised when the grid does not
+    resolve the spikes.  It depends only on these four numbers, so callers
+    can check a grid before building anything."""
     theta = np.arange(grid) / grid
     bump = big_theta(theta, n_scale, q0_cut, k0)
     # quadrature sanity: total bump mass vs exact sum of spike masses
@@ -543,6 +551,24 @@ def major_arc_decomposition(rep: Representation, n_scale: float, q0_cut: int,
         raise GridTooCoarseError(
             f"bump quadrature {got} vs exact {exact_mass}; refine the grid"
         )
+    return bump
+
+
+def major_arc_decomposition(rep: Representation, n_scale: float, q0_cut: int,
+                            k0: float, grid: int,
+                            tol: float = 1e-6, bump=None) -> ArcDecomposition:
+    """Split R(n) = M(n) + E(n) through the spike bump on a uniform grid.
+
+    M integrates bump * Rhat against e(-n theta); E the complement.  The
+    grid must resolve the spikes: bump is bump_on_grid(n_scale, q0_cut, k0,
+    grid), which checks the quadrature of the bump against its exact mass,
+    and is computed here when not given.
+    The sum M + E reproduces the grid-folded representation weights
+    exactly (up to float roundoff); for parameter choices whose values
+    exceed the grid this folding is the documented aliasing.
+    """
+    if bump is None:
+        bump = bump_on_grid(n_scale, q0_cut, k0, grid)
     folded = fold_weights(rep, grid)
     rhat = grid * np.fft.ifft(folded)
     major = np.fft.fft(bump * rhat) / grid

@@ -11,12 +11,11 @@ children (b, c, d, 2(b+c+d) - a), (a, c, d, 2(a+c+d) - b) and
 a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
 along the walk and the pruning is exact.  The result is a bitset with set
 semantics, whatever the thread count or block size.  The census reads its
-counts off one boolean view of that bitset.
+counts off the packed bits.
 """
 
 from __future__ import annotations
 
-import contextlib
 import struct
 import threading
 from dataclasses import dataclass
@@ -40,10 +39,11 @@ class CurvatureSet:
     n_max: int
     bits: np.ndarray                    # packed little-endian uint8, bit k <-> curvature k+1
     witnesses: np.ndarray | None = None  # optional (N+1, 4), first sorted quadruple seen per curvature
+    rows: int | None = None             # quadruples the walk expanded; None when loaded
 
     @classmethod
-    def from_bool(cls, n_max, mask, witnesses=None):
-        return cls(n_max, np.packbits(mask[1:n_max + 1], bitorder="little"), witnesses)
+    def from_bool(cls, n_max, mask, witnesses=None, rows=None):
+        return cls(n_max, np.packbits(mask[1:n_max + 1], bitorder="little"), witnesses, rows)
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros(self.n_max + 1, dtype=bool)
@@ -57,7 +57,10 @@ class CurvatureSet:
         return bool(self.bits[k >> 3] >> (k & 7) & 1)
 
     def count(self) -> int:
-        return int(np.unpackbits(self.bits, count=self.n_max, bitorder="little").sum())
+        total = int(np.bitwise_count(self.bits).sum())
+        if self.n_max & 7:  # bits past n_max in the last byte are not curvatures
+            total -= (int(self.bits[-1]) >> (self.n_max & 7)).bit_count()
+        return total
 
     def values(self) -> np.ndarray:
         return np.flatnonzero(self.to_bool())
@@ -112,22 +115,22 @@ def _validate_root(root):
 
 
 def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
-                         block_size: int = 1 << 16, threads: int = 1) -> CurvatureSet:
+                         block_size: int = 1 << 14, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    The root's distinct children, sorted once, are dealt round-robin to
-    min(threads, children) depth-first walks over sorted columns of at most
-    block_size quadruples a step, which all write one shared mask.  The
-    witness of a curvature is the first sorted quadruple seen to hold it; it
-    follows the traversal, so it is fixed only at threads=1.
+    threads workers share one LIFO stack of sorted quadruple columns.  A
+    worker takes about block_size rows off the top, marks their fresh
+    entries in the shared mask and pushes their children back, until the
+    stack is empty and no worker holds rows.  The witness of a curvature is
+    the first sorted quadruple seen to hold it; it follows the traversal, so
+    it is fixed only at threads=1.  An exception in a worker stops the walk
+    and is raised here.  The result's rows counts the quadruples expanded.
     """
     root = _validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
-        return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool))
-    from concurrent.futures import ThreadPoolExecutor
-
+        return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool), rows=0)
     dtype = _column_dtype(root, n_max)
     mask = np.zeros(n_max + 1, dtype=bool)
     wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
@@ -140,14 +143,87 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
-    # setting True is idempotent: without witnesses the mask needs no lock
-    lock = threading.Lock() if record_witnesses else contextlib.nullcontext()
-    parts = min(threads, kids.shape[0])
-    with ThreadPoolExecutor(max_workers=max(parts, 1)) as ex:
-        list(ex.map(lambda k: _walk(tuple(kids[k::parts].T), n_max, block_size,
-                                    mask, wit, lock),
-                    range(parts)))
-    return CurvatureSet.from_bool(n_max, mask, wit)
+    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, block_size, mask, wit)
+    workers = [threading.Thread(target=walk.run, daemon=True) for _ in range(threads - 1)]
+    for w in workers:
+        w.start()
+    walk.run()
+    for w in workers:
+        w.join()
+    if walk.errors:
+        raise walk.errors[0]
+    return CurvatureSet.from_bool(n_max, mask, wit, walk.rows)
+
+
+class _SharedWalk:
+    """Depth-first walk of the quadruple tree by any number of threads.
+
+    stack holds column tuples of sorted quadruples not yet expanded.  busy
+    counts the workers holding rows taken off it: the walk is over when the
+    stack is empty and busy is 0, or when a worker has failed.  Setting True
+    in the mask is idempotent, so without witnesses the mask is written
+    outside the lock; new bits and their witnesses are read and written
+    under it."""
+
+    def __init__(self, stack, n_max, block_size, mask, wit):
+        self.stack = stack
+        self.n_max = n_max
+        self.block_size = block_size
+        self.mask = mask
+        self.wit = wit
+        self.cond = threading.Condition()
+        self.busy = 0
+        self.rows = 0
+        self.errors = []
+
+    def _take(self):
+        """Pop stack entries, under the lock, until block_size rows are held;
+        the rows past block_size go back on the stack."""
+        parts, held = [], 0
+        while self.stack and held < self.block_size:
+            cols = self.stack.pop()
+            room = self.block_size - held
+            if cols[0].size > room:
+                self.stack.append(tuple(x[room:] for x in cols))
+                cols = tuple(x[:room] for x in cols)
+            parts.append(cols)
+            held += cols[0].size
+        self.rows += held
+        return parts
+
+    def run(self):
+        cond = self.cond
+        while True:
+            with cond:
+                while not self.stack and self.busy and not self.errors:
+                    cond.wait()
+                if self.errors or not self.stack:
+                    return
+                parts = self._take()
+                self.busy += 1
+            kids = None
+            try:
+                cols = parts[0] if len(parts) == 1 else tuple(
+                    np.concatenate(x) for x in zip(*parts))
+                d = cols[3]
+                if self.wit is None:
+                    self.mask[d.astype(np.intp)] = True
+                else:
+                    with cond:
+                        new = np.flatnonzero(~self.mask[d])
+                        vals, first = np.unique(d[new], return_index=True)
+                        self.wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
+                        self.mask[d] = True
+                kids = _children(*cols, self.n_max)
+            except BaseException as e:  # handed to the caller of the walk
+                with cond:
+                    self.errors.append(e)
+            finally:
+                with cond:
+                    self.busy -= 1
+                    if kids is not None and kids[0].size:
+                        self.stack.append(kids)
+                    cond.notify_all()
 
 
 def _column_dtype(root, n_max):
@@ -161,36 +237,29 @@ def _children(a, b, c, d, n_max):
     """Sorted columns of the children of sorted quadruples with fresh entry d
     whose fresh entry is at most n_max; the fresh entries obey na >= nb >= nc.
     The b-child equals the c-child when b == c, and the a-child the b-child
-    when a == b, so each is kept only when the entries differ."""
-    nc = 2 * (a + b + d) - c
-    keep = nc <= n_max
-    a, b, c, d, nc = a[keep], b[keep], c[keep], d[keep], nc[keep]
-    nb = 2 * (a + c + d) - b
-    na = 2 * (b + c + d) - a
-    kb, ka = (nb <= n_max) & (b != c), (na <= n_max) & (a != b)
-    return (np.concatenate((a, a[kb], b[ka])), np.concatenate((b, c[kb], c[ka])),
-            np.concatenate((d, d[kb], d[ka])), np.concatenate((nc, nb[kb], na[ka])))
-
-
-def _walk(cols, n_max, block_size, mask, wit, lock):
-    """Depth-first walk from the given sorted quadruples, marking each as
-    popped; new bits and their witnesses are read and written under the lock."""
-    stack = [cols]
-    while stack:
-        cols = stack.pop()
-        if cols[0].size > block_size:
-            stack.append(tuple(x[block_size:] for x in cols))
-            cols = tuple(x[:block_size] for x in cols)
-        d = cols[3]
-        with lock:
-            if wit is not None:
-                new = np.flatnonzero(~mask[d])
-                vals, first = np.unique(d[new], return_index=True)
-                wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
-            mask[d] = True
-        cols = _children(*cols, n_max)
-        if cols[0].size:
-            stack.append(cols)
+    when a == b, so each is kept only when the entries differ.  Rows are
+    selected by gathers at the indices kept, which cost about half the
+    time of boolean masks over the same rows."""
+    nc = a + b
+    nc += d
+    nc *= 2
+    nc -= c
+    keep = np.flatnonzero(nc <= n_max)
+    a, b, c, d, nc = a.take(keep), b.take(keep), c.take(keep), d.take(keep), nc.take(keep)
+    nb = a + c
+    nb += d
+    nb *= 2
+    nb -= b
+    na = b + c
+    na += d
+    na *= 2
+    na -= a
+    kb = np.flatnonzero((nb <= n_max) & (b != c))
+    ka = np.flatnonzero((na <= n_max) & (a != b))
+    return (np.concatenate((a, a.take(kb), b.take(ka))),
+            np.concatenate((b, c.take(kb), c.take(ka))),
+            np.concatenate((d, d.take(kb), d.take(ka))),
+            np.concatenate((nc, nb.take(kb), na.take(ka))))
 
 
 @dataclass
@@ -205,25 +274,41 @@ class CensusReport:
 
 
 def census(curvatures: CurvatureSet, admissible_classes) -> CensusReport:
-    """Counts per residue class mod 24, admissible totals, and exception list."""
+    """Counts per residue class mod 24, admissible totals, and exception list.
+
+    The census reads the packed bits: bit j of the 3-byte row i is the
+    integer 24 i + j + 1, so each class mod 24 is one bit position of a
+    (-1, 3) byte view, and the admissible integers are one 3-byte pattern
+    tiled over the bitset.  No array of one byte per integer is formed."""
     n = int(curvatures.n_max)
-    # entry i is the integer i + 1, padded with zeros to whole rows of 24, so
-    # column j of the (-1, 24) reshape holds the class (j + 1) mod 24
-    present = np.unpackbits(curvatures.bits, count=-(-n // 24) * 24,
-                            bitorder="little").view(bool)
-    present[n:] = False
-    per_class = np.roll(np.count_nonzero(present.reshape(-1, 24), axis=0), 1)
+    size = -(-n // 24) * 3
+    # packed bits 0 .. n-1, zero past n and padded to whole 3-byte rows
+    valid = np.zeros(size, dtype=np.uint8)
+    valid[:n >> 3] = 0xFF
+    if n & 7:
+        valid[n >> 3] = (1 << (n & 7)) - 1
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[:curvatures.bits.size] = curvatures.bits
+    bits &= valid
+    rows = bits.reshape(-1, 3)
+    per_class = np.zeros(24, dtype=np.int64)
+    for j in range(24):
+        per_class[(j + 1) % 24] = np.count_nonzero(rows[:, j >> 3] & np.uint8(1 << (j & 7)))
     residue_counts = {r: int(c) for r, c in enumerate(per_class) if c}
-    admissible = np.resize(np.isin(np.roll(np.arange(24), -1),
-                                   list(admissible_classes)), n)
-    admissible_count = int(np.count_nonzero(admissible))
-    admissible &= ~present[:n]
-    exceptions = np.flatnonzero(admissible) + 1
+    pattern = np.packbits([(j + 1) % 24 in admissible_classes for j in range(24)],
+                          bitorder="little")
+    adm = np.tile(pattern, size // 3)
+    adm &= valid
+    admissible_count = int(np.bitwise_count(adm).sum())
+    adm &= ~bits
+    at = np.flatnonzero(adm)
+    held = np.unpackbits(adm[at][:, None], axis=1, bitorder="little").view(bool)
+    exceptions = (8 * at[:, None] + np.arange(1, 9))[held]
     edges = np.minimum(1 << np.arange(n.bit_length() + 1), n + 1)
     counts = np.diff(np.searchsorted(exceptions, edges))
     dyadic = [(k, int(c), int(length))
               for k, (c, length) in enumerate(zip(counts, np.diff(edges)))]
-    curvature_count = int(per_class.sum())
+    curvature_count = int(np.bitwise_count(bits).sum())
     return CensusReport(
         n_max=n,
         residue_counts=residue_counts,
@@ -361,14 +446,12 @@ class Family:
 FAMILY_PAIR_CAP = 1 << 22
 
 
-def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Family:
-    """All products gamma1*gamma2 from the two norm shells passing the anchor cut.
+def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
+    """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i.
 
-    A CapExceededError is raised, before the products are formed, when the
-    shells hold more than count_cap pairs."""
+    A CapExceededError is raised when they hold more than count_cap pairs."""
     if t1 < 4 or t2 < 4:
         raise core.InputError("norm windows need T1, T2 >= 4")
-    root = _validate_root(root)
     cap_sq = int((4 * max(t1, t2)) ** 2)
     _, shell1 = enumerate_gamma(cap_sq, keep_window=(t1 * t1, 4 * t1 * t1))
     if t1 == t2:
@@ -379,6 +462,18 @@ def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Fa
     if pairs > count_cap:
         raise CapExceededError(f"norm shells at T1 = {t1}, T2 = {t2} hold {pairs} pairs, "
                                f"above the cap {count_cap}")
+    return shell1, shell2
+
+
+def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP,
+                 shells=None) -> Family:
+    """All products gamma1*gamma2 from the two norm shells passing the anchor cut.
+
+    shells, if given, is the pair norm_shells(t1, t2) returned; otherwise it
+    is computed here, and a CapExceededError is raised, before the products
+    are formed, when the shells hold more than count_cap pairs."""
+    root = _validate_root(root)
+    shell1, shell2 = norm_shells(t1, t2, count_cap) if shells is None else shells
     t = t1 * t2
     if shell1.size == 0 or shell2.size == 0:
         empty = np.empty(0, dtype=np.int64)

@@ -34,6 +34,29 @@ def test_gasket_command(tmp_path):
     assert set(cs.values().tolist()) == {21, 24, 28, 40, 52, 61, 76, 85, 96}
 
 
+def test_gasket_stages(tmp_path, capsys):
+    snap = tmp_path / "bits.bin"
+    assert run(["gasket", "--limit", "10000", "--threads", "2",
+                "--snapshot", str(snap)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = rep["stages"]
+    assert set(stages) == {"walk", "census", "snapshot"}
+    assert stages["walk"]["items"] == orbit.enumerate_curvatures((-11, 21, 24, 28),
+                                                                 10000).rows
+    assert stages["census"]["items"] == 10000
+    assert stages["snapshot"]["items"] == 1250
+    for entry in stages.values():
+        assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
+    assert rep["elapsed_s"] is not None
+    assert rep["config"]["threads"] == 2
+
+
+def test_gasket_threads_default_to_available_cpus(capsys):
+    assert run(["gasket", "--limit", "100"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["threads"] == len(os.sched_getaffinity(0))
+
+
 def test_gasket_invalid_root():
     assert run(["gasket", "--root", "1,2,3,4", "--limit", "10"]) == 2
     assert run(["gasket", "--root", "1,2,3"]) == 2
@@ -92,6 +115,8 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["circle", "--u", "1"],
     ["circle", "--u", "-1"],
     ["render", "--depth", "-1"],
+    # N/K0 overflows to inf, and the bump to NaN, which passed the quadrature check
+    ["circle", "--k0", "1e-320"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -130,6 +155,17 @@ def test_delta_fit_radii_checked_before_count(monkeypatch, capsys):
     for flag, bad in (("--ymin", "-5"), ("--ymax", "0")):
         assert run(["delta-fit", flag, bad]) == 2
         assert flag in capsys.readouterr().err
+
+
+def test_circle_grid_checked_before_family(monkeypatch, capsys):
+    # the default grid cannot resolve the spikes at n_scale = 32 * 32 * 96^2
+    def build(*args, **kw):
+        raise AssertionError("the family was built before the grid was checked")
+
+    monkeypatch.setattr(orbit, "build_family", build)
+    assert run(["circle", "--t1", "32", "--t2", "32", "--x", "96"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "refine the grid" in err
 
 
 def test_circle_q0cap_0_exits_2():

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -142,6 +143,57 @@ def test_walk_expands_each_quadruple_once(root, monkeypatch):
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
 
 
+def test_rows_independent_of_blocks_and_threads(monkeypatch):
+    ref = orbit.enumerate_curvatures(ROOT, 10**5)
+    for block_size, threads in ((1, 1), (7, 3), (1 << 10, 2), (1 << 20, 4)):
+        cs = orbit.enumerate_curvatures(ROOT, 10**5, block_size=block_size,
+                                        threads=threads)
+        assert cs.rows == ref.rows, (block_size, threads)
+    # rows counts exactly the quadruples handed to _children
+    rows = []
+    children = orbit._children
+
+    def spy(a, b, c, d, n_max):
+        rows.append(a.size)
+        return children(a, b, c, d, n_max)
+
+    monkeypatch.setattr(orbit, "_children", spy)
+    assert orbit.enumerate_curvatures(ROOT, 10**5, threads=3).rows == sum(rows) > 0
+    assert orbit.enumerate_curvatures(ROOT, 0).rows == 0
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("fail_on", [1, 5])
+def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
+    # a failing step must stop every worker and reach the caller; the walk
+    # runs in a thread of its own, so a deadlock fails the join below.  The
+    # first step holds the root's children alone, so the other workers are
+    # waiting on an empty stack when it fails.
+    calls = []
+    children = orbit._children
+
+    def failing(*cols):
+        calls.append(1)
+        if len(calls) == fail_on:
+            raise RuntimeError("the step fails")
+        return children(*cols)
+
+    monkeypatch.setattr(orbit, "_children", failing)
+    raised = []
+
+    def walk():
+        try:
+            orbit.enumerate_curvatures(ROOT, 10**5, block_size=16, threads=threads)
+        except RuntimeError as e:
+            raised.append(e)
+
+    t = threading.Thread(target=walk, daemon=True)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive(), "the walk hung after a worker failed"
+    assert [str(e) for e in raised] == ["the step fails"]
+
+
 def test_shared_witnesses_under_thread_switching():
     # more threads than cores, switching as often as the interpreter allows:
     # a witness row torn between two threads would leave the Descartes cone
@@ -240,6 +292,18 @@ def test_census_matches_reference(n_max):
     cs = orbit.enumerate_curvatures(ROOT, n_max)
     for adm in ({0, 4, 12, 13, 16, 21}, {1, 5}, set(), set(range(24))):
         assert_same_census(orbit.census(cs, adm), reference_census(cs, adm))
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 8, 23, 24, 25, 1023, 1025, 100_007])
+def test_packed_census_on_random_bits(n_max):
+    # random bytes, with the padding bits past n_max set as often as not
+    rng = np.random.default_rng(n_max)
+    for density in (0.0, 0.3, 1.0):
+        bits = np.packbits(rng.random(8 * (-(-n_max // 8))) < density, bitorder="little")
+        cs = orbit.CurvatureSet(n_max, bits)
+        assert cs.count() == int(cs.to_bool().sum())
+        for adm in ({0, 4, 12, 13, 16, 21}, {1, 5, 23}, set(), set(range(24))):
+            assert_same_census(orbit.census(cs, adm), reference_census(cs, adm))
 
 
 def test_census(curvatures_1e6):
