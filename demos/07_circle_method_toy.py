@@ -20,7 +20,7 @@ rep = es.representation_number(fam, 32)
 print(f"support: {rep.values.size} integers, total mass {rep.total_mass():.2f}")
 
 n_scale = fam.t * 32 * 32
-dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
+dec = es.major_arc_decomposition(rep, es.bump_on_grid(n_scale, 8, 64.0, 1 << 16))
 resid = np.abs(dec.major + dec.error - dec.folded).max()
 print(f"max |M + E - folded R| = {resid:.2e}")
 

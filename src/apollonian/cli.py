@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import os
-import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -191,6 +190,25 @@ def _parse_qs(s: str):
     raise core.InputError(f"--q must be a comma-separated list of positive integers, got {s!r}")
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    cannot restrict a process to some."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _peak_rss_mb():
+    """Peak resident memory of this process in MB, or None where the
+    platform has no getrusage.  ru_maxrss is in KB, but in bytes on macOS."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, 1)
+
+
 def cmd_gasket(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
@@ -205,15 +223,17 @@ def cmd_gasket(args) -> int:
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
               f"takes {GASKET_DEFAULT_COST}; {GASKET_GROWTH}", file=sys.stderr)
+    if args.threads is None:
+        args.threads = _available_cpus()
     adm = congruence.admissible_classes(24, root)
     stages = {}
 
     def stage(name, start, items):
         """Record a stage begun at start; returns the time it ended."""
         end = time.time()
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak_mb = _peak_rss_mb()
         stages[name] = {"s": round(end - start, 3), "items": int(items),
-                        "peak_rss_mb": round(peak_mb, 1)}
+                        "peak_rss_mb": peak_mb}
         return end
 
     start = time.time()
@@ -338,15 +358,16 @@ def cmd_circle(args) -> int:
     for flag, v in (("--q0cap", args.q0cap), ("--grid", args.grid), ("--k0", args.k0)):
         if not v > 0:
             raise core.InputError(f"{flag} must be positive, got {v}")
-    # the caps, then the grid, are checked before the family is built
+    # the caps, then the grid, are checked before the family is built; the
+    # shells are enumerated again by build_family, which costs about 1.4 ms
+    # at T1 = T2 = 32
     expsums.box_axes(args.x)
-    shells = orbit.norm_shells(args.t1, args.t2)
+    orbit.norm_shells(args.t1, args.t2)
     n_scale = args.t1 * args.t2 * args.x * args.x
     bump = expsums.bump_on_grid(n_scale, args.q0cap, args.k0, args.grid)
-    fam = orbit.build_family(root, args.t1, args.t2, shells=shells)
+    fam = orbit.build_family(root, args.t1, args.t2)
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
-    dec = expsums.major_arc_decomposition(rep, n_scale, args.q0cap, args.k0, args.grid,
-                                          bump=bump)
+    dec = expsums.major_arc_decomposition(rep, bump)
     resid = float(np.abs(dec.major + dec.error - dec.folded).max())
     minor = expsums.minor_arc_report(rep, n_scale, args.q0cap, args.k0,
                                      min(args.grid, 1 << 12), args.x * fam.t)
@@ -570,9 +591,9 @@ def main(argv=None) -> int:
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
                         f"{GASKET_GROWTH}")
-    p.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
+    p.add_argument("--threads", type=int, default=None,
                    help="threads sharing the tree walk; default: the CPUs this "
-                        "process may run on (os.sched_getaffinity)")
+                        "process may run on (os.sched_getaffinity, else os.cpu_count)")
     p.add_argument("--snapshot", default=None, help="write the bitset file")
     p.set_defaults(func=cmd_gasket)
 

@@ -522,9 +522,6 @@ def rhat_on_grid(rep: Representation, grid: int) -> np.ndarray:
 
 @dataclass
 class ArcDecomposition:
-    n_scale: float
-    q0_cut: int
-    k0: float
     grid: int
     major: np.ndarray      # M(n) for n = 0..grid-1 (mod-grid frequencies)
     error: np.ndarray      # E(n)
@@ -554,26 +551,22 @@ def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarra
     return bump
 
 
-def major_arc_decomposition(rep: Representation, n_scale: float, q0_cut: int,
-                            k0: float, grid: int,
-                            tol: float = 1e-6, bump=None) -> ArcDecomposition:
+def major_arc_decomposition(rep: Representation, bump: np.ndarray) -> ArcDecomposition:
     """Split R(n) = M(n) + E(n) through the spike bump on a uniform grid.
 
-    M integrates bump * Rhat against e(-n theta); E the complement.  The
-    grid must resolve the spikes: bump is bump_on_grid(n_scale, q0_cut, k0,
-    grid), which checks the quadrature of the bump against its exact mass,
-    and is computed here when not given.
+    bump is bump_on_grid(n_scale, q0_cut, k0, grid), which checks that the
+    grid resolves the spikes; the grid is its length.  M integrates
+    bump * Rhat against e(-n theta); E the complement.
     The sum M + E reproduces the grid-folded representation weights
     exactly (up to float roundoff); for parameter choices whose values
     exceed the grid this folding is the documented aliasing.
     """
-    if bump is None:
-        bump = bump_on_grid(n_scale, q0_cut, k0, grid)
+    grid = bump.size
     folded = fold_weights(rep, grid)
     rhat = grid * np.fft.ifft(folded)
     major = np.fft.fft(bump * rhat) / grid
     error = np.fft.fft((1.0 - bump) * rhat) / grid
-    return ArcDecomposition(n_scale, q0_cut, k0, grid, major, error, folded)
+    return ArcDecomposition(grid, major, error, folded)
 
 
 def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,

@@ -147,9 +147,14 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     workers = [threading.Thread(target=walk.run, daemon=True) for _ in range(threads - 1)]
     for w in workers:
         w.start()
-    walk.run()
-    for w in workers:
-        w.join()
+    try:
+        walk.run()
+    except BaseException as e:  # an interrupt while waiting: stop the workers too
+        walk.fail(e)
+        raise
+    finally:
+        for w in workers:
+            w.join()
     if walk.errors:
         raise walk.errors[0]
     return CurvatureSet.from_bool(n_max, mask, wit, walk.rows)
@@ -191,6 +196,12 @@ class _SharedWalk:
         self.rows += held
         return parts
 
+    def fail(self, e):
+        """Record e, which stops every worker at its next take."""
+        with self.cond:
+            self.errors.append(e)
+            self.cond.notify_all()
+
     def run(self):
         cond = self.cond
         while True:
@@ -216,8 +227,7 @@ class _SharedWalk:
                         self.mask[d] = True
                 kids = _children(*cols, self.n_max)
             except BaseException as e:  # handed to the caller of the walk
-                with cond:
-                    self.errors.append(e)
+                self.fail(e)
             finally:
                 with cond:
                     self.busy -= 1
@@ -465,15 +475,13 @@ def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
     return shell1, shell2
 
 
-def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP,
-                 shells=None) -> Family:
+def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Family:
     """All products gamma1*gamma2 from the two norm shells passing the anchor cut.
 
-    shells, if given, is the pair norm_shells(t1, t2) returned; otherwise it
-    is computed here, and a CapExceededError is raised, before the products
-    are formed, when the shells hold more than count_cap pairs."""
+    A CapExceededError is raised, before the products are formed, when the
+    shells hold more than count_cap pairs."""
     root = _validate_root(root)
-    shell1, shell2 = norm_shells(t1, t2, count_cap) if shells is None else shells
+    shell1, shell2 = norm_shells(t1, t2, count_cap)
     t = t1 * t2
     if shell1.size == 0 or shell2.size == 0:
         empty = np.empty(0, dtype=np.int64)

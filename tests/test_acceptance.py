@@ -258,7 +258,7 @@ def test_criterion_12_spectral_gap(registry):
 def test_criterion_13_circle_method(family_8):
     rep = es.representation_number(family_8, 32)
     n_scale = family_8.t * 32 * 32
-    dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
+    dec = es.major_arc_decomposition(rep, es.bump_on_grid(n_scale, 8, 64.0, 1 << 16))
     resid = np.abs(dec.major + dec.error - dec.folded).max()
     assert resid <= 1e-6 * max(np.abs(dec.folded).max(), 1.0)
     assert rep.witnesses.shape == (rep.values.size, 3)

@@ -402,20 +402,21 @@ def test_truncated_moebius_l1(family_8):
 def test_major_arc_decomposition(family_8):
     rep = es.representation_number(family_8, 32)
     n_scale = family_8.t * 32 * 32
-    dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
+    dec = es.major_arc_decomposition(rep, es.bump_on_grid(n_scale, 8, 64.0, 1 << 16))
     resid = np.abs(dec.major + dec.error - dec.folded).max()
     assert resid <= 1e-6 * max(np.abs(dec.folded).max(), 1.0)
     # wide-bump limit: E is tiny relative to the mass
-    dec2 = es.major_arc_decomposition(rep, n_scale, 2, n_scale / 2.1, 1 << 12)
+    dec2 = es.major_arc_decomposition(
+        rep, es.bump_on_grid(n_scale, 2, n_scale / 2.1, 1 << 12))
     assert np.abs(dec2.error).max() <= 0.01 * rep.total_mass()
     with pytest.raises(es.GridTooCoarseError):
-        es.major_arc_decomposition(rep, n_scale, 8, 0.25, 256)
+        es.bump_on_grid(n_scale, 8, 0.25, 256)
 
 
 def test_major_arc_sign_report(family_8, registry):
     rep = es.representation_number(family_8, 32)
     n_scale = family_8.t * 32 * 32
-    dec = es.major_arc_decomposition(rep, n_scale, 8, 64.0, 1 << 16)
+    dec = es.major_arc_decomposition(rep, es.bump_on_grid(n_scale, 8, 64.0, 1 << 16))
     adm_bulk = np.array([n for n in range(n_scale // 2, n_scale)
                          if cg.is_admissible(n, ROOT)])
     frac = float((dec.major[adm_bulk % dec.grid].real > 0).mean())

@@ -194,6 +194,39 @@ def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
     assert [str(e) for e in raised] == ["the step fails"]
 
 
+def test_interrupted_caller_stops_the_workers(monkeypatch):
+    # an exception in the calling thread, here raised where the caller would
+    # wait on the stack, must stop the other workers within their current
+    # step rather than leave them walking the whole tree in the background
+    class Interrupt(BaseException):
+        pass
+
+    caller = threading.get_ident()
+    run = orbit._SharedWalk.run
+
+    def interrupted(walk):
+        if threading.get_ident() == caller:
+            raise Interrupt
+        return run(walk)
+
+    full = []
+    children = orbit._children
+
+    def spy(*cols):
+        full.append(1)
+        return children(*cols)
+
+    monkeypatch.setattr(orbit, "_children", spy)
+    orbit.enumerate_curvatures(ROOT, 10**6, block_size=64)
+    steps, full[:] = len(full), []
+    monkeypatch.setattr(orbit._SharedWalk, "run", interrupted)
+    before = threading.active_count()
+    with pytest.raises(Interrupt):
+        orbit.enumerate_curvatures(ROOT, 10**6, block_size=64, threads=3)
+    assert threading.active_count() == before
+    assert len(full) < steps // 10, (len(full), steps)
+
+
 def test_shared_witnesses_under_thread_switching():
     # more threads than cores, switching as often as the interpreter allows:
     # a witness row torn between two threads would leave the Descartes cone
