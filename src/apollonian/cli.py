@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +30,6 @@ EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
-DEFAULT_ROOT = (-11, 21, 24, 28)
 GASKET_DEFAULT_LIMIT = 10**8
 # `gasket` at the default limit on a 2-CPU machine: 25 s wall, 43 s CPU and
 # 208 MB with both CPUs, 47 s and 193 MB with --threads 1
@@ -171,13 +169,15 @@ def emit_report(command: str, config: dict, results: dict, out=None,
 
 
 def _parse_root(s: str):
+    """The --root quadruple, checked to be on the Descartes cone, primitive
+    and reduced."""
     try:
         parts = tuple(int(x) for x in s.split(","))
-        if len(parts) == 4:
-            return parts
     except ValueError:
-        pass
-    raise core.InputError(f"--root must be four integers a,b,c,d, got {s!r}")
+        parts = ()
+    if len(parts) != 4:
+        raise core.InputError(f"--root must be four integers a,b,c,d, got {s!r}")
+    return core.validate_root(parts)
 
 
 def _parse_qs(s: str):
@@ -212,8 +212,6 @@ def _peak_rss_mb():
 def cmd_gasket(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    if core.descartes_form(root) != 0:
-        raise core.InputError(f"root {root} violates the Descartes relation")
     if args.limit < 1:
         raise core.InputError(f"--limit must be at least 1, got {args.limit}")
     # checked before the walk, which at the default limit takes minutes
@@ -393,7 +391,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise core.InputError(f"--modules: unknown {','.join(unknown)}; "
                               f"choose from {','.join(known)}")
-    root = DEFAULT_ROOT
+    root = core.DEFAULT_ROOT
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -465,7 +463,7 @@ def cmd_verify(args) -> int:
 
 def _random_cone_point(rng) -> tuple:
     word = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(0, 8)))]
-    return core.apply_word(word, DEFAULT_ROOT)
+    return core.apply_word(word, core.DEFAULT_ROOT)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +562,6 @@ def render_svg(root, depth: int, size: int = 800) -> str:
 def cmd_render(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    if core.descartes_form(root) != 0:
-        raise core.InputError(f"root {root} violates the Descartes relation")
     svg = render_svg(root, args.depth)
     out = args.out or "gasket.svg"
     Path(out).write_text(svg)
@@ -575,7 +571,10 @@ def cmd_render(args) -> int:
 
 def _add_common(p, root=False, seed=False):
     if root:
-        p.add_argument("--root", default="-11,21,24,28")
+        p.add_argument("--root", default=",".join(map(str, core.DEFAULT_ROOT)),
+                       help="root quadruple a,b,c,d (default %(default)s); its "
+                            "first entry is at most 0, so pass it as "
+                            "--root=-2,3,6,7, not --root -2,3,6,7")
     p.add_argument("--out", default=None)
     if seed:
         p.add_argument("--seed", type=int, default=0)

@@ -241,7 +241,7 @@ def _orbit_cached(root, q):
     return vector_orbit(root, q)
 
 
-def admissible_classes(q: int, root=(-11, 21, 24, 28)) -> set:
+def admissible_classes(q: int, root=core.DEFAULT_ROOT) -> set:
     """Residues mod q arising as some entry of the orbit of the root."""
     if q == 1:
         return {0}
@@ -249,11 +249,11 @@ def admissible_classes(q: int, root=(-11, 21, 24, 28)) -> set:
     return {int(x) for x in np.unique(orb)}
 
 
-def is_admissible(n: int, root=(-11, 21, 24, 28)) -> bool:
+def is_admissible(n: int, root=core.DEFAULT_ROOT) -> bool:
     return n % 24 in admissible_classes(24, root)
 
 
-def stabilizer_index(q: int, root=(-11, 21, 24, 28)) -> int:
+def stabilizer_index(q: int, root=core.DEFAULT_ROOT) -> int:
     """Index of the mod-q stabilizer of the root = size of its orbit mod q.
 
     The affine orbit grows like q^3; the projective count (see
@@ -263,7 +263,7 @@ def stabilizer_index(q: int, root=(-11, 21, 24, 28)) -> int:
     return _orbit_cached(tuple(root), q).shape[0]
 
 
-def stabilizer_index_projective(q: int, root=(-11, 21, 24, 28)) -> int:
+def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
     """Number of scalar classes in the orbit of the root mod q."""
     if q == 1:
         return 1

@@ -36,6 +36,9 @@ GRAM: Mat4 = tuple(tuple(2 * (i == j) - 1 for j in range(4)) for i in range(4))
 
 IDENTITY: Mat4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
+# The root quadruple of the gasket the package studies.
+DEFAULT_ROOT = (-11, 21, 24, 28)
+
 
 def descartes_form(v) -> int:
     """2*sum(v_i^2) - (sum v_i)^2; zero exactly on Descartes quadruples."""
@@ -160,6 +163,8 @@ def mat_inv(m: Mat4) -> Mat4:
 
 
 J_CONJ_INV = mat_inv(J_CONJ)
+# det J_CONJ = -2, so J_CONJ^-1 = J_CONJ_ADJ / -2 with an integer adjugate
+J_CONJ_ADJ: Mat4 = tuple(tuple(int(-2 * x) for x in row) for row in J_CONJ_INV)
 
 
 class NotOnConeError(ValueError):
@@ -207,6 +212,19 @@ def is_reduced(v) -> bool:
     return all(sum(apply_reflection(i, v)) >= s for i in (1, 2, 3, 4))
 
 
+def validate_root(root):
+    """The root as a tuple of ints; InputError unless it is on the Descartes
+    cone, primitive and reduced."""
+    root = tuple(int(x) for x in root)
+    if descartes_form(root) != 0:
+        raise InputError(f"root {root} is not on the Descartes cone")
+    if not is_primitive(root):
+        raise InputError(f"root {root} is not primitive")
+    if not is_reduced(root):
+        raise InputError(f"root {root} is not reduced")
+    return root
+
+
 def apply_word(word, v) -> Vec4:
     """Apply reflections in the given order: word [i1, i2, ...] does S_i1 first."""
     cur = tuple(v)
@@ -223,7 +241,7 @@ def word_to_matrix(word) -> Mat4:
     return m
 
 
-def gamma_word(m: Mat4, root=(-11, 21, 24, 28)):
+def gamma_word(m: Mat4, root=DEFAULT_ROOT):
     """Word certificate for membership of an integer matrix in Gamma.
 
     Returns an even reflection word w with word_to_matrix(w) == m, or None
@@ -246,7 +264,7 @@ def gamma_word(m: Mat4, root=(-11, 21, 24, 28)):
     return None
 
 
-def in_gamma(m: Mat4, root=(-11, 21, 24, 28)) -> bool:
+def in_gamma(m: Mat4, root=DEFAULT_ROOT) -> bool:
     return gamma_word(m, root) is not None
 
 
@@ -353,12 +371,12 @@ def _ext_gcd(a, b):
 def xi(x: int, y: int) -> Mat4:
     """The 4x4 unipotent-family element with bottom row w_vector(x, y).
 
-    Built as J . rho(M) . J^-1 for the deterministic level-2 completion M.
+    Built as J . rho(M) . J^-1 for the deterministic level-2 completion M,
+    in integers: rho(M) is integral at det M = 1 and J^-1 = adj J / -2, so
+    the division by -2 is exact.
     """
-    m = lambda2_completion(x, y)
-    r = spin_rho(m)
-    out = mat_mul(J_CONJ, mat_mul(r, J_CONJ_INV))
-    return tuple(tuple(int(v) for v in row) for row in out)
+    out = mat_mul(J_CONJ, mat_mul(spin_rho(lambda2_completion(x, y)), J_CONJ_ADJ))
+    return tuple(tuple(v // -2 for v in row) for row in out)
 
 
 # ---------------------------------------------------------------------------

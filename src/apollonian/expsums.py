@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import congruence
-from .core import InputError
+from .core import DEFAULT_ROOT, InputError
 from .forms import ShiftedForm, _factorize
 from .orbit import CapExceededError, Family
 
@@ -286,7 +286,7 @@ def _slot_factor_cached(root, p, kappa, slot):
     return _slot_factor_table(root, p, kappa, slot)
 
 
-def singular_series(n: int, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
+def singular_series(n: int, root=DEFAULT_ROOT, prime_cutoff: int = 13,
                     depth: int = 1) -> float:
     """Truncated Euler product of local densities, averaged over the four
     coordinate slots of the orbit.
@@ -298,7 +298,7 @@ def singular_series(n: int, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
     return float(singular_series_sweep(np.array([n]), root, prime_cutoff, depth)[0])
 
 
-def singular_series_sweep(ns, root=(-11, 21, 24, 28), prime_cutoff: int = 13,
+def singular_series_sweep(ns, root=DEFAULT_ROOT, prime_cutoff: int = 13,
                           depth: int = 1) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     primes = [p for p in range(2, prime_cutoff + 1) if _factorize(p) == [(p, 1)]]

@@ -41,7 +41,7 @@ class ShiftedForm:
         return self.A * m * m + 2 * self.B * m * n + self.C * n * n - self.a
 
 
-def extract_form(gamma, root=(-11, 21, 24, 28)) -> ShiftedForm:
+def extract_form(gamma, root=core.DEFAULT_ROOT) -> ShiftedForm:
     """Shifted form of the quadruple gamma . root."""
     a, b, c, d = core.mat_vec(gamma, root)
     t = a + b - c + d

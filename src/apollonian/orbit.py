@@ -103,17 +103,6 @@ class CurvatureSet:
         return cls(int(n_max), bits)
 
 
-def _validate_root(root):
-    root = tuple(int(x) for x in root)
-    if core.descartes_form(root) != 0:
-        raise core.InputError(f"root {root} is not on the Descartes cone")
-    if not core.is_primitive(root):
-        raise core.InputError(f"root {root} is not primitive")
-    if not core.is_reduced(root):
-        raise core.InputError(f"root {root} is not reduced")
-    return root
-
-
 def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                          block_size: int = 1 << 14, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
@@ -126,7 +115,7 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     it is fixed only at threads=1.  An exception in a worker stops the walk
     and is raised here.  The result's rows counts the quadruples expanded.
     """
-    root = _validate_root(root)
+    root = core.validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
@@ -480,7 +469,7 @@ def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Fa
 
     A CapExceededError is raised, before the products are formed, when the
     shells hold more than count_cap pairs."""
-    root = _validate_root(root)
+    root = core.validate_root(root)
     shell1, shell2 = norm_shells(t1, t2, count_cap)
     t = t1 * t2
     if shell1.size == 0 or shell2.size == 0:

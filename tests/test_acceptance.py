@@ -130,28 +130,11 @@ def test_criterion_06_form_machinery(curvatures_1e6):
                 "value 96, and 100 coprime values inside the curvature set")
 
 
-def test_criterion_07_exp_sum_oracle():
+def test_criterion_07_exp_sum_oracle(sf_closed_error, sf_bound):
     for q0 in range(1, 50, 2):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            tab = es.sf_table(F0, q0, r % q0) if q0 > 1 else None
-            for n in range(q0):
-                for m in range(q0):
-                    c = es.sf_closed(F0, q0, r, n, m)
-                    d = tab[n, m] if tab is not None else 1.0
-                    assert abs(c - d) < 1e-9, (q0, r, n, m)
-    worst_odd = 0.0
-    worst_even = 0.0
-    for q0 in range(1, 201):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            mx = float(np.abs(es.sf_table(F0, q0, r % q0 if q0 > 1 else 1)).max())
-            if q0 % 2:
-                worst_odd = max(worst_odd, mx * q0**0.5)
-            else:
-                worst_even = max(worst_even, mx * q0**0.5)
+        assert sf_closed_error[q0] < 1e-9, q0
+    worst_odd = max(sf_bound[q0] for q0 in range(1, 201, 2))
+    worst_even = max(sf_bound[q0] for q0 in range(2, 201, 2))
     assert worst_odd <= 1.0 + 1e-9
     assert worst_even == pytest.approx(2.0**0.5)  # documented 2-adic constant
     passline(7, "closed form = direct sum exhaustively (odd q0 <= 49, all r, "
@@ -162,35 +145,17 @@ def test_criterion_07_exp_sum_oracle():
 @pytest.mark.xfail(strict=True,
                    reason="|S_f(2,1;0,1)| = 1 > 2^{-1/2}: the square-root "
                           "bound needs the 2-adic correction sqrt(2)")
-def test_criterion_07_stated_bound_all_moduli():
-    worst = 0.0
-    for q0 in range(1, 201):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            mx = float(np.abs(es.sf_table(F0, q0, r % q0 if q0 > 1 else 1)).max())
-            worst = max(worst, mx * q0**0.5)
+def test_criterion_07_stated_bound_all_moduli(sf_bound):
+    worst = max(sf_bound[q0] for q0 in range(1, 201))
     assert worst <= 1.0 + 1e-9
 
 
-def test_criterion_08_s_identities():
+def test_criterion_08_s_identities(crt_mismatches):
     full = es.s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
     short = sum(es.sf_table(F0, 3, r)[1, 2] * np.conj(es.sf_table(F0, 3, r)[1, 2])
                 for r in (1, 2))
     assert abs(full - 3 * short) < 1e-9
-    bad = 0
-    for qa in range(2, 201):
-        for qb in range(2, 201 // qa + 1):
-            if gcd(qa, qb) != 1:
-                continue
-            q0 = qa * qb
-            for (r, n, m) in ((1, 0, 0), (1, 2, 3), (q0 - 1, 5, 1)):
-                if gcd(r, q0) != 1:
-                    continue
-                fa, fb = es.sf_crt_factors(F0, qa, qb, r, n, m)
-                if abs(es.sf_direct(F0, q0, r, n, m) - fa * fb) > 1e-9:
-                    bad += 1
-    assert bad == 0
+    assert crt_mismatches == 0
     passline(8, "coset reduction at (q, q0) = (9, 3) and multiplicativity "
                 "exhaustive over coprime products up to 200")
 

@@ -9,7 +9,6 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +18,31 @@ from apollonian.cli import FrozenMismatch, FrozenRegistry
 
 def run(args):
     return cli.main(args)
+
+
+def run_child(*args, **kw):
+    """python *args in a fresh interpreter that imports the package from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), **kw)
+
+
+def child_report(argv):
+    """cli.main(argv) in a fresh interpreter: its exit code, its report's
+    results and the child's peak RSS in kB.  The child reports the peak of
+    its own address space: RUSAGE_CHILDREN here would mix in the other
+    children of this process, and the child's ru_maxrss keeps the peak of
+    this process, which it inherits across the exec."""
+    code = ("import contextlib, io, json, re, sys; from apollonian import cli\n"
+            "buf = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buf):\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "res = json.loads(buf.getvalue())['results']\n"
+            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+            "print(json.dumps([rc, res, int(hwm.group(1))]))")
+    out = run_child("-c", code, *argv, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def test_gasket_command(tmp_path):
@@ -60,6 +84,13 @@ def test_gasket_threads_default_to_available_cpus(capsys):
 def test_gasket_invalid_root():
     assert run(["gasket", "--root", "1,2,3,4", "--limit", "10"]) == 2
     assert run(["gasket", "--root", "1,2,3"]) == 2
+
+
+def test_negative_root_needs_equals_form(capsys):
+    # after a space, argparse would read "-2,3,6,7" as a flag
+    assert run(["gasket", "--limit", "100", "--root=-2,3,6,7"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["results"]["curvatures"]) == 28
 
 
 def test_admissible_command(tmp_path, capsys):
@@ -117,6 +148,12 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["render", "--depth", "-1"],
     # N/K0 overflows to inf, and the bump to NaN, which passed the quadrature check
     ["circle", "--k0", "1e-320"],
+    # every command that reads --root checks it: off the cone, then imprimitive
+    ["admissible", "--root", "1,2,3,4"],
+    ["singular", "--n", "5", "--root", "1,2,3,4"],
+    ["admissible", "--root=-22,42,48,56"],
+    ["singular", "--n", "5", "--root=-22,42,48,56"],
+    ["gasket", "--limit", "100", "--root=-22,42,48,56"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -171,11 +208,8 @@ def test_circle_grid_checked_before_family(monkeypatch, capsys):
 def test_circle_q0cap_0_exits_2():
     # the dyadic minor-arc blocks doubled q from 0 forever; a subprocess
     # with a timeout fails instead of hanging the suite
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-m", "apollonian", "circle", "--q0cap", "0",
-                          "--t1", "8", "--t2", "8", "--x", "8"],
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    out = run_child("-m", "apollonian", "circle", "--q0cap", "0",
+                    "--t1", "8", "--t2", "8", "--x", "8", timeout=120)
     assert out.returncode == 2
     assert len(out.stderr.splitlines()) == 1 and "--q0cap" in out.stderr, out.stderr
 
@@ -194,73 +228,33 @@ def test_spectral_imports_no_scipy():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['spectral', '--q', '5'])\n"
             "print(rc, 'scipy' in sys.modules)")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    out = run_child("-c", code, timeout=120)
     assert out.stdout.split() == ["0", "False"], out.stderr
 
 
 def test_spectral_alternation_memory():
     # set products through generator permutations, not |H| x |G| tables
-    # (672 MB peak at q = 7 with the tables).  The child reports the peak of
-    # its own address space: RUSAGE_CHILDREN here would mix in the other
-    # children of this process, and the child's ru_maxrss keeps the peak of
-    # this process, which it inherits across the exec
-    code = ("import contextlib, io, json, re; from apollonian import cli\n"
-            "buf = io.StringIO()\n"
-            "with contextlib.redirect_stdout(buf):\n"
-            "    rc = cli.main(['spectral', '--q', '7', '--check', 'alternation'])\n"
-            "entry = json.loads(buf.getvalue())['results']['7']\n"
-            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
-            "print(json.dumps([rc, entry['alternation_k'], entry['set_sizes'],\n"
-            "                  int(hwm.group(1))]))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
-    assert out.returncode == 0, out.stderr
-    rc, k, sizes, peak_kb = json.loads(out.stdout)
-    assert (rc, k, sizes) == (0, 2, [8064, 117600])
+    # (672 MB peak at q = 7 with the tables)
+    rc, res, peak_kb = child_report(["spectral", "--q", "7", "--check", "alternation"])
+    entry = res["7"]
+    assert (rc, entry["alternation_k"], entry["set_sizes"]) == (0, 2, [8064, 117600])
     assert peak_kb < 200 * 1024
 
 
 def test_spectral_memory():
     # the block solve updates two (3b, n) arrays in place and the process
-    # peaks at about 70 MB; the bound leaves room for platform variation.
-    # VmHWM as in test_spectral_alternation_memory
-    code = ("import contextlib, io, json, re; from apollonian import cli\n"
-            "buf = io.StringIO()\n"
-            "with contextlib.redirect_stdout(buf):\n"
-            "    rc = cli.main(['spectral', '--q', '5,7'])\n"
-            "res = json.loads(buf.getvalue())['results']\n"
-            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
-            "print(json.dumps([rc, res['5']['group_order'], res['7']['group_order'],\n"
-            "                  res['7']['matvecs'], int(hwm.group(1))]))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
-    assert out.returncode == 0, out.stderr
-    rc, order5, order7, matvecs7, peak_kb = json.loads(out.stdout)
-    assert (rc, order5, order7, matvecs7) == (0, 14_400, 117_600, 153)
+    # peaks at about 70 MB; the bound leaves room for platform variation
+    rc, res, peak_kb = child_report(["spectral", "--q", "5,7"])
+    assert (rc, res["5"]["group_order"], res["7"]["group_order"],
+            res["7"]["matvecs"]) == (0, 14_400, 117_600, 153)
     assert peak_kb < 80 * 1024
 
 
 def test_circle_memory():
     # chunked sorted arrays, not dicts of every represented integer (198 MB
-    # peak with the dicts); VmHWM as in test_spectral_alternation_memory
-    code = ("import contextlib, io, json, re; from apollonian import cli\n"
-            "buf = io.StringIO()\n"
-            "with contextlib.redirect_stdout(buf):\n"
-            "    rc = cli.main(['circle', '--t1', '32', '--t2', '32', '--x', '32'])\n"
-            "res = json.loads(buf.getvalue())['results']\n"
-            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
-            "print(json.dumps([rc, res['family_size'], res['support_size'],\n"
-            "                  int(hwm.group(1))]))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
-    assert out.returncode == 0, out.stderr
-    rc, family_size, support_size, peak_kb = json.loads(out.stdout)
-    assert (rc, family_size, support_size) == (0, 3180, 560_345)
+    # peak with the dicts)
+    rc, res, peak_kb = child_report(["circle", "--t1", "32", "--t2", "32", "--x", "32"])
+    assert (rc, res["family_size"], res["support_size"]) == (0, 3180, 560_345)
     assert peak_kb < 160 * 1024
 
 
@@ -277,11 +271,8 @@ def _limit_address_space():
 def test_circle_over_cap_exits_3_before_allocating(argv):
     # under a 3 GB address-space limit the allocation itself would fail,
     # so only a check made before it can exit 3
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-m", "apollonian", *argv],
-                         capture_output=True, text=True, timeout=60,
-                         preexec_fn=_limit_address_space,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    out = run_child("-m", "apollonian", *argv, timeout=60,
+                    preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
     assert len(out.stderr.splitlines()) == 1 and "cap" in out.stderr, out.stderr
     assert "Traceback" not in out.stderr
@@ -290,11 +281,8 @@ def test_circle_over_cap_exits_3_before_allocating(argv):
 def test_render_over_cap_exits_3_before_building():
     # without the check, depth 40 would keep 4 * 3^39 circles: under the
     # 3 GB address-space limit only a check made before the tree can exit 3
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-m", "apollonian", "render", "--depth", "40"],
-                         capture_output=True, text=True, timeout=60,
-                         preexec_fn=_limit_address_space,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    out = run_child("-m", "apollonian", "render", "--depth", "40", timeout=60,
+                    preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
     assert out.stderr.strip() == f"--depth 40 is above the cap {cli.RENDER_DEPTH_CAP}"
 
@@ -302,11 +290,8 @@ def test_render_over_cap_exits_3_before_building():
 def test_spectral_over_cap_exits_3():
     # q = 13 has 4,769,856 elements, past the closure cap: the closure stops
     # at the cap, before the permutations and blocks that scale with it
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-m", "apollonian", "spectral", "--q", "13"],
-                         capture_output=True, text=True, timeout=120,
-                         preexec_fn=_limit_address_space,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
+    out = run_child("-m", "apollonian", "spectral", "--q", "13", timeout=120,
+                    preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
     assert out.stderr.strip() == f"closure exceeded cap {spectral.CLOSURE_CAP}", out.stderr
 

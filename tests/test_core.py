@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,16 @@ def test_w_vector_and_xi():
         assert m[0] == (1, 0, 0, 0)
         assert core.preserves_descartes(m)
         assert core.mat_det(m) == 1
+    # the integer product against J rho J^-1 in Fractions
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        x, y = rng.randint(-60, 60), rng.randint(-60, 60)
+        if gcd(2 * x, y) != 1:
+            continue
+        r = core.spin_rho(core.lambda2_completion(x, y))
+        assert core.xi(x, y) == core.mat_mul(core.J_CONJ, core.mat_mul(r, core.J_CONJ_INV))
+        checked += 1
     with pytest.raises(core.CompletionError):
         core.xi(1, 2)  # gcd(2, 2) != 1
     with pytest.raises(core.CompletionError):

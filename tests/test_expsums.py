@@ -1,4 +1,3 @@
-import time
 from math import gcd
 
 import numpy as np
@@ -32,19 +31,11 @@ def test_sf_table_matches_direct():
                            - es.sf_direct(F0, q0, r, n, m)) < 1e-10
 
 
-def test_closed_form_oracle_equivalence():
+def test_closed_form_oracle_equivalence(sf_closed_error):
     """The central contract: the Gauss-sum closed form reproduces the direct
     sum on its entire supported domain (odd q0, all units, all n, m)."""
     for q0 in (1, 3, 5, 7, 9, 15, 25, 33, 49):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            tab = es.sf_table(F0, q0, r % q0) if q0 > 1 else None
-            for n in range(q0):
-                for m in range(q0):
-                    c = es.sf_closed(F0, q0, r, n, m)
-                    d = tab[n, m] if tab is not None else 1.0
-                    assert abs(c - d) < 1e-9, (q0, r, n, m)
+        assert sf_closed_error[q0] < 1e-9, q0
     with pytest.raises(es.UnsupportedModulusError):
         es.sf_closed(F0, 4, 1, 0, 0)
 
@@ -85,47 +76,22 @@ def test_closed_form_shear_path():
                        - es.sf_direct(f, q0, r, n, m)) < 1e-9
 
 
-def test_sqrt_bound_odd_moduli():
-    worst = 0.0
-    for q0 in range(1, 201, 2):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            tab = np.abs(es.sf_table(F0, q0, r % q0 if q0 > 1 else 1))
-            worst = max(worst, float(tab.max()) * q0**0.5)
+def test_sqrt_bound_odd_moduli(sf_bound):
+    worst = max(sf_bound[q0] for q0 in range(1, 201, 2))
     assert worst <= 1.0 + 1e-9
 
 
-def test_sqrt_bound_fails_two_adically():
+def test_sqrt_bound_fails_two_adically(sf_bound):
     """|S_f(2, 1; 0, 1)| = 1: the square-root bound printed without the
     2-adic analysis is off by sqrt(2) at even moduli (f + l is even there).
     The suite records the true worst constant instead."""
     assert abs(es.sf_direct(F0, 2, 1, 0, 1)) == pytest.approx(1.0)
-    worst = 0.0
-    for q0 in range(2, 201, 2):
-        for r in range(1, q0 + 1):
-            if gcd(r, q0) != 1:
-                continue
-            tab = np.abs(es.sf_table(F0, q0, r))
-            worst = max(worst, float(tab.max()) * q0**0.5)
+    worst = max(sf_bound[q0] for q0 in range(2, 201, 2))
     assert worst == pytest.approx(2.0**0.5)
 
 
-def test_multiplicativity_exhaustive():
-    bad = 0
-    for qa in range(2, 201):
-        for qb in range(2, 201 // qa + 1):
-            if gcd(qa, qb) != 1:
-                continue
-            q0 = qa * qb
-            for (r, n, m) in ((1, 0, 0), (1, 2, 3), (q0 - 1, 5, 1)):
-                if gcd(r, q0) != 1:
-                    continue
-                lhs = es.sf_direct(F0, q0, r, n, m)
-                fa, fb = es.sf_crt_factors(F0, qa, qb, r, n, m)
-                if abs(lhs - fa * fb) > 1e-9:
-                    bad += 1
-    assert bad == 0
+def test_multiplicativity_exhaustive(crt_mismatches):
+    assert crt_mismatches == 0
 
 
 def test_s_avg():
