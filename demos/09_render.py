@@ -1,11 +1,10 @@
 """Draw the gasket: the swap reflections act jointly on curvatures and
 curvature-times-center coordinates, so the whole picture propagates
-linearly from one exactly-placed root quadruple.
+linearly from one exactly-placed root quadruple, one tree level at a time.
 """
 
 from apollonian.cli import render_svg
 
-svg = render_svg((-11, 21, 24, 28), depth=6)
 with open("gasket.svg", "w") as fh:
-    fh.write(svg)
-print("wrote gasket.svg,", svg.count("<circle"), "circles")
+    count = render_svg((-11, 21, 24, 28), depth=6, fh=fh)
+print("wrote gasket.svg,", count, "circles")

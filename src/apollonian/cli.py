@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -41,11 +42,12 @@ GASKET_DEFAULT_COST = ("about 25 s and 0.21 GB peak RSS on 2 CPUs "
 # the N-byte mask plus the walk's stack (107 MB, 208 MB and 464 MB)
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's "
                  "stack: 3e8 took 141 s and 0.46 GB on 2 CPUs")
-# `render` keeps every circle of the reflection tree, 4 * 3^(depth - 1) at the
-# last level, so memory grows about 2.8x per level: depth 10 takes about 2 s
-# and 105 MB, 11 about 4.5 s and 257 MB, 12 about 15 s and 713 MB on a 2-CPU
-# machine, and 13 would need about 2 GB
-RENDER_DEPTH_CAP = 12
+# `render` holds two levels of the reflection tree, 4 * 3^(depth - 1) nodes at
+# the last, as float arrays and writes the circles as it goes, so time, memory
+# and the file grow about 3x per level: depth 11 takes about 1.2 s and 105 MB,
+# 12 about 3.3 s and 184 MB, 13 about 7-9 s and 454 MB for a 293 MB file on a
+# 2-CPU machine, and 14 would need about 1.3 GB
+RENDER_DEPTH_CAP = 13
 
 
 def _default_registry_path() -> Path:
@@ -214,15 +216,15 @@ def cmd_gasket(args) -> int:
     root = _parse_root(args.root)
     if args.limit < 1:
         raise core.InputError(f"--limit must be at least 1, got {args.limit}")
-    # checked before the walk, which at the default limit takes minutes
-    if args.snapshot and (os.path.isdir(args.snapshot)
-                          or not os.access(Path(args.snapshot).parent, os.W_OK)):
-        raise core.InputError(f"--snapshot {args.snapshot} is not a writable file path")
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
               f"takes {GASKET_DEFAULT_COST}; {GASKET_GROWTH}", file=sys.stderr)
+    cpus = _available_cpus()
     if args.threads is None:
-        args.threads = _available_cpus()
+        args.threads = cpus
+    elif args.threads > cpus:
+        raise core.InputError(f"--threads {args.threads} is above the {cpus} CPUs "
+                              f"this process may run on")
     adm = congruence.admissible_classes(24, root)
     stages = {}
 
@@ -471,101 +473,89 @@ def _random_cone_point(rng) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _root_positions(root):
-    """Centers and radii of the four root circles; the first is the bounding
-    circle (negative curvature), centered at the origin."""
+    """Curvatures and centers of the four root circles; the first is the bounding
+    circle (negative curvature), centered at the origin, and the second is
+    centered on the positive real axis.  The other two centers are solved
+    exactly and rounded once; of their four mirror choices the first with
+    the smallest tangency residual is kept."""
     b1, b2, b3, b4 = root
     if b1 >= 0 or min(b2, b3, b4) <= 0:
         raise core.InputError("expected one bounding circle and three positive")
-    r1, r2, r3, r4 = (1 / abs(b1), 1 / b2, 1 / b3, 1 / b4)
-    z1 = 0 + 0j
-    z2 = complex(r1 - r2, 0)
-    z3 = _tangent_point(z1, r1, True, z2, r2, False, r3)
-    z4a = _tangent_point(z1, r1, True, z2, r2, False, r4)
-    z4b = None
-    # two candidates (mirror images); pick the one tangent to circle 3
-    for cand in (z4a, np.conj(z4a)):
-        if abs(abs(cand - z3) - (r3 + r4)) < 1e-9:
-            z4b = cand
-            break
-    if z4b is None:
-        # circle 3 mirror choice instead
-        z3 = np.conj(z3)
-        for cand in (z4a, np.conj(z4a)):
-            if abs(abs(cand - z3) - (r3 + r4)) < 1e-9:
-                z4b = cand
-                break
-    if z4b is None:
+    r1, r2, r3, r4 = (Fraction(1, abs(b)) for b in root)
+    z3, z4 = (_tangent_point(r1, r2, r) for r in (r3, r4))
+    resid, z3, z4 = min(((abs(abs(p - q) - float(r3 + r4)), p, q)
+                         for p in (z3, z3.conjugate()) for q in (z4, z4.conjugate())),
+                        key=lambda t: t[0])
+    if resid >= 1e-9:
         raise core.InputError("could not realize the root quadruple")
-    return [(b1, z1), (b2, z2), (b3, z3), (b4, z4b)]
+    return [(b1, 0j), (b2, complex(r1 - r2)), (b3, z3), (b4, z4)]
 
 
-def _tangent_point(z1, r1, inside1, z2, r2, inside2, r):
-    """Center of a circle of radius r tangent to both given circles."""
-    d1 = r1 - r if inside1 else r1 + r
-    d2 = r2 - r if inside2 else r2 + r
-    d = abs(z2 - z1)
+def _tangent_point(r1, r2, r):
+    """Center of a circle of radius r inside the circle of radius r1 about
+    the origin and outside the circle of radius r2 about (r1 - r2, 0)."""
+    d, d1, d2 = r1 - r2, r1 - r, r2 + r
     x = (d * d + d1 * d1 - d2 * d2) / (2 * d)
-    y2 = d1 * d1 - x * x
-    y = math.sqrt(max(y2, 0.0))
-    u = (z2 - z1) / d
-    return z1 + u * complex(x, y)
+    return complex(x, math.sqrt(d1 * d1 - x * x))
 
 
-def render_svg(root, depth: int, size: int = 800) -> str:
-    """SVG of the gasket: the reflection tree acts on curvature and
-    curvature-times-center coordinates jointly."""
-    if depth < 0:
-        raise core.InputError(f"--depth must be >= 0, got {depth}")
-    if depth > RENDER_DEPTH_CAP:
-        raise orbit.CapExceededError(f"--depth {depth} is above the cap {RENDER_DEPTH_CAP}")
-    circles = _root_positions(root)
-    state = np.array(
-        [[b, b * z.real, b * z.imag] for b, z in circles], dtype=float)
-    seen = [tuple(row) for row in state]
-    frontier = [(state, -1)]
+def render_svg(root, depth: int, fh, size: int = 800) -> int:
+    """Write the SVG of the gasket to the open text file fh and return the
+    number of circles drawn.  The swap reflections act linearly on the
+    curvature-times-center coordinates (b, b x, b y), so each level of the
+    reflection tree is one (k, 4, 3) array; a node's children replace each
+    slot but the one last replaced."""
+    scale, c = size / (2.2 / abs(root[0])), size / 2
+
+    def draw(circles):
+        for lo in range(0, len(circles), 1 << 16):
+            b, bx, by = circles[lo:lo + (1 << 16)].T
+            lines = []
+            for x, y, r, bi in zip((c + (bx / b) * scale).tolist(),
+                                   (c + (by / b) * scale).tolist(),
+                                   (np.abs(1 / b) * scale).tolist(), b.tolist()):
+                lines.append(f'\n<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="none" '
+                             f'stroke="black" stroke-width="0.6"/>')
+                if r > 9:
+                    lines.append(f'\n<text x="{x:.3f}" y="{y + 3:.3f}" '
+                                 f'font-size="{max(r / 3, 6):.0f}" '
+                                 f'text-anchor="middle">{int(round(bi))}</text>')
+            fh.write("".join(lines))
+        return len(circles)
+
+    level = np.array([[[b, b * z.real, b * z.imag] for b, z in _root_positions(root)]])
+    last = np.array([-1])
+    fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+             f'viewBox="0 0 {size} {size}">\n'
+             '<rect width="100%" height="100%" fill="white"/>')
+    count = draw(level[0])
     for _ in range(depth):
-        nxt = []
-        for st, last in frontier:
-            s = st.sum(axis=0)
-            for i in range(4):
-                if i == last:
-                    continue
-                child = st.copy()
-                child[i] = 2 * (s - st[i]) - st[i]
-                nxt.append((child, i))
-                seen.append(tuple(child[i]))
-        frontier = nxt
-    scale = size / (2.2 / abs(root[0]))
-    cx = cy = size / 2
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        '<rect width="100%" height="100%" fill="white"/>',
-    ]
-    for b, bx, by in seen:
-        if b == 0:
-            continue
-        r = abs(1 / b) * scale
-        x = cx + (bx / b) * scale
-        y = cy + (by / b) * scale
-        parts.append(
-            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="none" '
-            f'stroke="black" stroke-width="0.6"/>')
-        if r > 9:
-            parts.append(
-                f'<text x="{x:.3f}" y="{y + 3:.3f}" font-size="{max(r / 3, 6):.0f}" '
-                f'text-anchor="middle">{int(round(b))}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        node, last = np.nonzero(last[:, None] != np.arange(4))
+        rows = np.arange(node.size)
+        fresh = level.sum(axis=1)[node]
+        level = level[node]
+        old = level[rows, last]
+        # 2 (s - old) - old in place, s the parent's sum
+        fresh -= old
+        fresh *= 2
+        fresh -= old
+        level[rows, last] = fresh
+        count += draw(fresh)
+    fh.write("\n</svg>")
+    return count
 
 
 def cmd_render(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    svg = render_svg(root, args.depth)
-    out = args.out or "gasket.svg"
-    Path(out).write_text(svg)
-    print(f"wrote {out} ({time.time() - t0:.2f}s)")
+    # checked before the output file is opened, so a bad depth leaves it as it was
+    if args.depth < 0:
+        raise core.InputError(f"--depth must be >= 0, got {args.depth}")
+    if args.depth > RENDER_DEPTH_CAP:
+        raise orbit.CapExceededError(f"--depth {args.depth} is above the cap {RENDER_DEPTH_CAP}")
+    with open(args.out, "w") as fh:
+        count = render_svg(root, args.depth, fh)
+    print(f"wrote {args.out} ({count} circles, {time.time() - t0:.2f}s)")
     return EXIT_OK
 
 
@@ -591,8 +581,9 @@ def main(argv=None) -> int:
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
                         f"{GASKET_GROWTH}")
     p.add_argument("--threads", type=int, default=None,
-                   help="threads sharing the tree walk; default: the CPUs this "
-                        "process may run on (os.sched_getaffinity, else os.cpu_count)")
+                   help="threads sharing the tree walk, at most the CPUs this "
+                        "process may run on (os.sched_getaffinity, else "
+                        "os.cpu_count); default: all of them")
     p.add_argument("--snapshot", default=None, help="write the bitset file")
     p.set_defaults(func=cmd_gasket)
 
@@ -665,11 +656,16 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--depth", type=int, default=4,
                    help=f"levels of the reflection tree; above {RENDER_DEPTH_CAP} "
-                        f"(about 15 s and 0.7 GB) exit 3")
-    p.set_defaults(func=cmd_render)
+                        f"(about 9 s, 0.45 GB and a 293 MB file) exit 3")
+    p.set_defaults(func=cmd_render, out="gasket.svg")
 
     args = ap.parse_args(argv)
     try:
+        # checked before the command runs, which for gasket takes minutes
+        for flag in ("out", "snapshot"):
+            path = getattr(args, flag, None)
+            if path and (os.path.isdir(path) or not os.access(Path(path).parent, os.W_OK)):
+                raise core.InputError(f"--{flag} {path} is not a writable file path")
         return args.func(args)
     except orbit.CapExceededError as e:
         print(e, file=sys.stderr)

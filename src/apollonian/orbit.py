@@ -133,12 +133,14 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
     walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, block_size, mask, wit)
-    workers = [threading.Thread(target=walk.run, daemon=True) for _ in range(threads - 1)]
-    for w in workers:
-        w.start()
+    workers = []
     try:
+        for _ in range(threads - 1):
+            w = threading.Thread(target=walk.run, daemon=True)
+            w.start()
+            workers.append(w)
         walk.run()
-    except BaseException as e:  # an interrupt while waiting: stop the workers too
+    except BaseException as e:  # a failed start or an interrupt: stop the workers too
         walk.fail(e)
         raise
     finally:

@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,7 +30,8 @@ def run_child(*args, **kw):
 
 def child_report(argv):
     """cli.main(argv) in a fresh interpreter: its exit code, its report's
-    results and the child's peak RSS in kB.  The child reports the peak of
+    results (its stdout, for a command that writes no report) and the
+    child's peak RSS in kB.  The child reports the peak of
     its own address space: RUSAGE_CHILDREN here would mix in the other
     children of this process, and the child's ru_maxrss keeps the peak of
     this process, which it inherits across the exec."""
@@ -37,7 +39,8 @@ def child_report(argv):
             "buf = io.StringIO()\n"
             "with contextlib.redirect_stdout(buf):\n"
             "    rc = cli.main(sys.argv[1:])\n"
-            "res = json.loads(buf.getvalue())['results']\n"
+            "out = buf.getvalue()\n"
+            "res = json.loads(out)['results'] if out.startswith('{') else out\n"
             "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
             "print(json.dumps([rc, res, int(hwm.group(1))]))")
     out = run_child("-c", code, *argv, timeout=300)
@@ -60,7 +63,8 @@ def test_gasket_command(tmp_path):
 
 def test_gasket_stages(tmp_path, capsys):
     snap = tmp_path / "bits.bin"
-    assert run(["gasket", "--limit", "10000", "--threads", "2",
+    threads = min(2, cli._available_cpus())
+    assert run(["gasket", "--limit", "10000", "--threads", str(threads),
                 "--snapshot", str(snap)]) == 0
     rep = json.loads(capsys.readouterr().out)
     stages = rep["stages"]
@@ -72,7 +76,7 @@ def test_gasket_stages(tmp_path, capsys):
     for entry in stages.values():
         assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
     assert rep["elapsed_s"] is not None
-    assert rep["config"]["threads"] == 2
+    assert rep["config"]["threads"] == threads
 
 
 def test_gasket_threads_default_to_available_cpus(capsys):
@@ -154,6 +158,14 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["admissible", "--root=-22,42,48,56"],
     ["singular", "--n", "5", "--root=-22,42,48,56"],
     ["gasket", "--limit", "100", "--root=-22,42,48,56"],
+    # --out must name a file in an existing directory: checked before any
+    # command runs, so gasket does not walk first
+    ["render", "--out", "/nonexistent/g.svg"],
+    ["render", "--depth", "0", "--out", "."],
+    ["gasket", "--limit", "100", "--out", "/nonexistent/r.json"],
+    ["gasket", "--limit", "100", "--out", "."],
+    ["admissible", "--out", "/nonexistent/r.json"],
+    ["admissible", "--out", "."],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -177,9 +189,23 @@ def test_gasket_snapshot_checked_before_walk(tmp_path, monkeypatch, capsys):
         raise AssertionError("the walk ran before the snapshot path was checked")
 
     monkeypatch.setattr(orbit, "enumerate_curvatures", walk)
-    for bad in (tmp_path / "missing" / "bits.bin", tmp_path):
-        assert run(["gasket", "--snapshot", str(bad)]) == 2
-        assert str(bad) in capsys.readouterr().err
+    for flag in ("--snapshot", "--out"):
+        for bad in (tmp_path / "missing" / "bits.bin", tmp_path):
+            assert run(["gasket", flag, str(bad)]) == 2
+            assert f"{flag} {bad}" in capsys.readouterr().err
+
+
+def test_gasket_threads_above_cpus_exit_2(monkeypatch, capsys):
+    # each thread past the first is an OS thread: more than the CPUs is
+    # refused before the walk starts any
+    def walk(*args, **kw):
+        raise AssertionError("the walk ran before --threads was checked")
+
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    monkeypatch.setattr(orbit, "enumerate_curvatures", walk)
+    assert run(["gasket", "--limit", "100", "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "--threads 2 is above the 1 CPUs this process may run on"
 
 
 def test_delta_fit_radii_checked_before_count(monkeypatch, capsys):
@@ -451,14 +477,80 @@ def test_render(tmp_path):
 
 
 def test_render_radii_tangency(tmp_path):
-    # positions solve the tangency system: check pairwise distances
+    # positions solve the tangency system: check pairwise distances.  In the
+    # other roots a third center lies on the line through the first two, where
+    # rounding before the square root put it 1e-8 off the tangency
     from apollonian.cli import _root_positions
-    circles = _root_positions((-11, 21, 24, 28))
-    b1, z1 = circles[0]
-    for bi, zi in circles[1:]:
-        assert abs(abs(zi - z1) - (1 / abs(b1) - 1 / bi)) < 1e-12
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            bi, zi = circles[i]
-            bj, zj = circles[j]
-            assert abs(abs(zi - zj) - (1 / bi + 1 / bj)) < 1e-9
+    for root in ((-11, 21, 24, 28), (-2, 3, 6, 7), (-4, 5, 20, 21), (-5, 6, 30, 31),
+                 (-10, 14, 35, 39)):
+        circles = _root_positions(root)
+        b1, z1 = circles[0]
+        for bi, zi in circles[1:]:
+            assert abs(abs(zi - z1) - (1 / abs(b1) - 1 / bi)) < 1e-12, root
+        for i in range(1, 4):
+            for j in range(i + 1, 4):
+                bi, zi = circles[i]
+                bj, zj = circles[j]
+                assert abs(abs(zi - zj) - (1 / bi + 1 / bj)) < 1e-9, root
+
+
+def reference_render(root, depth, size=800):
+    """The SVG from a walk of one (4, 3) array per node of the reflection
+    tree, each replacing one slot of its parent but the one last replaced."""
+    state = np.array([[b, b * z.real, b * z.imag] for b, z in cli._root_positions(root)])
+    seen = [tuple(row) for row in state]
+    frontier = [(state, -1)]
+    for _ in range(depth):
+        nxt = []
+        for st, last in frontier:
+            s = st.sum(axis=0)
+            for i in range(4):
+                if i == last:
+                    continue
+                child = st.copy()
+                child[i] = 2 * (s - st[i]) - st[i]
+                nxt.append((child, i))
+                seen.append(tuple(child[i]))
+        frontier = nxt
+    scale = size / (2.2 / abs(root[0]))
+    cx = cy = size / 2
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        '<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for b, bx, by in seen:
+        if b == 0:
+            continue
+        r = abs(1 / b) * scale
+        x = cx + (bx / b) * scale
+        y = cy + (by / b) * scale
+        parts.append(
+            f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="none" '
+            f'stroke="black" stroke-width="0.6"/>')
+        if r > 9:
+            parts.append(
+                f'<text x="{x:.3f}" y="{y + 3:.3f}" font-size="{max(r / 3, 6):.0f}" '
+                f'text-anchor="middle">{int(round(b))}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("root", [(-11, 21, 24, 28), (-1, 2, 2, 3), (-2, 3, 6, 7)])
+def test_render_matches_reference(root):
+    for depth in range(9):
+        buf = io.StringIO()
+        count = cli.render_svg(root, depth, buf)
+        want = reference_render(root, depth)
+        assert buf.getvalue() == want, depth
+        assert count == want.count("<circle") == 2 * 3 ** depth + 2
+
+
+def test_render_memory(tmp_path):
+    # one (k, 4, 3) array a level, written as it is formed: the walk of one
+    # array a node, joined into one string, peaked at 257 MB
+    out = tmp_path / "g.svg"
+    rc, res, peak_kb = child_report(["render", "--depth", "11", "--out", str(out)])
+    assert rc == 0 and "354296 circles" in res
+    assert out.stat().st_size > 30 << 20
+    assert peak_kb < 150 * 1024

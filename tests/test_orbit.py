@@ -227,6 +227,29 @@ def test_interrupted_caller_stops_the_workers(monkeypatch):
     assert len(full) < steps // 10, (len(full), steps)
 
 
+def test_failed_thread_start_stops_the_workers(monkeypatch):
+    # the second start fails: the error reaches the caller, and the worker
+    # already started stops and is joined instead of walking on alone
+    class StartFailed(RuntimeError):
+        pass
+
+    starts = []
+    start = threading.Thread.start
+
+    def failing_start(thread):
+        starts.append(1)
+        if len(starts) == 2:
+            raise StartFailed("can't start new thread")
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    before = threading.active_count()
+    with pytest.raises(StartFailed):
+        orbit.enumerate_curvatures(ROOT, 10**6, block_size=64, threads=4)
+    assert len(starts) == 2
+    assert threading.active_count() == before
+
+
 def test_shared_witnesses_under_thread_switching():
     # more threads than cores, switching as often as the interpreter allows:
     # a witness row torn between two threads would leave the Descartes cone
