@@ -4,8 +4,8 @@ verification, and an SVG rendering of the gasket.
 
 Reports are deterministic JSON with sorted keys.  Empirically measured
 constants (stand-ins for implicit big-O constants) live in a frozen
-registry: the first run with --freeze writes them, later runs compare
-within the declared tolerances, and --ci forbids writes.
+registry shipped with the package, data/frozen.json; verify compares
+against it within the declared tolerances and never writes it.
 
 Exit codes: 0 pass, 1 invariant failure, 2 invalid input, 3 resource cap.
 """
@@ -42,6 +42,10 @@ GASKET_DEFAULT_COST = ("about 25 s and 0.21 GB peak RSS on 2 CPUs "
 # the N-byte mask plus the walk's stack (107 MB, 208 MB and 464 MB)
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's "
                  "stack: 3e8 took 141 s and 0.46 GB on 2 CPUs")
+# past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
+# the stack: 4e8 (3.00e9 quadruples) peaks at 752 MB and 8e8 (7.41e9) at
+# 1.27 GB on 2 CPUs, so a larger N exits 3 before the mask is allocated
+GASKET_LIMIT_CAP = 8 * 10**8
 # `render` holds two levels of the reflection tree, 4 * 3^(depth - 1) nodes at
 # the last, as float arrays and writes the circles as it goes, so time, memory
 # and the file grow about 3x per level: depth 11 takes about 1.2 s and 105 MB,
@@ -50,14 +54,8 @@ GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's
 RENDER_DEPTH_CAP = 13
 
 
-def _default_registry_path() -> Path:
-    cache = os.environ.get("APOLLO_CACHE_DIR")
-    if cache:
-        return Path(cache) / "frozen.json"
-    try:
-        return Path(str(resources.files("apollonian").joinpath("data/frozen.json")))
-    except Exception:
-        return Path("apollonian_frozen.json")
+# the constants that verify compares against, shipped with the package
+FROZEN = resources.files("apollonian") / "data" / "frozen.json"
 
 
 class FrozenMismatch(AssertionError):
@@ -65,64 +63,39 @@ class FrozenMismatch(AssertionError):
 
 
 class FrozenRegistry:
-    """First run records constants; later runs regress against them.
+    """Measured constants frozen in a JSON file, each with its tolerance.
 
-    margins maps each recorded name to one line: the measured value, the
-    frozen value and the tolerance left."""
+    The file is read once and never written: a new constant is added to it
+    by hand, with its tolerance.  margins maps each checked name to one
+    line: the measured value, the frozen value and the tolerance left."""
 
-    def __init__(self, path, freeze: bool = False, ci: bool = False):
-        self.path = Path(path)
-        self.freeze = freeze
-        self.ci = ci
-        self.data = {}
-        self.dirty = False
-        self.mismatches = []
+    def __init__(self, path):
+        self.data = json.loads(path.read_text())["constants"]
         self.margins = {}
-        if self.path.exists():
-            self.data = json.loads(self.path.read_text()).get("constants", {})
 
-    def record(self, name: str, value, rtol: float = 0.0, atol: float = 0.0):
-        if isinstance(value, (np.integer,)):
+    def check(self, name: str, value):
+        """Return value; raise FrozenMismatch with its margin line when it is
+        outside the frozen tolerance or the name is not in the file."""
+        if isinstance(value, np.integer):
             value = int(value)
-        if isinstance(value, (np.floating,)):
+        if isinstance(value, np.floating):
             value = float(value)
-        if name not in self.data or self.freeze:
-            if self.ci and name not in self.data:
-                self.mismatches.append(f"{name}: missing from registry in CI mode")
-                self.margins[name] = f"value {value!r}, missing from the registry"
-                return value
-            self.data[name] = {"value": value, "rtol": rtol, "atol": atol}
-            self.dirty = True
-            self.margins[name] = f"value {value!r} frozen now (rtol {rtol}, atol {atol})"
-            return value
+        if name not in self.data:
+            self.margins[name] = f"value {value!r}, missing from the registry"
+            raise FrozenMismatch(f"{name}: {self.margins[name]}")
         ref = self.data[name]
         rv = ref["value"]
-        tol = ref.get("atol", 0.0) + ref.get("rtol", 0.0) * abs(rv if isinstance(rv, (int, float)) else 0)
         if isinstance(rv, (int, float)) and isinstance(value, (int, float)):
-            if abs(value - rv) > tol:
-                self.mismatches.append(f"{name}: got {value}, frozen {rv} (tol {tol})")
+            tol = ref["atol"] + ref["rtol"] * abs(rv)
+            ok = abs(value - rv) <= tol
             self.margins[name] = (f"value {value!r}, frozen {rv!r}, tolerance left "
                                   f"{tol - abs(value - rv):.3g} of {tol:.3g}")
         else:
-            if value != rv:
-                self.mismatches.append(f"{name}: got {value!r}, frozen {rv!r}")
+            ok = value == rv
             self.margins[name] = f"value {value!r}, frozen {rv!r}, exact"
+        if not ok:
+            raise FrozenMismatch(f"{name}: {self.margins[name]}")
         return value
-
-    def save(self):
-        if self.ci:
-            if self.dirty:
-                raise FrozenMismatch("registry writes are forbidden in CI mode")
-            return
-        if self.dirty:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(
-                {"version": 1, "constants": self.data}, indent=1, sort_keys=True))
-            self.dirty = False
-
-    def check(self):
-        if self.mismatches:
-            raise FrozenMismatch("; ".join(self.mismatches))
 
 
 def _jsonable(x):
@@ -216,6 +189,8 @@ def cmd_gasket(args) -> int:
     root = _parse_root(args.root)
     if args.limit < 1:
         raise core.InputError(f"--limit must be at least 1, got {args.limit}")
+    if args.limit > GASKET_LIMIT_CAP:
+        raise orbit.CapExceededError(f"--limit {args.limit} is above the cap {GASKET_LIMIT_CAP}")
     if args.limit > GASKET_DEFAULT_LIMIT:
         print(f"warning: --limit {args.limit} is above the default 1e8, which "
               f"takes {GASKET_DEFAULT_COST}; {GASKET_GROWTH}", file=sys.stderr)
@@ -385,8 +360,7 @@ def cmd_circle(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    registry = FrozenRegistry(args.registry or _default_registry_path(),
-                              freeze=args.freeze, ci=args.ci)
+    registry = FrozenRegistry(FROZEN)
     known = ("core", "orbit", "congruence", "forms", "expsums", "spectral")
     mods = args.modules.split(",") if args.modules else known
     unknown = [m for m in mods if m not in known]
@@ -394,17 +368,20 @@ def cmd_verify(args) -> int:
         raise core.InputError(f"--modules: unknown {','.join(unknown)}; "
                               f"choose from {','.join(known)}")
     root = core.DEFAULT_ROOT
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     checks = []
 
     def check(name, ok, detail=None):
         checks.append((name, bool(ok)))
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
 
-    def frozen_check(label, name, value, **tolerance):
-        before = len(registry.mismatches)
-        registry.record(name, value, **tolerance)
-        check(label, len(registry.mismatches) == before, registry.margins[name])
+    def frozen_check(label, name, value):
+        ok = True
+        try:
+            registry.check(name, value)
+        except FrozenMismatch:
+            ok = False
+        check(label, ok, registry.margins[name])
 
     if "core" in mods:
         ok = core.descartes_form(root) == 0
@@ -444,19 +421,13 @@ def cmd_verify(args) -> int:
                               - expsums.sf_direct(f, q0, r, n, m)) < 1e-9
         check("expsums: closed form vs direct sum", ok)
         frozen_check("expsums: singular series at 96 frozen", "verify.singular_series_96",
-                     expsums.singular_series(96, root), rtol=1e-9)
+                     expsums.singular_series(96, root))
     if "spectral" in mods:
         ok = spectral.generator_correspondence_check()["all_match"]
         check("spectral: generator correspondence", ok)
         frozen_check("spectral: lambda1(4) frozen", "verify.lambda1_q4",
-                     spectral.markov_spectrum(4).eigenvalues[1], atol=1e-6)
+                     spectral.markov_spectrum(4).eigenvalues[1])
 
-    try:
-        registry.check()
-        registry.save()
-    except FrozenMismatch as e:
-        print(f"frozen-constant mismatch: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
     ok_all = all(ok for _, ok in checks)
     emit_report("verify", vars(args), {"checks": {n: ok for n, ok in checks}},
                 args.out, t0=t0)
@@ -559,15 +530,13 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, root=False, seed=False):
+def _add_common(p, root=False):
     if root:
         p.add_argument("--root", default=",".join(map(str, core.DEFAULT_ROOT)),
                        help="root quadruple a,b,c,d (default %(default)s); its "
                             "first entry is at most 0, so pass it as "
                             "--root=-2,3,6,7, not --root -2,3,6,7")
     p.add_argument("--out", default=None)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
 
 
 def main(argv=None) -> int:
@@ -579,7 +548,8 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
-                        f"{GASKET_GROWTH}")
+                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 1.3 GB) "
+                        f"exits 3")
     p.add_argument("--threads", type=int, default=None,
                    help="threads sharing the tree walk, at most the CPUs this "
                         "process may run on (os.sched_getaffinity, else "
@@ -589,7 +559,10 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("admissible", help="admissible residue classes")
     _add_common(p, root=True)
-    p.add_argument("--q", default="24")
+    p.add_argument("--q", default="24",
+                   help=f"comma-separated moduli; an orbit of more than "
+                        f"{congruence.ORBIT_CAP:,} rows exits 3 (q = 181 has "
+                        f"5,962,320 and takes about 10 s and 0.84 GB)")
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("delta-fit", help="norm-ball growth exponent")
@@ -613,12 +586,17 @@ def main(argv=None) -> int:
     p = sub.add_parser("singular", help="singular series value")
     _add_common(p, root=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pcut", type=int, default=13)
+    p.add_argument("--pcut", type=int, default=13,
+                   help=f"primes up to this cutoff; the orbit mod p^depth has "
+                        f"about p^(3 depth) rows, and more than "
+                        f"{congruence.ORBIT_CAP:,} exits 3 (--pcut 250 at depth 1 "
+                        f"after about 2 min, near 1.4 GB)")
     p.add_argument("--depth", type=int, default=1)
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("spectral", help="quotient spectra and transference")
-    _add_common(p, seed=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", default="2,3,4",
                    help=f"comma-separated moduli; a quotient of more than "
                         f"{spectral.CLOSURE_CAP:,} elements exits 3 (q = 11 has "
@@ -645,11 +623,8 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.add_argument("--modules", default=None)
-    p.add_argument("--registry", default=None)
-    p.add_argument("--freeze", action="store_true")
-    p.add_argument("--ci", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="SVG of the gasket")

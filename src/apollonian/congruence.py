@@ -219,7 +219,15 @@ def so_f_order_pairs(p: int) -> int:
     return n1 * m * cnt // 2
 
 
-def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
+# Largest orbit vector_orbit closes.  The peak is about 250 bytes per row of
+# the largest BFS level, which holds up to 0.68 of the rows reached: q = 151
+# (3,420,300 rows) peaks at 506 MB, q = 199 (7,841,196) at 1.08 GB, and
+# q = 223 stopped at a cap of 8,000,000 peaks at 1.38 GB, so a closure
+# stopped at this cap peaks near 1.2 GB.
+ORBIT_CAP = 7_000_000
+
+
+def vector_orbit(root, q: int, cap: int = ORBIT_CAP) -> np.ndarray:
     """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array
     with rows in lexicographic order."""
     if q < 1:
@@ -229,7 +237,8 @@ def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
     dtype = np.dtype(f">u{np.min_scalar_type(q - 1).itemsize}")
 
     def step(frontier):
-        imgs = np.einsum("gij,nj->gni", gens, frontier.astype(np.int64)) % q
+        imgs = np.einsum("gij,nj->gni", gens, frontier.astype(np.int64))
+        imgs %= q
         return imgs.reshape(-1, 4).astype(dtype)
 
     start = (np.array(root, dtype=np.int64) % q).astype(dtype).reshape(1, 4)
@@ -238,13 +247,13 @@ def vector_orbit(root, q: int, cap: int = 10_000_000) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _orbit_cached(root, q):
-    return vector_orbit(root, q)
+    """vector_orbit(root, q) in the smallest unsigned dtype holding q - 1,
+    so that the cached orbits take 4 to 16 bytes a row, not 32."""
+    return vector_orbit(root, q).astype(np.min_scalar_type(q - 1))
 
 
 def admissible_classes(q: int, root=core.DEFAULT_ROOT) -> set:
     """Residues mod q arising as some entry of the orbit of the root."""
-    if q == 1:
-        return {0}
     orb = _orbit_cached(tuple(root), q)
     return {int(x) for x in np.unique(orb)}
 
@@ -258,15 +267,11 @@ def stabilizer_index(q: int, root=core.DEFAULT_ROOT) -> int:
 
     The affine orbit grows like q^3; the projective count (see
     stabilizer_index_projective) grows like q^2."""
-    if q == 1:
-        return 1
     return _orbit_cached(tuple(root), q).shape[0]
 
 
 def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
     """Number of scalar classes in the orbit of the root mod q."""
-    if q == 1:
-        return 1
     orb = _orbit_cached(tuple(root), q)
     seen = set()
     count = 0

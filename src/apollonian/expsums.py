@@ -270,7 +270,7 @@ def _slot_factor_table(root, p: int, kappa: int, slot: int) -> np.ndarray:
     for k in range(1, kappa + 1):
         pk = p ** k
         orb = congruence._orbit_cached(root, pk)
-        hist = np.bincount(orb[:, slot] % pk, minlength=pk).astype(float)
+        hist = np.bincount(orb[:, slot], minlength=pk).astype(float)
         ctab = np.array([ramanujan(pk, t) for t in range(pk)], dtype=float)
         # contribution(n) = sum_v hist[v] c_{p^k}(v - n) / |O|
         contrib = np.array([
@@ -526,9 +526,6 @@ class ArcDecomposition:
     major: np.ndarray      # M(n) for n = 0..grid-1 (mod-grid frequencies)
     error: np.ndarray      # E(n)
     folded: np.ndarray     # exact folded representation weights
-
-    def at(self, n: int):
-        return self.major[n % self.grid], self.error[n % self.grid]
 
 
 def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarray:

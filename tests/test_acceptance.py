@@ -73,11 +73,11 @@ def test_criterion_04_curvature_census(curvatures_1e6, registry):
     assert set(cs100.values().tolist()) == {21, 24, 28, 40, 52, 61, 76, 85, 96}
     rep = orbit.census(curvatures_1e6, cg.admissible_classes(24, ROOT))
     assert 0.2 <= rep.density <= 0.25
-    registry.record("acceptance.exception_count_1e6", int(rep.exceptions.size))
+    registry.check("acceptance.exception_count_1e6", int(rep.exceptions.size))
     # per-block exception density, nonincreasing beyond the frozen threshold;
     # the last block is cut at N, so each count is divided by its block length
     dens = [c / length for k, c, length in rep.dyadic_exceptions]
-    k0 = int(registry.record("acceptance.dyadic_threshold_k0", 10))
+    k0 = int(registry.check("acceptance.dyadic_threshold_k0", 10))
     tail = dens[k0:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:])), tail
     rng = random.Random(1)
@@ -165,10 +165,8 @@ def test_criterion_09_singular_series(registry):
     vals = es.singular_series_sweep(ns, ROOT, 13, 1)
     adm = np.array([n % 24 in cg.admissible_classes(24, ROOT) for n in ns])
     assert ((vals > 0) == adm).all()
-    registry.record("acceptance.singular_96", es.singular_series(96, ROOT),
-                    rtol=1e-9)
-    registry.record("acceptance.singular_sum_1e4", float(vals.sum()),
-                    rtol=1e-9)
+    registry.check("acceptance.singular_96", es.singular_series(96, ROOT))
+    registry.check("acceptance.singular_sum_1e4", float(vals.sum()))
     passline(9, "singular series vanishes exactly on the non-admissible "
                 "sweep of [1, 10^4] at P = 13; positive values frozen")
 
@@ -212,7 +210,7 @@ def test_criterion_12_spectral_gap(registry):
     for q in (2, 3, 4, 5, 8):
         lam1 = sp.markov_spectrum(q).eigenvalues[1]
         assert lam1 < 1 - 1e-3
-        registry.record(f"acceptance.lambda1_q{q}", lam1, atol=1e-6)
+        registry.check(f"acceptance.lambda1_q{q}", lam1)
     for q in (2, 4):
         rep = sp.transference_check(sp.markov_spectrum(q))
         assert rep.holds

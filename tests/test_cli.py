@@ -313,6 +313,14 @@ def test_render_over_cap_exits_3_before_building():
     assert out.stderr.strip() == f"--depth 40 is above the cap {cli.RENDER_DEPTH_CAP}"
 
 
+def test_gasket_over_cap_exits_3_before_allocating():
+    # the mask alone would take 4 GB, past the 3 GB address-space limit
+    out = run_child("-m", "apollonian", "gasket", "--limit", "4000000000", timeout=60,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"--limit 4000000000 is above the cap {cli.GASKET_LIMIT_CAP}"
+
+
 def test_spectral_over_cap_exits_3():
     # q = 13 has 4,769,856 elements, past the closure cap: the closure stops
     # at the cap, before the permutations and blocks that scale with it
@@ -322,20 +330,39 @@ def test_spectral_over_cap_exits_3():
     assert out.stderr.strip() == f"closure exceeded cap {spectral.CLOSURE_CAP}", out.stderr
 
 
-def test_verify_prints_frozen_margins(tmp_path, capsys):
+def test_admissible_over_cap_exits_3():
+    # the orbit mod 251 has about 15.8M rows: the closure stops at the cap
+    # near 0.54 GB, where a cap of 10M rows let it reach 2.7 GB
+    out = run_child("-m", "apollonian", "admissible", "--q", "251", timeout=120,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"closure exceeded cap {congruence.ORBIT_CAP}", out.stderr
+
+
+def _shipped_copy(tmp_path, monkeypatch):
+    """A copy of the shipped frozen constants that verify reads in its place."""
     reg = tmp_path / "frozen.json"
-    assert run(["verify", "--modules", "expsums", "--freeze", "--registry", str(reg)]) == 0
-    capsys.readouterr()
-    assert run(["verify", "--modules", "expsums", "--registry", str(reg)]) == 0
+    reg.write_text(cli.FROZEN.read_text())
+    monkeypatch.setattr(cli, "FROZEN", reg)
+    return reg
+
+
+def _tamper(reg, name):
+    data = json.loads(reg.read_text())
+    data["constants"][name]["value"] += 1.0
+    reg.write_text(json.dumps(data))
+
+
+def test_verify_prints_frozen_margins(tmp_path, monkeypatch, capsys):
+    reg = _shipped_copy(tmp_path, monkeypatch)
+    assert run(["verify", "--modules", "expsums"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if "frozen:" in ln]
     assert len(lines) == 1
     assert lines[0].startswith("  [PASS] expsums: singular series at 96 frozen: value ")
     assert "frozen 2.44438" in lines[0] and "tolerance left" in lines[0]
     # a value off by more than its tolerance fails only its own line
-    data = json.loads(reg.read_text())
-    data["constants"]["verify.singular_series_96"]["value"] += 1.0
-    reg.write_text(json.dumps(data))
-    assert run(["verify", "--modules", "expsums,spectral", "--registry", str(reg)]) == 1
+    _tamper(reg, "verify.singular_series_96")
+    assert run(["verify", "--modules", "expsums,spectral"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] expsums: singular series at 96 frozen" in out
     assert "[PASS] spectral: lambda1(4) frozen: value " in out
@@ -350,6 +377,9 @@ def test_verify_prints_frozen_margins(tmp_path, capsys):
     (["expsum", "--q0", "3"], "--format"), (["singular", "--n", "5"], "--format"),
     (["spectral"], "--format"), (["circle"], "--format"), (["verify"], "--format"),
     (["render"], "--format"),
+    # the frozen registry is read-only and verify's random points are fixed
+    (["verify"], "--seed"), (["verify"], "--freeze"), (["verify"], "--ci"),
+    (["verify"], "--registry"),
 ])
 def test_flags_only_where_read(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -436,28 +466,27 @@ def test_circle_command(tmp_path):
     assert rep["results"]["decomposition_residual"] < 1e-6
 
 
-def test_verify_roundtrip(tmp_path, capsys):
-    reg = tmp_path / "frozen.json"
-    assert run(["verify", "--freeze", "--registry", str(reg)]) == 0
+def test_verify_roundtrip(tmp_path, monkeypatch, capsys):
+    reg = _shipped_copy(tmp_path, monkeypatch)
+    assert run(["verify"]) == 0
     capsys.readouterr()
-    assert run(["verify", "--registry", str(reg)]) == 0
-    capsys.readouterr()
-    # tamper with the registry: comparisons must now fail with exit 1
-    data = json.loads(reg.read_text())
-    name = "verify.singular_series_96"
-    data["constants"][name]["value"] += 1.0
-    reg.write_text(json.dumps(data))
-    assert run(["verify", "--registry", str(reg)]) == 1
-    capsys.readouterr()
+    # tamper with the registry: comparisons must now fail with exit 1, and
+    # the report still lists every check
+    _tamper(reg, "verify.singular_series_96")
+    assert run(["verify"]) == 1
+    out = capsys.readouterr().out
+    checks = json.loads(out[out.index("\n{") + 1:])["results"]["checks"]
+    assert checks["expsums: singular series at 96 frozen"] is False
+    assert sum(checks.values()) == len(checks) - 1
     # partial run touching only one module suite
-    assert run(["verify", "--modules", "core", "--registry", str(reg)]) == 0
+    assert run(["verify", "--modules", "core"]) == 0
 
 
-def test_registry_ci_mode(tmp_path):
-    reg = FrozenRegistry(tmp_path / "r.json", ci=True)
-    reg.record("x", 1.0)
-    with pytest.raises(FrozenMismatch):
-        reg.check()
+def test_registry_missing_name_raises():
+    reg = FrozenRegistry(cli.FROZEN)
+    with pytest.raises(FrozenMismatch, match="x: value 1.0, missing from the registry"):
+        reg.check("x", 1.0)
+    assert reg.check("verify.lambda1_q4", 0.2) == 0.2
 
 
 def test_render(tmp_path):

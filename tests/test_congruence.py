@@ -189,6 +189,7 @@ def test_stabilizer_index():
     index 'of order q^2'; that matches the projective count, computed
     here alongside the affine one.)"""
     assert cg.stabilizer_index(1, ROOT) == 1
+    assert cg.stabilizer_index_projective(1, ROOT) == 1
     for q in (5, 7, 11, 13):
         idx = cg.stabilizer_index(q, ROOT)
         proj = cg.stabilizer_index_projective(q, ROOT)
@@ -200,7 +201,7 @@ def test_stabilizer_index():
 
 def test_stabilizer_exact_values(registry):
     for q in (5, 7, 11, 13):
-        registry.record(f"congruence.orbit_size_{q}", cg.stabilizer_index(q, ROOT))
+        registry.check(f"congruence.orbit_size_{q}", cg.stabilizer_index(q, ROOT))
 
 
 def test_caps():

@@ -115,7 +115,7 @@ def test_s_avg_bound(registry):
             val = abs(es.s_avg(q, q0, F0, F0, 1, 0, 0, 1, u0=1))
             gfac = (q / q0) ** 2 * gcd(121, q0) * (q ** 0.25)
             worst = max(worst, val * q ** 1.25 / gfac)
-    registry.record("expsums.s_avg_bound_ratio", worst, rtol=1e-9)
+    registry.check("expsums.s_avg_bound_ratio", worst)
 
 
 def test_kloosterman():
@@ -132,7 +132,7 @@ def test_kloosterman_bound(registry):
     for c in range(1, 501):
         val = abs(es.kloosterman(1, 2, c))
         worst = max(worst, val / (c**0.75 * gcd(gcd(1, 2), c) ** 0.25))
-    registry.record("expsums.kloosterman_34_ratio", worst, rtol=1e-9)
+    registry.check("expsums.kloosterman_34_ratio", worst)
     assert worst <= 1.0 + 1e-9  # Kloosterman's elementary 3/4 bound, a = b = units
 
 
@@ -168,10 +168,8 @@ def test_singular_series_vanishing():
 
 
 def test_singular_series_values(registry):
-    registry.record("expsums.singular_96", es.singular_series(96, ROOT),
-                    rtol=1e-9)
-    registry.record("expsums.singular_1000000", es.singular_series(10**6, ROOT),
-                    rtol=1e-9)
+    registry.check("expsums.singular_96", es.singular_series(96, ROOT))
+    registry.check("expsums.singular_1000000", es.singular_series(10**6, ROOT))
     assert es.singular_series(96, ROOT) > 0
 
 
@@ -386,7 +384,7 @@ def test_major_arc_sign_report(family_8, registry):
     adm_bulk = np.array([n for n in range(n_scale // 2, n_scale)
                          if cg.is_admissible(n, ROOT)])
     frac = float((dec.major[adm_bulk % dec.grid].real > 0).mean())
-    registry.record("expsums.major_sign_fraction", frac, atol=1e-9)
+    registry.check("expsums.major_sign_fraction", frac)
 
 
 def test_minor_arc_report(family_8):

@@ -135,7 +135,7 @@ def test_representing_classes_gcd_ratio(registry):
     for z in range(1, 10001, 37):
         c = forms.representing_classes(z, -11)
         worst = max(worst, c / gcd(z, 484) ** 0.5)
-    registry.record("forms.representing_ratio_a11", worst, rtol=1e-9)
+    registry.check("forms.representing_ratio_a11", worst)
 
 
 def test_kl_lift():
@@ -191,7 +191,7 @@ def test_zero_pairs_bound(registry):
         for M in (100, 1000):
             c = forms.zero_pairs_count(10, 7, 17, d, M)
             worst = max(worst, c / (d ** 0.1 * (M * M / d ** 0.5 + M)))
-    registry.record("forms.zero_pairs_ratio", worst, rtol=1e-9)
+    registry.check("forms.zero_pairs_ratio", worst)
 
 
 def test_coincidences(family_8):
@@ -210,14 +210,13 @@ def test_coincidence_ratio(registry, family_8):
     t = family_8.t
     for M in (10, 30, 100):
         c = forms.coincidence_count(f, family_8, M)
-        registry.record(f"forms.coincidence_ratio_M{M}",
-                        c / (M * M + t * M), rtol=1e-9)
+        registry.check(f"forms.coincidence_ratio_M{M}", c / (M * M + t * M))
 
 
 def test_family_class_multiplicity(family_32, registry):
     rep = forms.family_class_multiplicity(family_32)
-    registry.record("forms.max_class_multiplicity_T32", rep["max_multiplicity"])
-    registry.record("forms.window_hi_T32", rep["window_hi"], rtol=1e-9)
+    registry.check("forms.max_class_multiplicity_T32", rep["max_multiplicity"])
+    registry.check("forms.window_hi_T32", rep["window_hi"])
     # A, C of order T and AC of order T^2, with the family's a > T/100
     A, B, C, a = family_32.forms.T
     assert (a * a == A * C - B * B).all()

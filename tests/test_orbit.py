@@ -509,8 +509,8 @@ def test_family_count_scaling(registry):
         ratios.append(len(fam) / t**delta)
     med = sorted(ratios)[len(ratios) // 2]
     assert all(med / 10 <= r <= 10 * med for r in ratios)
-    registry.record("orbit.family_ratio_T64", ratios[0], rtol=1e-9)
-    registry.record("orbit.family_ratio_T1024", ratios[1], rtol=1e-9)
+    registry.check("orbit.family_ratio_T64", ratios[0])
+    registry.check("orbit.family_ratio_T1024", ratios[1])
 
 
 def test_family_anchor_bound(family_8):

@@ -27,11 +27,11 @@ def test_gamma_constants():
 def test_closure_orders(registry):
     assert sp.quotient_order_sl2(1) == 1
     o2 = sp.quotient_order_sl2(2)
-    registry.record("spectral.order_q2", o2)
+    registry.check("spectral.order_q2", o2)
     assert sp.sl2_zi_full_order(2) == 48
     assert 48 % o2 == 0
     for q in (3, 4, 5, 8):
-        registry.record(f"spectral.order_q{q}", sp.quotient_order_sl2(q))
+        registry.check(f"spectral.order_q{q}", sp.quotient_order_sl2(q))
     # mod 5 the closure is everything
     assert sp.quotient_order_sl2(5) == 14400
 
@@ -60,7 +60,7 @@ def test_h1_characterization():
 def test_alternation_length(registry):
     for q in (2, 3, 4, 8):
         k, sizes = sp.alternation_length(q)
-        registry.record(f"spectral.alternation_k_{q}", k)
+        registry.check(f"spectral.alternation_k_{q}", k)
         assert k <= 72
         assert all(b > a for a, b in zip(sizes, sizes[1:]))  # strict growth
     # multiplicativity compatibility on a computed coprime pair
@@ -186,8 +186,8 @@ def test_markov_spectrum_small(registry):
         assert all(-1 - 1e-9 <= e <= 1 + 1e-9 for e in spec.eigenvalues)
         assert all(b <= a + 1e-9 for a, b in zip(spec.eigenvalues,
                                                  spec.eigenvalues[1:]))
-        registry.record(f"spectral.lambda1_q{q}", lam1, atol=1e-6)
-        registry.record(f"spectral.s_size_q{q}", spec.s_size)
+        registry.check(f"spectral.lambda1_q{q}", lam1)
+        registry.check(f"spectral.s_size_q{q}", spec.s_size)
 
 
 def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
@@ -302,8 +302,7 @@ def test_block_spectrum_reports_non_convergence():
 
 def test_spectral_gap_flatness(registry):
     lams = [sp.markov_spectrum(q).eigenvalues[1] for q in (2, 3, 4, 5, 8)]
-    registry.record("spectral.gap_spread", float(max(lams) - min(lams)),
-                    atol=1e-6)
+    registry.check("spectral.gap_spread", float(max(lams) - min(lams)))
     assert max(lams) < 1 - 1e-3
 
 
