@@ -46,6 +46,15 @@ GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's
 # the stack: 4e8 (3.00e9 quadruples) peaks at 752 MB and 8e8 (7.41e9) at
 # 1.27 GB on 2 CPUs, so a larger N exits 3 before the mask is allocated
 GASKET_LIMIT_CAP = 8 * 10**8
+# `delta-fit` reports one (Y, count) row per point, about 580 bytes each
+# through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU
+# machine, so more exit 3 before the radii are allocated
+DELTA_FIT_POINTS_CAP = 10**6
+# `circle` keeps about 100 bytes per grid point (the bump, the folded weights
+# and their transforms): at 2^22 points it takes 4 s and 0.47 GB on a 2-CPU
+# machine with the T = 8 family at X = 8, and 9.5 s and 1.19 GB with T = 32
+# at X = 160; 2^23 would take 0.89 GB and 1.50 GB
+CIRCLE_GRID_CAP = 1 << 22
 # `render` holds two levels of the reflection tree, 4 * 3^(depth - 1) nodes at
 # the last, as float arrays and writes the circles as it goes, so time, memory
 # and the file grow about 3x per level: depth 11 takes about 1.2 s and 105 MB,
@@ -250,6 +259,9 @@ def cmd_delta_fit(args) -> int:
             raise core.InputError(f"{flag} must be positive and finite, got {y}")
     if args.points < 2:
         raise core.InputError(f"--points must be at least 2 to fit a slope, got {args.points}")
+    if args.points > DELTA_FIT_POINTS_CAP:
+        raise orbit.CapExceededError(
+            f"--points {args.points} is above the cap {DELTA_FIT_POINTS_CAP}")
     ys = np.geomspace(args.ymin, args.ymax, args.points)
     table = orbit.norm_ball_count(ys)
     delta = orbit.fit_delta(table)
@@ -336,6 +348,8 @@ def cmd_circle(args) -> int:
     # the caps, then the grid, are checked before the family is built; the
     # shells are enumerated again by build_family, which costs about 1.4 ms
     # at T1 = T2 = 32
+    if args.grid > CIRCLE_GRID_CAP:
+        raise orbit.CapExceededError(f"--grid {args.grid} is above the cap {CIRCLE_GRID_CAP}")
     expsums.box_axes(args.x)
     orbit.norm_shells(args.t1, args.t2)
     n_scale = args.t1 * args.t2 * args.x * args.x
@@ -539,9 +553,16 @@ def _add_common(p, root=False):
     p.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line 'prog: error: message' and exit
+    2; the subcommand parsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="apollonian",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="apollonian", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gasket", help="curvature census up to a bound")
@@ -569,7 +590,9 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--ymin", type=float, default=100.0)
     p.add_argument("--ymax", type=float, default=10000.0)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=int, default=25,
+                   help=f"radii Y in the fit; above {DELTA_FIT_POINTS_CAP:,} (about "
+                        f"10 s and 0.61 GB) exit 3")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv prints the (Y, count) table alone")
     p.set_defaults(func=cmd_delta_fit)
@@ -609,7 +632,8 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--t1", type=int, default=8,
                    help=f"norm shell of gamma1; with --t2, more than "
-                        f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (about 1.4 GB) exit 3")
+                        f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (the family alone about "
+                        f"0.33 GB) exit 3")
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32,
                    help=f"box scale X; members times live (x, y) points above "
@@ -619,7 +643,9 @@ def main(argv=None) -> int:
                         "in place of gcd(2x, y) = 1; 0 (default) keeps the exact gcd")
     p.add_argument("--q0cap", type=int, default=8)
     p.add_argument("--k0", type=float, default=64.0)
-    p.add_argument("--grid", type=int, default=1 << 16)
+    p.add_argument("--grid", type=int, default=1 << 16,
+                   help=f"points of the uniform grid on the circle; above "
+                        f"{CIRCLE_GRID_CAP:,} (about 1.2 GB at --x 160) exit 3")
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")

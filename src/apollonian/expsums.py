@@ -265,19 +265,25 @@ def _prime_cap(p: int, depth: int) -> int:
 
 def _slot_factor_table(root, p: int, kappa: int, slot: int) -> np.ndarray:
     """factor_p(n) for n mod p^kappa, from the orbit of the root and
-    Ramanujan sums: 1 + sum_{k<=kappa} |O_k|^{-1} sum_w c_{p^k}(w_slot - n)."""
-    table = np.ones(p ** kappa, dtype=float)
+    Ramanujan sums: 1 + sum_{k<=kappa} |O_k|^{-1} sum_w c_{p^k}(w_slot - n).
+
+    Every orbit is closed, under congruence.ORBIT_CAP, before the p^kappa
+    table is allocated, so a kappa too large for the cap raises
+    CapExceededError, not numpy's error on the table's size."""
+    contribs = []
     for k in range(1, kappa + 1):
         pk = p ** k
         orb = congruence._orbit_cached(root, pk)
         hist = np.bincount(orb[:, slot], minlength=pk).astype(float)
         ctab = np.array([ramanujan(pk, t) for t in range(pk)], dtype=float)
         # contribution(n) = sum_v hist[v] c_{p^k}(v - n) / |O|
-        contrib = np.array([
+        contribs.append(np.array([
             float(hist @ ctab[(np.arange(pk) - nn) % pk]) for nn in range(pk)
-        ]) / orb.shape[0]
+        ]) / orb.shape[0])
+    table = np.ones(p ** kappa, dtype=float)
+    for contrib in contribs:
         # the level-k contribution depends on n mod p^k only
-        table = table + contrib[np.arange(p ** kappa) % pk]
+        table = table + contrib[np.arange(p ** kappa) % contrib.size]
     return table
 
 
@@ -357,9 +363,7 @@ def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
     x = np.empty_like(theta)  # one buffer for every term
     for q in range(1, q0_cut):
         for r in range(q):
-            if q > 1 and (gcd(r, q) != 1 or r == 0):
-                continue
-            if q == 1 and r != 0:
+            if gcd(r, q) != 1:  # for q = 1 this keeps r = 0 alone
                 continue
             for m in (-2, -1, 0, 1, 2):
                 np.add(theta, m, out=x)
@@ -537,8 +541,7 @@ def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarra
     bump = big_theta(theta, n_scale, q0_cut, k0)
     # quadrature sanity: total bump mass vs exact sum of spike masses
     exact_mass = (k0 / n_scale) * sum(
-        max(1, sum(1 for r in range(1, q) if gcd(r, q) == 1)) if q > 1 else 1
-        for q in range(1, q0_cut)
+        1 for q in range(1, q0_cut) for r in range(q) if gcd(r, q) == 1
     )
     got = float(bump.mean())
     if exact_mass > 0 and abs(got - exact_mass) > max(1e-3 * exact_mass, 1e-12):

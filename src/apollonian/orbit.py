@@ -425,7 +425,6 @@ class Family:
     root: tuple
     t1: int
     t2: int
-    mats: np.ndarray       # (k, 4, 4)
     g1_index: np.ndarray   # index into shell1
     g2_index: np.ndarray
     shell1: np.ndarray
@@ -438,27 +437,33 @@ class Family:
     def t(self) -> int:
         return self.t1 * self.t2
 
+    @property
+    def mats(self) -> np.ndarray:
+        """The members gamma1 gamma2 as a (k, 4, 4) array, formed on each call."""
+        return np.einsum("nij,njk->nik", self.shell1[self.g1_index],
+                         self.shell2[self.g2_index])
+
     def __len__(self):
-        return self.mats.shape[0]
+        return self.quads.shape[0]
 
 
-# shell pairs build_family multiplies by default: about 330 bytes of peak
-# memory each, so 2^22 pairs peak near 1.4 GB
+# shell pairs build_family takes by default: about 72 bytes of peak memory
+# each, so near the cap the family peaks near 0.33 GB (4,043,520 pairs at
+# T1 = 632, T2 = 1024: 321 MB)
 FAMILY_PAIR_CAP = 1 << 22
 
 
 def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
-    """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i.
+    """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i,
+    split by norm from one walk that keeps both.
 
     A CapExceededError is raised when they hold more than count_cap pairs."""
     if t1 < 4 or t2 < 4:
         raise core.InputError("norm windows need T1, T2 >= 4")
-    cap_sq = int((4 * max(t1, t2)) ** 2)
-    _, shell1 = enumerate_gamma(cap_sq, keep_window=(t1 * t1, 4 * t1 * t1))
-    if t1 == t2:
-        shell2 = shell1
-    else:
-        _, shell2 = enumerate_gamma(cap_sq, keep_window=(t2 * t2, 4 * t2 * t2))
+    lo, hi = min(t1, t2), max(t1, t2)
+    _, kept = enumerate_gamma((4 * hi) ** 2, keep_window=(lo * lo, 4 * hi * hi))
+    nsq = np.einsum("nij,nij->n", kept, kept)
+    shell1, shell2 = (kept[(nsq > t * t) & (nsq < 4 * t * t)] for t in (t1, t2))
     pairs = shell1.shape[0] * shell2.shape[0]
     if pairs > count_cap:
         raise CapExceededError(f"norm shells at T1 = {t1}, T2 = {t2} hold {pairs} pairs, "
@@ -467,33 +472,25 @@ def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
 
 
 def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Family:
-    """All products gamma1*gamma2 from the two norm shells passing the anchor cut.
+    """All products gamma1*gamma2 from the two norm shells passing the anchor
+    cut, in row-major (gamma1, gamma2) order.
 
-    A CapExceededError is raised, before the products are formed, when the
-    shells hold more than count_cap pairs."""
+    The cut reads gamma1 (gamma2 v0) for every pair, so no 4x4 product is
+    formed.  A CapExceededError is raised, before anything per pair is
+    allocated, when the shells hold more than count_cap pairs."""
     root = core.validate_root(root)
     shell1, shell2 = norm_shells(t1, t2, count_cap)
-    t = t1 * t2
-    if shell1.size == 0 or shell2.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return Family(root, t1, t2, np.empty((0, 4, 4), dtype=np.int64), empty,
-                      empty, shell1, shell2, np.empty((0, 4), dtype=np.int64),
-                      empty, np.empty((0, 4), dtype=np.int64))
-    prods = np.einsum("aij,bjk->abik", shell1, shell2).reshape(-1, 4, 4)
-    i1 = np.repeat(np.arange(shell1.shape[0]), shell2.shape[0])
-    i2 = np.tile(np.arange(shell2.shape[0]), shell1.shape[0])
-    v0 = np.array(root, dtype=np.int64)
-    quads = prods @ v0
-    a = quads[:, 0]
-    keep = 100 * a > t  # strict: a > T/100
-    prods, i1, i2, quads, a = prods[keep], i1[keep], i2[keep], quads[keep], a[keep]
-    forms = np.stack([
-        quads[:, 0] + quads[:, 1],
-        (quads[:, 0] + quads[:, 1] - quads[:, 2] + quads[:, 3]) // 2,
-        quads[:, 0] + quads[:, 3],
-        quads[:, 0],
-    ], axis=1)
-    return Family(root, t1, t2, prods, i1, i2, shell1, shell2, quads, a, forms)
+    w = shell2 @ np.array(root, dtype=np.int64)  # gamma2 v0
+    quads = np.einsum("aij,bj->iab", shell1, w)  # (4, n1, n2): gamma1 (gamma2 v0)
+    # a > T/100 exactly, as a is an integer
+    g1_index, g2_index = np.nonzero(quads[0] > t1 * t2 // 100)
+    quads = quads[:, g1_index, g2_index].T
+    # twice (A, B, C, a) is linear in (a, b, c, d): 2(a + b), a + b - c + d,
+    # 2(a + d), 2a; one product, with no temporary per column
+    forms = quads @ np.array([[2, 1, 2, 2], [2, 1, 0, 0], [0, -1, 0, 0], [0, 1, 2, 0]])
+    forms //= 2
+    return Family(root, t1, t2, g1_index, g2_index, shell1, shell2, quads, quads[:, 0],
+                  forms)
 
 
 def modular_equidistribution_report(family: Family, q: int) -> dict:

@@ -293,6 +293,8 @@ def _limit_address_space():
     ["circle", "--x", "200000"],
     # 3120^2 shell pairs: 1.05 GiB for the products alone
     ["circle", "--t1", "1024", "--t2", "1024", "--x", "8"],
+    # about 100 GB at 100 bytes a grid point
+    ["circle", "--t1", "8", "--t2", "8", "--x", "8", "--grid", "1000000000"],
 ])
 def test_circle_over_cap_exits_3_before_allocating(argv):
     # under a 3 GB address-space limit the allocation itself would fail,
@@ -319,6 +321,26 @@ def test_gasket_over_cap_exits_3_before_allocating():
                     preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
     assert out.stderr.strip() == f"--limit 4000000000 is above the cap {cli.GASKET_LIMIT_CAP}"
+
+
+def test_delta_fit_over_cap_exits_3_before_allocating():
+    # 1e9 radii would take about 580 GB through the report's table
+    out = run_child("-m", "apollonian", "delta-fit", "--points", "1000000000", timeout=60,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"--points 1000000000 is above the cap {cli.DELTA_FIT_POINTS_CAP}"
+
+
+def test_singular_depth_over_cap_exits_3(monkeypatch, capsys):
+    # the p^depth table was allocated before any orbit was closed, so depth
+    # 50 exited 1 on numpy's dimension limit; the orbits now close first and
+    # the cap fires (at the shipped cap, mod 625 after about 8 s and 0.74 GB;
+    # a lower one here makes it fire sooner)
+    monkeypatch.setattr(congruence, "vector_orbit",
+                        functools.partial(congruence.vector_orbit, cap=200_000))
+    assert run(["singular", "--n", "5", "--depth", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "closure exceeded cap 200000", err
 
 
 def test_spectral_over_cap_exits_3():
@@ -386,6 +408,23 @@ def test_flags_only_where_read(argv, flag, capsys):
         run(argv + [flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gasket", "--limit", "abc"],
+    ["gasket", "--root", "-2,3,6,7"],
+    ["nosuch"],
+    ["spectral", "--check", "nosuch"],
+    [],
+])
+def test_usage_error_exits_2_with_one_line(argv, capsys):
+    # argparse's own errors printed two lines of usage before the message
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("apollonian"), err
+    assert ": error: " in err
 
 
 def _opt(flag, values):

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +490,53 @@ def test_family_multiplicity_and_d_values(family_8, curvatures_1e6):
     d = fam_d = family_8.quads[:, 3]
     inrange = fam_d[(fam_d >= 1) & (fam_d <= 10**6)]
     assert present[inrange].all()
+
+
+def reference_family(root, t1, t2):
+    """Independent oracle: the shells from one walk per shell, every 4x4
+    product gamma1 gamma2 formed, then cut on its anchor curvature."""
+    cap_sq = (4 * max(t1, t2)) ** 2
+    shell1, shell2 = (orbit.enumerate_gamma(cap_sq, keep_window=(t * t, 4 * t * t))[1]
+                      for t in (t1, t2))
+    prods = np.einsum("aij,bjk->abik", shell1, shell2).reshape(-1, 4, 4)
+    i1 = np.repeat(np.arange(shell1.shape[0]), shell2.shape[0])
+    i2 = np.tile(np.arange(shell2.shape[0]), shell1.shape[0])
+    quads = prods @ np.array(root, dtype=np.int64)
+    keep = 100 * quads[:, 0] > t1 * t2  # strict: a > T/100
+    prods, i1, i2, quads = prods[keep], i1[keep], i2[keep], quads[keep]
+    forms = np.stack([
+        quads[:, 0] + quads[:, 1],
+        (quads[:, 0] + quads[:, 1] - quads[:, 2] + quads[:, 3]) // 2,
+        quads[:, 0] + quads[:, 3],
+        quads[:, 0],
+    ], axis=1)
+    return dict(mats=prods, g1_index=i1, g2_index=i2, shell1=shell1, shell2=shell2,
+                quads=quads, a=quads[:, 0], forms=forms)
+
+
+@pytest.mark.parametrize("t1,t2", [(8, 8), (8, 16), (16, 8), (32, 32), (64, 128)])
+def test_family_matches_reference(t1, t2):
+    fam = orbit.build_family(ROOT, t1, t2)
+    want = reference_family(ROOT, t1, t2)
+    assert len(fam) == want["quads"].shape[0]
+    for name, arr in want.items():
+        got = getattr(fam, name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+def test_family_memory():
+    # the cut reads the four entries of gamma1 (gamma2 v0) per pair and forms
+    # no 4x4 product: the all-pairs products peaked at 280 MB, the cut at 85 MB
+    code = ("import re; from apollonian import orbit\n"
+            f"fam = orbit.build_family({ROOT}, 256, 512)\n"
+            "hwm = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())\n"
+            "print(len(fam), int(hwm.group(1)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert out.returncode == 0, out.stderr
+    members, peak_kb = map(int, out.stdout.split())
+    assert members > 0 and peak_kb < 150 * 1024
 
 
 def test_density_approaches_quarter():
