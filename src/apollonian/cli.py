@@ -140,11 +140,10 @@ def emit_report(command: str, config: dict, results: dict, out=None,
     }
     if stages is not None:
         report["stages"] = stages
-    text = json.dumps(report, indent=1, sort_keys=True)
     if fmt == "csv" and isinstance(results.get("table"), list):
-        rows = results["table"]
-        lines = [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines)
+        text = "\n".join(",".join(str(c) for c in row) for row in results["table"])
+    else:
+        text = json.dumps(report, indent=1, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -623,7 +622,7 @@ def main(argv=None) -> int:
     p.add_argument("--q", default="2,3,4",
                    help=f"comma-separated moduli; a quotient of more than "
                         f"{spectral.CLOSURE_CAP:,} elements exits 3 (q = 11 has "
-                        f"1,771,440 and takes about 90 s and 0.5 GB)")
+                        f"1,771,440 and takes about 25 s and 0.4 GB)")
     p.add_argument("--check", choices=("spectrum", "transference", "alternation"),
                    default="spectrum")
     p.set_defaults(func=cmd_spectral)

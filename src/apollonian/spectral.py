@@ -113,9 +113,9 @@ def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
 
 # Largest closure markov_spectrum takes on.  spectral --q at q = 9 (87,480
-# elements) takes 2.6 s and 62 MB, at q = 11 (1,771,440) 88 s and 513 MB on
-# a 2-CPU machine, about 270 bytes an element; q = 13 (4,769,856) would need
-# about 1.3 GB, so the closure stops between the two.
+# elements) takes 1.1 s and 52 MB, at q = 11 (1,771,440) 23 s and 407 MB on
+# a 2-CPU machine, about 230 bytes an element; q = 13 (4,769,856) would need
+# about 1.1 GB, so the closure stops between the two.
 CLOSURE_CAP = 2_000_000
 
 
@@ -143,23 +143,6 @@ def _closure_cached(q: int, gens: tuple) -> QuotientClosure:
 
 def quotient_order_sl2(q: int) -> int:
     return _closure_cached(q, S_BAR).order
-
-
-def sl2_zi_full_order(q: int) -> int:
-    """|SL(2, Z[i]/(q))| by direct enumeration; oracle for small q."""
-    if q > 5:
-        raise ValueError("full enumeration oracle kept to q <= 5")
-    units = [(a, b) for a in range(q) for b in range(q)]
-    count = 0
-    for a in units:
-        for b in units:
-            for c in units:
-                for d in units:
-                    det_re = (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1]) % q
-                    det_im = (a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0]) % q
-                    if det_re == 1 and det_im == 0:
-                        count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +384,7 @@ class CayleySpectrum:
     group_order: int
     s_size: int            # distinct walk generators mod q
     eigenvalues: tuple     # descending, starting with 1.0
-    matvecs: int           # single-vector applications of T; 0 for a dense solve
+    matvecs: int           # single-vector applications of T on G/{+-I}; 0 for a dense solve
     stages: dict           # seconds spent in closure_s, permutations_s and solve_s
 
 
@@ -412,6 +395,43 @@ def _left_mult_perms(G: QuotientClosure, s_mats, q: int) -> np.ndarray:
     for k in range(enc.shape[0]):
         out[k] = G.index_of(_gmul(enc[k], G.elements, q))
     return out
+
+
+def _negate(rows: np.ndarray, q: int) -> np.ndarray:
+    """-x mod q of encoded matrices."""
+    return ((q - rows) % q).astype(np.uint8)
+
+
+def _class_perms(G: QuotientClosure, s_mats, q: int):
+    """The walk of the distinct s_k mod q on G/{+-I}, as permutations of the
+    classes {g, -g}: perms[k][c] = class of (s_k * g_c) for the first
+    element g_c of class c.  Also returns |S mod q|.
+
+    When S mod q is closed under g -> -g, an odd function f (f(-g) = -f(g))
+    has f(s g) + f(-s g) = 0, so T f = 0, and T acts on the even functions
+    as the walk on the classes with one generator from each pair {s, -s}.
+    So spec T = spec(walk on the classes) and 0 once for each of the
+    |G| - (number of classes) odd dimensions.  For q <= 2, or an S not
+    closed under negation, every element is its own class and all of S is
+    kept."""
+    genc = np.unique(_encode(s_mats, q), axis=0)
+    n = G.order
+    # for q > 2, -g = g has no solution of determinant 1, and -I = (-s) s^-1
+    # lies in G once S is closed under negation
+    if q > 2 and np.array_equal(np.unique(_negate(genc, q), axis=0), genc):
+        neg = G.index_of(_negate(G.elements, q))
+    else:
+        neg = np.arange(n)
+    reps = np.flatnonzero(np.arange(n) <= neg)
+    cls = np.empty(n, dtype=np.int32)
+    cls[reps] = cls[neg[reps]] = np.arange(reps.size)
+    gidx = G.index_of(genc)
+    gens = genc[gidx <= neg[gidx]]
+    rep_rows = G.elements[reps]
+    out = np.empty((gens.shape[0], reps.size), dtype=np.int32)
+    for k in range(gens.shape[0]):
+        out[k] = cls[G.index_of(_gmul(gens[k], rep_rows, q))]
+    return out, genc.shape[0]
 
 
 def _apply_walk(perms: np.ndarray, X: np.ndarray, out: np.ndarray,
@@ -529,14 +549,16 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
 
     S is symmetrized and deduplicated mod q; the operator is self-adjoint,
     so the spectrum is real in [-1, 1], and 1 is simple with the constants
-    as eigenvectors because S generates the group.  The top_k largest
-    signed eigenvalues below it come, with multiplicity, from one block
-    iteration (LOBPCG) of top_k rows drawn from seed on the functions of
-    mean zero; T is applied as gathers through the permutations g -> s g.
-    Every returned pair has residual |Tv - mu v| < 10 tol, or
-    EigensolverError is raised after max_iter block steps.  When the group
-    is too small for a block step (|G| <= 3 top_k + 1) the spectrum comes
-    from a dense eigvalsh instead."""
+    as eigenvectors because S generates the group.  T is solved on
+    G/{+-I} (see _class_perms), and the eigenvalue 0 of the odd functions
+    is merged in.  The top_k largest signed eigenvalues below 1 come, with
+    multiplicity, from one block iteration (LOBPCG) of top_k rows drawn
+    from seed on the functions of mean zero; T is applied as gathers
+    through the permutations of the classes.  Every returned pair has
+    residual |Tv - mu v| < 10 tol, or EigensolverError is raised after
+    max_iter block steps.  When the classes are too few for a block step
+    (at most 3 top_k + 1) the spectrum comes from a dense eigvalsh
+    instead."""
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     s_mats = S_BAR if s_mats is None else tuple(s_mats)
@@ -547,18 +569,19 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     stages["closure_s"] = t1 - t0
     if q == 1 or G.order == 1:
         return CayleySpectrum(q, 1, 1, (1.0,), 0, stages)
-    perms = _left_mult_perms(G, s_mats, q)
+    perms, ns = _class_perms(G, s_mats, q)
     t0 = time.perf_counter()
     stages["permutations_s"] = t0 - t1
-    n, ns = G.order, perms.shape[0]
-    if n <= 3 * top_k + 1:
-        T = np.zeros((n, n))
+    n, m = G.order, perms.shape[1]
+    if m <= 3 * top_k + 1:
+        T = np.zeros((m, m))
         for row in perms:
-            T[np.arange(n), row] += 1.0 / ns
-        eigs, matvecs = np.linalg.eigvalsh(T)[::-1][1:top_k + 1], 0
+            T[np.arange(m), row] += 1.0 / perms.shape[0]
+        eigs, matvecs = np.linalg.eigvalsh(T)[::-1][1:], 0
     else:
         eigs, matvecs = _top_eigenvalues(perms, top_k, tol, max_iter,
                                          np.random.default_rng(seed))
+    eigs = np.sort(np.concatenate([eigs, np.zeros(min(top_k, n - m))]))[::-1][:top_k]
     stages["solve_s"] = time.perf_counter() - t0
     return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs,
                           stages)

@@ -24,11 +24,28 @@ def test_gamma_constants():
     assert len(sp.S_BAR) == 12
 
 
+def sl2_zi_full_order(q: int) -> int:
+    """|SL(2, Z[i]/(q))| by direct enumeration; oracle for small q."""
+    if q > 5:
+        raise ValueError("full enumeration oracle kept to q <= 5")
+    units = [(a, b) for a in range(q) for b in range(q)]
+    count = 0
+    for a in units:
+        for b in units:
+            for c in units:
+                for d in units:
+                    det_re = (a[0] * d[0] - a[1] * d[1] - b[0] * c[0] + b[1] * c[1]) % q
+                    det_im = (a[0] * d[1] + a[1] * d[0] - b[0] * c[1] - b[1] * c[0]) % q
+                    if det_re == 1 and det_im == 0:
+                        count += 1
+    return count
+
+
 def test_closure_orders(registry):
     assert sp.quotient_order_sl2(1) == 1
     o2 = sp.quotient_order_sl2(2)
     registry.check("spectral.order_q2", o2)
-    assert sp.sl2_zi_full_order(2) == 48
+    assert sl2_zi_full_order(2) == 48
     assert 48 % o2 == 0
     for q in (3, 4, 5, 8):
         registry.check(f"spectral.order_q{q}", sp.quotient_order_sl2(q))
@@ -264,13 +281,50 @@ def test_markov_vs_dense():
 @pytest.mark.parametrize("q,gens", [
     (3, None), (4, None), (6, None), (8, None),
     (3, sp.H1_GENS), (3, sp.H2_GENS), (5, sp.H1_GENS), (5, sp.H2_GENS),
+    (12, None),
 ])
 def test_block_spectrum_matches_dense_with_multiplicity(q, gens):
     spec = sp.markov_spectrum(q, gens)
-    # large enough that the block iteration runs, not the dense branch
-    assert spec.group_order > 3 * 3 + 1 and spec.matvecs > 0
+    # the walk runs on G/{+-I}: mod 4 that has 8 elements, few enough for
+    # the dense branch; every other case runs the block iteration
+    assert spec.group_order > 3 * 3 + 1
+    assert (spec.matvecs == 0) == ((q, gens) == (4, None))
     dense = dense_walk_eigenvalues(q, gens)
     assert spec.eigenvalues == pytest.approx(tuple(dense[:4]), abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 8])
+def test_walk_annihilates_odd_functions(q):
+    # S is closed under s -> -s, so f(s g) + f(-s g) = 0 for an odd f
+    rng = np.random.default_rng(q)
+    for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
+        G = sp._closure_cached(q, gens)
+        perms = sp._left_mult_perms(G, gens, q)
+        neg = G.index_of(((-G.elements.astype(np.int64)) % q).astype(np.uint8))
+        r = rng.standard_normal(G.order)
+        f = r - r[neg]
+        assert np.abs(f).max() > 0.1
+        tf = sum(f[row] for row in perms) / perms.shape[0]
+        assert np.abs(tf).max() < 1e-12, (q, len(gens))
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 10])
+@pytest.mark.parametrize("q,gens", [
+    (3, None), (4, None), (3, sp.H1_GENS), (4, sp.H1_GENS), (5, sp.H1_GENS),
+    (6, sp.H2_GENS),
+    # no fold: -I = I mod 2, and a set closed under inverses but not under
+    # negation
+    (2, None), (2, sp.H1_GENS),
+    (3, (sp.GAMMA1, core.m2_inv_det1(sp.GAMMA1), sp.GAMMA2, core.m2_inv_det1(sp.GAMMA2))),
+])
+def test_folded_spectrum_matches_dense(q, gens, k):
+    # the solve on G/{+-I} with the odd functions' zeros merged in gives the
+    # full-G list; at (4, H1, 10) the list runs past the folded spectrum
+    # into the zeros and the eigenvalue -1/3
+    spec = sp.markov_spectrum(q, gens, top_k=k)
+    dense = dense_walk_eigenvalues(q, gens)[:k + 1]
+    assert len(spec.eigenvalues) == len(dense)
+    assert spec.eigenvalues == pytest.approx(tuple(dense), abs=1e-9)
 
 
 def test_block_spectrum_matches_power_oracle():
