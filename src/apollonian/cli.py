@@ -310,6 +310,8 @@ def cmd_singular(args) -> int:
 
 def cmd_spectral(args) -> int:
     t0 = time.time()
+    if args.seed < 0:
+        raise core.InputError(f"--seed must be a non-negative integer, got {args.seed}")
     results = {}
     for q in _parse_qs(args.q):
         entry = {}
@@ -318,7 +320,8 @@ def cmd_spectral(args) -> int:
         entry["s_size"] = spec.s_size
         entry["eigenvalues"] = list(spec.eigenvalues)
         entry["matvecs"] = spec.matvecs
-        entry["stages"] = {k: round(v, 3) for k, v in spec.stages.items()}
+        stages = dict(spec.stages)
+        t1 = time.perf_counter()
         if args.check == "transference":
             rep = spectral.transference_check(spec)
             entry["transference"] = {
@@ -330,6 +333,9 @@ def cmd_spectral(args) -> int:
             k, sizes = spectral.alternation_length(q)
             entry["alternation_k"] = k
             entry["set_sizes"] = sizes
+        if args.check != "spectrum":
+            stages[f"{args.check}_s"] = time.perf_counter() - t1
+        entry["stages"] = {k: round(v, 3) for k, v in stages.items()}
         results[str(q)] = entry
     emit_report("spectral", vars(args), results, args.out, t0=t0)
     if args.check == "transference" and not all(

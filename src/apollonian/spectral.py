@@ -150,8 +150,9 @@ def quotient_order_sl2(q: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _left_product(perms: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """H A as a boolean mask over G, for the set A given by mask and the
-    subgroup H whose generators act as the rows of perms (g -> s g).
+    """H A as a boolean mask over the classes {g, -g}, for the set A given
+    by mask and the subgroup H whose generators act as the rows of perms
+    (the class of g -> the class of s g).
 
     H A is the smallest superset of A closed under left multiplication by
     the generators, because H is finite: the frontier loop finds it with
@@ -165,30 +166,33 @@ def _left_product(perms: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def alternation_length(q: int, k_max: int = 64):
+def alternation_length(q: int):
     """Minimal k with (H1 H2)^k = the full quotient G mod q.
 
-    Set products are boolean masks over G.  Since (H1 H2)^k =
+    Set products are boolean masks over the classes {g, -g} of G: H1 and H2
+    contain -I = (-s) s^-1, so H A is a union of classes for every A, and a
+    set's size is the sum of its classes' sizes.  Since (H1 H2)^k =
     H1 H2 (H1 H2)^(k-1), each step left-multiplies by H2 and then by H1,
-    through the left-multiplication permutations of their generators, so
-    no subgroup is enumerated.  Returns (k, sizes) where sizes[j] is
-    |(H1 H2)^(j+1)|."""
+    through the class permutations of their generators, so no subgroup is
+    enumerated.  The products are nested (I lies in H1 H2), so they grow
+    until they reach G or stop growing for good, which raises RuntimeError.
+    Returns (k, sizes) where sizes[j] is |(H1 H2)^(j+1)|."""
     G = _closure_cached(q, S_BAR)
-    p1 = _left_mult_perms(G, H1_GENS, q)
-    p2 = _left_mult_perms(G, H2_GENS, q)
-    current = np.zeros(G.order, dtype=bool)
-    current[G.index_of(_encode([IDENTITY2], q))] = True
+    p1, _, cls = _class_perms(G, H1_GENS, q)
+    p2, _, _ = _class_perms(G, H2_GENS, q)
+    class_size = G.order // p1.shape[1]
+    current = np.zeros(p1.shape[1], dtype=bool)
+    current[cls[G.index_of(_encode([IDENTITY2], q))]] = True
     sizes = []
-    for k in range(1, k_max + 1):
+    while True:
         current = _left_product(p1, _left_product(p2, current))
-        sizes.append(int(current.sum()))
+        sizes.append(int(current.sum()) * class_size)
         if sizes[-1] == G.order:
-            return k, sizes
+            return len(sizes), sizes
         if len(sizes) > 1 and sizes[-1] == sizes[-2]:
             raise RuntimeError(
                 f"set products stalled at {sizes[-1]} < {G.order} for q={q}"
             )
-    raise RuntimeError(f"alternation length exceeded {k_max} for q={q}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +392,6 @@ class CayleySpectrum:
     stages: dict           # seconds spent in closure_s, permutations_s and solve_s
 
 
-def _left_mult_perms(G: QuotientClosure, s_mats, q: int) -> np.ndarray:
-    """perms[k][i] = index of (s_k * element_i) for each distinct s_k mod q."""
-    enc = np.unique(_encode(s_mats, q), axis=0)
-    out = np.empty((enc.shape[0], G.order), dtype=np.int32)
-    for k in range(enc.shape[0]):
-        out[k] = G.index_of(_gmul(enc[k], G.elements, q))
-    return out
-
-
 def _negate(rows: np.ndarray, q: int) -> np.ndarray:
     """-x mod q of encoded matrices."""
     return ((q - rows) % q).astype(np.uint8)
@@ -405,23 +400,22 @@ def _negate(rows: np.ndarray, q: int) -> np.ndarray:
 def _class_perms(G: QuotientClosure, s_mats, q: int):
     """The walk of the distinct s_k mod q on G/{+-I}, as permutations of the
     classes {g, -g}: perms[k][c] = class of (s_k * g_c) for the first
-    element g_c of class c.  Also returns |S mod q|.
+    element g_c of class c, with one s_k from each pair {s, -s}.  Also
+    returns |S mod q| and cls, the class of each element of G.
 
-    When S mod q is closed under g -> -g, an odd function f (f(-g) = -f(g))
-    has f(s g) + f(-s g) = 0, so T f = 0, and T acts on the even functions
-    as the walk on the classes with one generator from each pair {s, -s}.
+    S mod q must be closed under s -> -s and s -> s^-1, as symmetric_set
+    makes it; ValueError is raised otherwise.  Then -I = (-s) s^-1 lies in
+    G, and an odd function f (f(-g) = -f(g)) has f(s g) + f(-s g) = 0, so
+    T f = 0, and T acts on the even functions as the walk on the classes.
     So spec T = spec(walk on the classes) and 0 once for each of the
-    |G| - (number of classes) odd dimensions.  For q <= 2, or an S not
-    closed under negation, every element is its own class and all of S is
-    kept."""
+    |G| - (number of classes) odd dimensions.  For q <= 2, -g = g and every
+    element is its own class."""
     genc = np.unique(_encode(s_mats, q), axis=0)
+    if not np.array_equal(np.unique(_encode(symmetric_set(s_mats), q), axis=0), genc):
+        raise ValueError(f"the walk generators mod {q} are not closed under "
+                         f"s -> -s and s -> s^-1; pass them through symmetric_set")
     n = G.order
-    # for q > 2, -g = g has no solution of determinant 1, and -I = (-s) s^-1
-    # lies in G once S is closed under negation
-    if q > 2 and np.array_equal(np.unique(_negate(genc, q), axis=0), genc):
-        neg = G.index_of(_negate(G.elements, q))
-    else:
-        neg = np.arange(n)
+    neg = G.index_of(_negate(G.elements, q))
     reps = np.flatnonzero(np.arange(n) <= neg)
     cls = np.empty(n, dtype=np.int32)
     cls[reps] = cls[neg[reps]] = np.arange(reps.size)
@@ -431,7 +425,7 @@ def _class_perms(G: QuotientClosure, s_mats, q: int):
     out = np.empty((gens.shape[0], reps.size), dtype=np.int32)
     for k in range(gens.shape[0]):
         out[k] = cls[G.index_of(_gmul(gens[k], rep_rows, q))]
-    return out, genc.shape[0]
+    return out, genc.shape[0], cls
 
 
 def _apply_walk(perms: np.ndarray, X: np.ndarray, out: np.ndarray,
@@ -547,11 +541,13 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
                     max_iter: int = 100_000, seed: int = 0) -> CayleySpectrum:
     """Top eigenvalues of the walk operator T f(g) = |S|^-1 sum f(s g).
 
-    S is symmetrized and deduplicated mod q; the operator is self-adjoint,
-    so the spectrum is real in [-1, 1], and 1 is simple with the constants
-    as eigenvectors because S generates the group.  T is solved on
-    G/{+-I} (see _class_perms), and the eigenvalue 0 of the odd functions
-    is merged in.  The top_k largest signed eigenvalues below 1 come, with
+    S (S_BAR if None) is deduplicated mod q and must be closed under
+    s -> -s and s -> s^-1 there, as symmetric_set makes it, or ValueError
+    is raised before any solve.  So the operator is self-adjoint, the
+    spectrum is real in [-1, 1], and 1 is simple with the constants as
+    eigenvectors because S generates the group.  T is solved on G/{+-I}
+    (see _class_perms), and the eigenvalue 0 of the odd functions is
+    merged in.  The top_k largest signed eigenvalues below 1 come, with
     multiplicity, from one block iteration (LOBPCG) of top_k rows drawn
     from seed on the functions of mean zero; T is applied as gathers
     through the permutations of the classes.  Every returned pair has
@@ -567,9 +563,7 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     G = _closure_cached(q, s_mats)
     t1 = time.perf_counter()
     stages["closure_s"] = t1 - t0
-    if q == 1 or G.order == 1:
-        return CayleySpectrum(q, 1, 1, (1.0,), 0, stages)
-    perms, ns = _class_perms(G, s_mats, q)
+    perms, ns, _ = _class_perms(G, s_mats, q)
     t0 = time.perf_counter()
     stages["permutations_s"] = t0 - t1
     n, m = G.order, perms.shape[1]
@@ -608,9 +602,11 @@ def transference_check(spec_g: CayleySpectrum) -> TransferenceReport:
     kprime = 2 * k_alt
     g_order = spec_g.group_order
     s_total = spec_g.s_size
-    lhs = 1.0 - spec_g.eigenvalues[1]
+    # a group of order 1 has no eigenvalue below 1; its lambda1 reads -1.0
+    lam_g = spec_g.eigenvalues[1] if g_order > 1 else -1.0
+    lhs = 1.0 - lam_g
     rhs_terms = []
-    details = {"G_order": g_order, "S_size": s_total, "lambda1_G": spec_g.eigenvalues[1]}
+    details = {"G_order": g_order, "S_size": s_total, "lambda1_G": lam_g}
     for name, gens in (("H1", H1_GENS), ("H2", H2_GENS)):
         spec_h = markov_spectrum(q, gens)
         s_cap = spec_h.s_size

@@ -130,6 +130,7 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["gasket", "--limit", "100", "--threads", "-3"],
     ["gasket", "--limit", "0"],
     ["spectral", "--q", "x"],
+    ["spectral", "--q", "5", "--seed", "-1"],
     ["delta-fit", "--points", "0"],
     ["delta-fit", "--points", "1"],
     ["verify", "--modules", "nosuch"],
@@ -505,10 +506,28 @@ def test_spectral_command(capsys):
     entry = rep["results"]["4"]
     # G/{+-I} mod 4 has 8 elements, so the dense branch runs
     assert entry["matvecs"] == 0
-    assert set(entry["stages"]) == {"closure_s", "permutations_s", "solve_s"}
+    assert set(entry["stages"]) == {"closure_s", "permutations_s", "solve_s",
+                                    "transference_s"}
     assert all(v >= 0 for v in entry["stages"].values())
     assert entry["status"] == "PASS"
     assert entry["transference"]["holds"] is True
+
+
+def test_spectral_transference_trivial_quotient(capsys):
+    # mod 1 the group has one element and no eigenvalue below 1, so its
+    # lambda1 reads -1.0, as for a trivial H1 or H2
+    assert run(["spectral", "--q", "1", "--check", "transference"]) == 0
+    entry = json.loads(capsys.readouterr().out)["results"]["1"]
+    assert (entry["group_order"], entry["eigenvalues"], entry["status"]) == (1, [1.0], "PASS")
+
+
+def test_spectral_stages_within_elapsed(capsys):
+    assert run(["spectral", "--q", "3,5", "--check", "alternation"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = [v for e in rep["results"].values() for v in e["stages"].values()]
+    assert all("alternation_s" in e["stages"] for e in rep["results"].values())
+    # every value is rounded to the millisecond, so each may read 0.5 ms high
+    assert sum(stages) <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
 
 
 def test_circle_command(tmp_path):

@@ -152,12 +152,31 @@ def reference_left_mult_perms(q, s_mats):
                      for key in sorted(gens)])
 
 
+def full_walk_perms(q, s_mats):
+    """perms[k][i] = index of s_k g_i over the whole of G, for each distinct s_k mod q."""
+    G = sp._closure_cached(q, s_mats)
+    enc = np.unique(sp._encode(s_mats, q), axis=0)
+    return np.stack([G.index_of(sp._gmul(s, G.elements, q)) for s in enc])
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_left_mult_perms_match_reference(q):
-    for gens in (sp.S_BAR, sp.H1_GENS):
-        got = sp._left_mult_perms(sp.closure_sl2(q, gens), gens, q)
-        assert got.dtype == np.int32
-        assert got.tolist() == reference_left_mult_perms(q, gens).tolist()
+    # _class_perms is the left multiplication of G folded to the classes
+    # {g, -g}: cls names the pairs, and each row is the fold of the
+    # reference permutation of some s, one row for each pair {s, -s}
+    for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
+        G = sp.closure_sl2(q, gens)
+        perms, ns, cls = sp._class_perms(G, gens, q)
+        full = reference_left_mult_perms(q, gens)
+        index = {tuple(row): i for i, row in enumerate(G.elements.tolist())}
+        neg = [index[tuple(-x % q for x in row)] for row in G.elements.tolist()]
+        pairs = {frozenset((i, neg[i])) for i in range(G.order)}
+        assert {frozenset(np.flatnonzero(cls == c).tolist())
+                for c in range(perms.shape[1])} == pairs
+        assert perms.dtype == np.int32 and ns == full.shape[0]
+        folded = {tuple(cls[row].tolist()) for row in full}
+        assert {tuple(row[cls].tolist()) for row in perms} == folded
+        assert perms.shape[0] == len(folded)
 
 
 def test_local_identities():
@@ -213,7 +232,7 @@ def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
     eigensolver markov_spectrum had before its block iteration, kept as the
     oracle.  Returns (1.0, then the top_k largest eigenvalues below it)."""
     s_mats = sp.S_BAR if s_mats is None else s_mats
-    perms = sp._left_mult_perms(sp._closure_cached(q, s_mats), s_mats, q)
+    perms = full_walk_perms(q, s_mats)
     n, ns = perms.shape[1], perms.shape[0]
 
     def apply_t(v):
@@ -262,7 +281,7 @@ def reference_power_spectrum(q, s_mats=None, top_k=3, tol=1e-8,
 def dense_walk_eigenvalues(q, s_mats=None):
     """Every eigenvalue of the walk operator, descending, from a dense solve."""
     s_mats = sp.S_BAR if s_mats is None else s_mats
-    perms = sp._left_mult_perms(sp._closure_cached(q, s_mats), s_mats, q)
+    perms = full_walk_perms(q, s_mats)
     n = perms.shape[1]
     T = np.zeros((n, n))
     for row in perms:
@@ -299,7 +318,7 @@ def test_walk_annihilates_odd_functions(q):
     rng = np.random.default_rng(q)
     for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
         G = sp._closure_cached(q, gens)
-        perms = sp._left_mult_perms(G, gens, q)
+        perms = full_walk_perms(q, gens)
         neg = G.index_of(((-G.elements.astype(np.int64)) % q).astype(np.uint8))
         r = rng.standard_normal(G.order)
         f = r - r[neg]
@@ -312,10 +331,8 @@ def test_walk_annihilates_odd_functions(q):
 @pytest.mark.parametrize("q,gens", [
     (3, None), (4, None), (3, sp.H1_GENS), (4, sp.H1_GENS), (5, sp.H1_GENS),
     (6, sp.H2_GENS),
-    # no fold: -I = I mod 2, and a set closed under inverses but not under
-    # negation
+    # no fold: -I = I mod 2
     (2, None), (2, sp.H1_GENS),
-    (3, (sp.GAMMA1, core.m2_inv_det1(sp.GAMMA1), sp.GAMMA2, core.m2_inv_det1(sp.GAMMA2))),
 ])
 def test_folded_spectrum_matches_dense(q, gens, k):
     # the solve on G/{+-I} with the odd functions' zeros merged in gives the
@@ -325,6 +342,16 @@ def test_folded_spectrum_matches_dense(q, gens, k):
     dense = dense_walk_eigenvalues(q, gens)[:k + 1]
     assert len(spec.eigenvalues) == len(dense)
     assert spec.eigenvalues == pytest.approx(tuple(dense), abs=1e-9)
+
+
+@pytest.mark.parametrize("gens", [
+    (sp.GAMMA1, sp.GAMMA2),
+    (sp.GAMMA1, core.m2_inv_det1(sp.GAMMA1), sp.GAMMA2, core.m2_inv_det1(sp.GAMMA2)),
+])
+def test_markov_spectrum_rejects_unsymmetric_generators(gens):
+    # the walk on G/{+-I} needs S closed under s -> -s and s -> s^-1
+    with pytest.raises(ValueError, match="symmetric_set"):
+        sp.markov_spectrum(3, gens)
 
 
 def test_block_spectrum_matches_power_oracle():
