@@ -588,7 +588,8 @@ def main(argv=None) -> int:
     p.add_argument("--q", default="24",
                    help=f"comma-separated moduli; an orbit of more than "
                         f"{congruence.ORBIT_CAP:,} rows exits 3 (q = 181 has "
-                        f"5,962,320 and takes about 10 s and 0.84 GB)")
+                        f"5,962,320 and takes about 10 s and 0.84 GB), and so "
+                        f"does q above {congruence.ORBIT_MODULUS_CAP:,}")
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("delta-fit", help="norm-ball growth exponent")

@@ -225,13 +225,19 @@ def so_f_order_pairs(p: int) -> int:
 # q = 223 stopped at a cap of 8,000,000 peaks at 1.38 GB, so a closure
 # stopped at this cap peaks near 1.2 GB.
 ORBIT_CAP = 7_000_000
+# Largest modulus vector_orbit takes: a step's entries are sums of four
+# products of residues, below 4 (q - 1)^2, which fits in int64 up to here.
+ORBIT_MODULUS_CAP = 1 << 30
 
 
 def vector_orbit(root, q: int, cap: int = ORBIT_CAP) -> np.ndarray:
     """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array
-    with rows in lexicographic order."""
+    with rows in lexicographic order.  A modulus above ORBIT_MODULUS_CAP
+    raises CapExceededError before any arithmetic."""
     if q < 1:
         raise core.InputError("q >= 1")
+    if q > ORBIT_MODULUS_CAP:
+        raise CapExceededError(f"modulus {q} is above the cap {ORBIT_MODULUS_CAP}")
     gens = _GEN_STACK % q
     # big-endian residues, so that byte order is lexicographic order
     dtype = np.dtype(f">u{np.min_scalar_type(q - 1).itemsize}")
@@ -271,15 +277,17 @@ def stabilizer_index(q: int, root=core.DEFAULT_ROOT) -> int:
 
 
 def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
-    """Number of scalar classes in the orbit of the root mod q."""
+    """Number of scalar classes in the orbit of the root mod q.
+
+    Unit scalars commute with Gamma, so lam * O is the orbit of lam * root:
+    it is O itself when lam * root lies in O and disjoint from O otherwise.
+    The units keeping O form a group U, and every row of O is primitive mod
+    q (Gamma is invertible and the root is primitive), so lam * w = w only
+    for lam = 1: each class meets O in |U| rows, and the count is |O| / |U|.
+    For q = 1 the one unit is 0."""
     orb = _orbit_cached(tuple(root), q)
-    seen = set()
-    count = 0
-    for r in orb.tolist():
-        if tuple(r) in seen:
-            continue
-        count += 1
-        for lam in range(1, q):
-            if gcd(lam, q) == 1:
-                seen.add(tuple(lam * x % q for x in r))
-    return count
+    big = orb.dtype.newbyteorder(">")
+    units = np.array([lam for lam in range(q) if gcd(lam, q) == 1], dtype=np.int64)
+    scaled = units[:, None] * (np.array(root, dtype=np.int64) % q) % q
+    kept = np.isin(_row_keys(scaled.astype(big)), _row_keys(orb.astype(big)))
+    return orb.shape[0] // int(kept.sum())

@@ -339,33 +339,14 @@ def lambda2_completion(x: int, y: int):
     """
     if gcd(2 * x, y) != 1:
         raise CompletionError(f"gcd(2*{x}, {y}) != 1, no completion exists")
-    # solve p*y - s*(2x) = 1
-    g, p0, ms0 = _ext_gcd(y, 2 * x)
-    # g == 1 or -1 depending on signs; normalize to p0*y + ms0*2x = 1
-    assert g in (1, -1)
-    if g == -1:
-        p0, ms0 = -p0, -ms0
-    s0 = -ms0  # p0*y - s0*2x = 1
-    # general solution: (p0 + 2x*t, s0 + y*t); y is odd, so s0 + y*t is even
-    # exactly when t ≡ s0 (mod 2); valid s form a progression of step 2|y|
-    sbase = s0 + y * (s0 % 2)
-    s = sbase % (2 * abs(y))
-    assert s >= 0 and s % 2 == 0
+    # p*y - 2x*s = 1 says s = -(2x)^-1 mod |y|; |y| is odd, so adding |y|
+    # to an odd s gives the least even one
+    s = pow(-2 * x, -1, abs(y))
+    if s % 2:
+        s += abs(y)
     p = (1 + 2 * x * s) // y
     assert p * y - 2 * x * s == 1
     return ((p, 2 * x), (s, y))
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def xi(x: int, y: int) -> Mat4:

@@ -263,33 +263,24 @@ def _prime_cap(p: int, depth: int) -> int:
     return depth
 
 
-def _slot_factor_table(root, p: int, kappa: int, slot: int) -> np.ndarray:
-    """factor_p(n) for n mod p^kappa, from the orbit of the root and
-    Ramanujan sums: 1 + sum_{k<=kappa} |O_k|^{-1} sum_w c_{p^k}(w_slot - n).
+def _slot_factor_table(root, p: int, kappa: int) -> np.ndarray:
+    """The local factors at p of the four slots, for every class mod
+    q = p^kappa, as a (4, q) array: row slot, column n holds
+    q * #{w in O : w_slot = n mod q} / |O|, where O is the orbit of the root
+    mod q.
 
-    Every orbit is closed, under congruence.ORBIT_CAP, before the p^kappa
-    table is allocated, so a kappa too large for the cap raises
-    CapExceededError, not numpy's error on the table's size."""
-    contribs = []
-    for k in range(1, kappa + 1):
-        pk = p ** k
-        orb = congruence._orbit_cached(root, pk)
-        hist = np.bincount(orb[:, slot], minlength=pk).astype(float)
-        ctab = np.array([ramanujan(pk, t) for t in range(pk)], dtype=float)
-        # contribution(n) = sum_v hist[v] c_{p^k}(v - n) / |O|
-        contribs.append(np.array([
-            float(hist @ ctab[(np.arange(pk) - nn) % pk]) for nn in range(pk)
-        ]) / orb.shape[0])
-    table = np.ones(p ** kappa, dtype=float)
-    for contrib in contribs:
-        # the level-k contribution depends on n mod p^k only
-        table = table + contrib[np.arange(p ** kappa) % contrib.size]
-    return table
-
-
-@lru_cache(maxsize=64)
-def _slot_factor_cached(root, p, kappa, slot):
-    return _slot_factor_table(root, p, kappa, slot)
+    This is the Ramanujan-sum expansion 1 + sum_{1<=k<=kappa} |O_k|^{-1}
+    sum_{w in O_k} c_{p^k}(w_slot - n) in closed form: reduction O -> O_k
+    is onto and commutes with Gamma, so each row of O_k lifts to |O|/|O_k|
+    rows of O, and sum_{0<=k<=kappa} c_{p^k}(m) (c_1 = 1 is the leading 1)
+    is q when q | m, else 0.  A count is never negative, and a class the
+    orbit misses gets exactly 0.  The orbit is closed under
+    congruence.ORBIT_CAP, and a modulus above congruence.ORBIT_MODULUS_CAP
+    is refused, so a kappa too large raises CapExceededError."""
+    q = p ** kappa
+    orb = congruence._orbit_cached(root, q)
+    counts = np.stack([np.bincount(orb[:, slot], minlength=q) for slot in range(4)])
+    return counts * (q / orb.shape[0])
 
 
 def singular_series(n: int, root=DEFAULT_ROOT, prime_cutoff: int = 13,
@@ -297,9 +288,10 @@ def singular_series(n: int, root=DEFAULT_ROOT, prime_cutoff: int = 13,
     """Truncated Euler product of local densities, averaged over the four
     coordinate slots of the orbit.
 
-    The per-slot product over p <= prime_cutoff uses exponent depth
-    min(depth, cap(p)) with the powers of 2 capped at 8 and of 3 at 3.
-    Nonnegative; vanishes exactly on the non-admissible classes.
+    The factor at p is the density of n mod p^kappa among the slot entries
+    of the one orbit mod p^kappa (see _slot_factor_table), with kappa =
+    depth for p >= 5, 3 for p = 2 and 1 for p = 3.  Nonnegative; vanishes
+    exactly on the non-admissible classes.
     """
     return float(singular_series_sweep(np.array([n]), root, prime_cutoff, depth)[0])
 
@@ -313,20 +305,11 @@ def singular_series_sweep(ns, root=DEFAULT_ROOT, prime_cutoff: int = 13,
     if depth < 1:
         raise InputError(f"depth must be at least 1, got {depth}")
     root = tuple(root)
-    total = np.zeros(ns.shape, dtype=float)
-    for slot in range(4):
-        prod = np.ones(ns.shape, dtype=float)
-        for p in primes:
-            kappa = _prime_cap(p, depth)
-            tab = _slot_factor_cached(root, p, kappa, slot)
-            prod *= tab[ns % (p ** kappa)]
-        total += prod
-    out = total / 4.0
-    # clip tiny negative rounding
-    out[np.abs(out) < 1e-12] = 0.0
-    if (out < 0).any():
-        raise AssertionError("singular series went negative")
-    return out
+    prod = np.ones((4,) + ns.shape, dtype=float)
+    for p in primes:
+        kappa = _prime_cap(p, depth)
+        prod *= _slot_factor_table(root, p, kappa)[:, ns % p ** kappa]
+    return prod.sum(axis=0) / 4.0
 
 
 # ---------------------------------------------------------------------------

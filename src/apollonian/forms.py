@@ -36,10 +36,6 @@ class ShiftedForm:
     def discriminant(self) -> int:
         return 4 * (self.B * self.B - self.A * self.C)
 
-    def value(self, m: int, n: int) -> int:
-        """f(m, n) - a, the shifted form at integer arguments."""
-        return self.A * m * m + 2 * self.B * m * n + self.C * n * n - self.a
-
 
 def extract_form(gamma, root=core.DEFAULT_ROOT) -> ShiftedForm:
     """Shifted form of the quadruple gamma . root."""

@@ -78,7 +78,14 @@ def generator_correspondence_check() -> dict:
 # ---------------------------------------------------------------------------
 
 def _encode(mats, q: int) -> np.ndarray:
-    """(n, 8) uint8 of residues: (re, im) of entries in row-major order."""
+    """(n, 8) uint8 of residues: (re, im) of entries in row-major order.
+
+    Every quotient starts here, so q is checked here: InputError below 1,
+    CapExceededError above the byte range."""
+    if q < 1:
+        raise InputError("q >= 1")
+    if q > 255:
+        raise CapExceededError("modulus above byte range is past the supported cap")
     out = np.empty((len(mats), 8), dtype=np.uint8)
     for k, m in enumerate(mats):
         flat = []
@@ -124,10 +131,6 @@ def closure_sl2(q: int, gens=None, cap: int = CLOSURE_CAP) -> QuotientClosure:
 
     Raises CapExceededError once more than cap elements are reached, before
     anything that scales with the closure times the generators is built."""
-    if q < 1:
-        raise InputError("q >= 1")
-    if q > 255:
-        raise CapExceededError("modulus above byte range is past the supported cap")
     genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
     elements = _bfs_closure(_encode([IDENTITY2], q),
                             lambda f: np.concatenate([_gmul(f, g, q) for g in genc]), cap)
@@ -178,8 +181,8 @@ def alternation_length(q: int):
     until they reach G or stop growing for good, which raises RuntimeError.
     Returns (k, sizes) where sizes[j] is |(H1 H2)^(j+1)|."""
     G = _closure_cached(q, S_BAR)
-    p1, _, cls = _class_perms(G, H1_GENS, q)
-    p2, _, _ = _class_perms(G, H2_GENS, q)
+    p1, cls = _class_perms(G, _walk_generators(H1_GENS, q), q)
+    p2, _ = _class_perms(G, _walk_generators(H2_GENS, q), q)
     class_size = G.order // p1.shape[1]
     current = np.zeros(p1.shape[1], dtype=bool)
     current[cls[G.index_of(_encode([IDENTITY2], q))]] = True
@@ -217,36 +220,28 @@ def _conj_by_gamma3_power(m, c: int):
     return out
 
 
+# (terms, T) for each identity of local_identity_check, with T a Gaussian
+# matrix and each term (delta, c, X) for an integer matrix X
 _LOCAL_IDENTITIES = {
     2: [
-        ([(1, 0, ((0, 1), (0, 0)))], ((0, 1), (0, 0)), False),
-        ([(1, 0, ((0, 0), (1, 0)))], ((0, 0), (1, 0)), False),
-        ([(1, 0, ((1, 0), (0, -1)))], ((1, 0), (0, -1)), False),
+        ([(1, 0, ((0, 1), (0, 0)))], _int_mat(((0, 1), (0, 0)))),
+        ([(1, 0, ((0, 0), (1, 0)))], _int_mat(((0, 0), (1, 0)))),
+        ([(1, 0, ((1, 0), (0, -1)))], _int_mat(((1, 0), (0, -1)))),
         ([(2, 0, ((1, 3), (1, -1))), (2, 1, ((0, 1), (0, 0)))],
-         ((0, 0), (0, 0)), "target4"),
+         _int_mat(((gi(0, -1), 0), (0, gi(0, 1))))),
         ([(3, 0, ((-4, 0), (3, 4))), (3, 1, ((0, 0), (1, 0)))],
-         ((0, 0), (0, 0)), "target5"),
+         _int_mat(((0, 0), (gi(0, 1), 0)))),
         ([(4, 0, ((2, 15), (4, -2))), (4, 2, ((0, 1), (0, 0)))],
-         ((0, 0), (0, 0)), "target6"),
+         _int_mat(((gi(0, -1), gi(0, 1)), (0, gi(0, 1))))),
     ],
     3: [
         ([(1, 0, ((1, 3), (1, -1))), (1, 1, ((0, 1), (0, 0)))],
-         ((0, 0), (0, 0)), "t3a"),
+         _int_mat(((gi(0, 1), gi(0, 1)), (0, gi(0, -1))))),
         ([(1, 0, ((-4, 16), (3, 4))), (1, 1, ((0, 0), (1, 0)))],
-         ((0, 0), (0, 0)), "t3b"),
+         _int_mat(((gi(0, 1), 0), (gi(0, -1), gi(0, -1))))),
         ([(1, 0, ((2, 15), (4, -2))), (1, 2, ((0, 1), (0, 0)))],
-         ((0, 0), (0, 0)), "t3c"),
+         _int_mat(((gi(0, 1), gi(0, -1)), (0, gi(0, -1))))),
     ],
-}
-
-# targets with Gaussian entries, spelled out
-_GAUSS_TARGETS = {
-    "target4": ((gi(0, -1), gi(0)), (gi(0), gi(0, 1))),
-    "target5": ((gi(0), gi(0)), (gi(0, 1), gi(0))),
-    "target6": ((gi(0, -1), gi(0, 1)), (gi(0), gi(0, 1))),
-    "t3a": ((gi(0, 1), gi(0, 1)), (gi(0), gi(0, -1))),
-    "t3b": ((gi(0, 1), gi(0)), (gi(0, -1), gi(0, -1))),
-    "t3c": ((gi(0, 1), gi(0, -1)), (gi(0), gi(0, -1))),
 }
 
 
@@ -263,7 +258,7 @@ def local_identity_check(p: int, m: int) -> dict:
         raise ValueError("m >= 1")
     pm = p ** m
     results = []
-    for terms, int_target, tag in _LOCAL_IDENTITIES[p]:
+    for terms, target in _LOCAL_IDENTITIES[p]:
         acc = ((gi(0), gi(0)), (gi(0), gi(0)))
         for (delta, c, rows) in terms:
             x = _int_mat(rows)
@@ -273,10 +268,6 @@ def local_identity_check(p: int, m: int) -> dict:
             acc = tuple(
                 tuple(acc[i][j] + term[i][j] for j in range(2)) for i in range(2)
             )
-        if tag is False:
-            target = _int_mat(int_target)
-        else:
-            target = _GAUSS_TARGETS[tag]
         scale = p ** (m - 1)
         ok = all(
             (acc[i][j].re - scale * target[i][j].re) % pm == 0
@@ -397,23 +388,29 @@ def _negate(rows: np.ndarray, q: int) -> np.ndarray:
     return ((q - rows) % q).astype(np.uint8)
 
 
-def _class_perms(G: QuotientClosure, s_mats, q: int):
-    """The walk of the distinct s_k mod q on G/{+-I}, as permutations of the
-    classes {g, -g}: perms[k][c] = class of (s_k * g_c) for the first
-    element g_c of class c, with one s_k from each pair {s, -s}.  Also
-    returns |S mod q| and cls, the class of each element of G.
-
-    S mod q must be closed under s -> -s and s -> s^-1, as symmetric_set
-    makes it; ValueError is raised otherwise.  Then -I = (-s) s^-1 lies in
-    G, and an odd function f (f(-g) = -f(g)) has f(s g) + f(-s g) = 0, so
-    T f = 0, and T acts on the even functions as the walk on the classes.
-    So spec T = spec(walk on the classes) and 0 once for each of the
-    |G| - (number of classes) odd dimensions.  For q <= 2, -g = g and every
-    element is its own class."""
+def _walk_generators(s_mats, q: int) -> np.ndarray:
+    """The distinct s mod q, encoded; ValueError unless they are closed under
+    s -> -s and s -> s^-1, as symmetric_set makes them."""
     genc = np.unique(_encode(s_mats, q), axis=0)
     if not np.array_equal(np.unique(_encode(symmetric_set(s_mats), q), axis=0), genc):
         raise ValueError(f"the walk generators mod {q} are not closed under "
                          f"s -> -s and s -> s^-1; pass them through symmetric_set")
+    return genc
+
+
+def _class_perms(G: QuotientClosure, genc: np.ndarray, q: int):
+    """The walk of the distinct s_k mod q on G/{+-I}, as permutations of the
+    classes {g, -g}: perms[k][c] = class of (s_k * g_c) for the first
+    element g_c of class c, with one s_k from each pair {s, -s}.  Also
+    returns cls, the class of each element of G.
+
+    genc is _walk_generators(S, q), so S mod q is closed under s -> -s and
+    s -> s^-1.  Then -I = (-s) s^-1 lies in G, and an odd function f
+    (f(-g) = -f(g)) has f(s g) + f(-s g) = 0, so T f = 0, and T acts on
+    the even functions as the walk on the classes.
+    So spec T = spec(walk on the classes) and 0 once for each of the
+    |G| - (number of classes) odd dimensions.  For q <= 2, -g = g and every
+    element is its own class."""
     n = G.order
     neg = G.index_of(_negate(G.elements, q))
     reps = np.flatnonzero(np.arange(n) <= neg)
@@ -425,7 +422,7 @@ def _class_perms(G: QuotientClosure, s_mats, q: int):
     out = np.empty((gens.shape[0], reps.size), dtype=np.int32)
     for k in range(gens.shape[0]):
         out[k] = cls[G.index_of(_gmul(gens[k], rep_rows, q))]
-    return out, genc.shape[0], cls
+    return out, cls
 
 
 def _apply_walk(perms: np.ndarray, X: np.ndarray, out: np.ndarray,
@@ -543,9 +540,9 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
 
     S (S_BAR if None) is deduplicated mod q and must be closed under
     s -> -s and s -> s^-1 there, as symmetric_set makes it, or ValueError
-    is raised before any solve.  So the operator is self-adjoint, the
-    spectrum is real in [-1, 1], and 1 is simple with the constants as
-    eigenvectors because S generates the group.  T is solved on G/{+-I}
+    is raised before the closure is built.  So the operator is
+    self-adjoint, the spectrum is real in [-1, 1], and 1 is simple with the
+    constants as eigenvectors because S generates the group.  T is solved on G/{+-I}
     (see _class_perms), and the eigenvalue 0 of the odd functions is
     merged in.  The top_k largest signed eigenvalues below 1 come, with
     multiplicity, from one block iteration (LOBPCG) of top_k rows drawn
@@ -558,12 +555,13 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     s_mats = S_BAR if s_mats is None else tuple(s_mats)
+    genc = _walk_generators(s_mats, q)
     stages = dict.fromkeys(("closure_s", "permutations_s", "solve_s"), 0.0)
     t0 = time.perf_counter()
     G = _closure_cached(q, s_mats)
     t1 = time.perf_counter()
     stages["closure_s"] = t1 - t0
-    perms, ns, _ = _class_perms(G, s_mats, q)
+    perms, _ = _class_perms(G, genc, q)
     t0 = time.perf_counter()
     stages["permutations_s"] = t0 - t1
     n, m = G.order, perms.shape[1]
@@ -577,7 +575,7 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
                                          np.random.default_rng(seed))
     eigs = np.sort(np.concatenate([eigs, np.zeros(min(top_k, n - m))]))[::-1][:top_k]
     stages["solve_s"] = time.perf_counter() - t0
-    return CayleySpectrum(q, n, ns, (1.0,) + tuple(float(e) for e in eigs), matvecs,
+    return CayleySpectrum(q, n, genc.shape[0], (1.0,) + tuple(float(e) for e in eigs), matvecs,
                           stages)
 
 

@@ -115,6 +115,13 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     def over_cap(q, root):
         raise orbit.CapExceededError("closure exceeded cap")
 
+    # a modulus whose products pass int64 is refused before any arithmetic:
+    # 1e20 gave an OverflowError traceback, 3e9 ran 16 s of wrapped int64
+    for huge in ("100000000000000000000", "3000000000"):
+        assert run(["admissible", "--q", huge]) == 3
+        err = capsys.readouterr().err
+        assert err.strip() == f"modulus {huge} is above the cap {congruence.ORBIT_MODULUS_CAP}"
+
     monkeypatch.setattr(congruence, "admissible_classes", over_cap)
     assert run(["admissible", "--q", "24"]) == 3
     assert capsys.readouterr().err.strip() == "closure exceeded cap"
@@ -347,13 +354,17 @@ def test_delta_fit_over_cap_exits_3_before_allocating():
 
 
 def test_singular_depth_over_cap_exits_3(monkeypatch, capsys):
-    # the p^depth table was allocated before any orbit was closed, so depth
-    # 50 exited 1 on numpy's dimension limit; the orbits now close first and
-    # the cap fires (at the shipped cap, mod 625 after about 8 s and 0.74 GB;
-    # a lower one here makes it fire sooner)
+    # one orbit per prime, mod p^depth: at depth 50 the modulus 5^50 is
+    # refused before any arithmetic, and at depth 9 the orbit mod 5^9
+    # reaches the closure cap (at the shipped cap after about 18 s and
+    # 0.93 GB; a lower one here makes it fire sooner)
     monkeypatch.setattr(congruence, "vector_orbit",
                         functools.partial(congruence.vector_orbit, cap=200_000))
     assert run(["singular", "--n", "5", "--depth", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == (f"modulus {5**50} is above the cap "
+                           f"{congruence.ORBIT_MODULUS_CAP}"), err
+    assert run(["singular", "--n", "5", "--depth", "9"]) == 3
     err = capsys.readouterr().err
     assert err.strip() == "closure exceeded cap 200000", err
 

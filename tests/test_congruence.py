@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,26 @@ def test_stabilizer_index():
         cg.stabilizer_index(5, ROOT) * cg.stabilizer_index(7, ROOT)
 
 
+def reference_stabilizer_index_projective(q: int, root=ROOT) -> int:
+    """Oracle for stabilizer_index_projective: walk the orbit rows, count
+    each row not yet seen, and mark every unit multiple of it as seen."""
+    seen = set()
+    count = 0
+    for r in cg._orbit_cached(tuple(root), q).tolist():
+        if tuple(r) in seen:
+            continue
+        count += 1
+        for lam in range(1, q):
+            if gcd(lam, q) == 1:
+                seen.add(tuple(lam * x % q for x in r))
+    return count
+
+
+@pytest.mark.parametrize("q", [*range(1, 14), 15, 16, 24, 25, 27, 35, 49])
+def test_stabilizer_index_projective_matches_reference(q):
+    assert cg.stabilizer_index_projective(q, ROOT) == reference_stabilizer_index_projective(q)
+
+
 def test_stabilizer_exact_values(registry):
     for q in (5, 7, 11, 13):
         registry.check(f"congruence.orbit_size_{q}", cg.stabilizer_index(q, ROOT))
@@ -213,5 +235,9 @@ def test_caps():
         sp.closure_sl2(7, cap=100)
     with pytest.raises(CapExceededError):
         sp.closure_sl2(300)
+    # 4 (q - 1)^2 passes int64 above 2^30: the modulus is refused first
+    for q in (2**30 + 1, 3_000_000_000, 10**20):
+        with pytest.raises(CapExceededError, match=f"modulus {q} is above the cap"):
+            cg.vector_orbit(ROOT, q)
     with pytest.raises(CapExceededError):
         cg.vector_orbit(ROOT, 49, cap=100)

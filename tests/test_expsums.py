@@ -174,10 +174,9 @@ def test_singular_series_values(registry):
 
 
 def test_singular_series_pfactor_trend():
-    from apollonian.expsums import _slot_factor_cached
     worst = 0.0
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        tab = _slot_factor_cached(ROOT, p, 1, 3)
+        tab = es._slot_factor_table(ROOT, p, 1)[3]
         worst = max(worst, abs(float(tab[96 % p]) - 1) * p * p)
     assert worst < 4.0
 
@@ -192,10 +191,57 @@ def test_singular_series_computes_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(cg, "vector_orbit", counted)
     cg._orbit_cached.cache_clear()
-    es._slot_factor_cached.cache_clear()
     es.singular_series_sweep([96, 97], ROOT, prime_cutoff=7, depth=2)
-    # moduli 2, 4, 8, 3, 5, 25, 7, 49, shared by the four coordinate slots
-    assert sorted(calls) == [2, 3, 4, 5, 7, 8, 25, 49]
+    # one orbit per prime, mod 8, 3, 25 and 49, shared by the four slots
+    assert sorted(calls) == [3, 8, 25, 49]
+
+
+def ramanujan_factor_table(root, p: int, kappa: int) -> np.ndarray:
+    """Oracle for _slot_factor_table: the local factors as the Ramanujan-sum
+    expansion 1 + sum_{k<=kappa} |O_k|^{-1} sum_{w in O_k} c_{p^k}(w_slot - n)
+    over the orbits O_k mod p^k, one convolution per level and slot."""
+    q = p ** kappa
+    table = np.ones((4, q))
+    for k in range(1, kappa + 1):
+        pk = p ** k
+        orb = cg._orbit_cached(root, pk)
+        ctab = np.array([es.ramanujan(pk, t) for t in range(pk)], dtype=float)
+        for slot in range(4):
+            hist = np.bincount(orb[:, slot], minlength=pk).astype(float)
+            contrib = np.array([hist @ ctab[(np.arange(pk) - n) % pk]
+                                for n in range(pk)]) / orb.shape[0]
+            # the level-k term depends on n mod p^k only
+            table[slot] += contrib[np.arange(q) % pk]
+    return table
+
+
+# every kappa whose orbit has at most 200,000 rows (131,072 mod 256); the
+# next ones, mod 512 (1,048,576 rows), 243 (5,314,410) and 125 (2,250,000),
+# are too large for a unit test, and mod 343 is above ORBIT_CAP
+@pytest.mark.parametrize("p, kappa", [(2, k) for k in range(1, 9)]
+                         + [(3, k) for k in range(1, 5)]
+                         + [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_slot_factor_table_matches_ramanujan_expansion(p, kappa):
+    table = es._slot_factor_table(ROOT, p, kappa)
+    assert table.shape == (4, p ** kappa)
+    assert (table >= 0).all()
+    np.testing.assert_allclose(table, ramanujan_factor_table(ROOT, p, kappa),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, small, larger", [(2, 3, (4, 5, 6, 7, 8)), (3, 1, (2, 3, 4)),
+                                              (5, 1, (2,)), (7, 1, (2,))])
+def test_slot_factor_table_is_tiled_above_the_prime_cap(p, small, larger):
+    """The local factors mod 8 and mod 3 are those of every higher power of
+    2 and 3, which _prime_cap relies on; for p >= 5 the factor mod p^2 is
+    the factor mod p (strong approximation, Fuchs, J. Number Theory 131,
+    2011), so a depth above 1 changes no factor at these primes."""
+    base = es._slot_factor_table(ROOT, p, small)
+    for kappa in larger:
+        tiled = np.tile(base, p ** (kappa - small))
+        table = es._slot_factor_table(ROOT, p, kappa)
+        assert ((table == 0) == (tiled == 0)).all()
+        np.testing.assert_allclose(table, tiled, rtol=1e-15, atol=0)
 
 
 def test_hat_functions():

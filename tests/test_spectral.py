@@ -166,14 +166,15 @@ def test_left_mult_perms_match_reference(q):
     # reference permutation of some s, one row for each pair {s, -s}
     for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
         G = sp.closure_sl2(q, gens)
-        perms, ns, cls = sp._class_perms(G, gens, q)
+        genc = sp._walk_generators(gens, q)
+        perms, cls = sp._class_perms(G, genc, q)
         full = reference_left_mult_perms(q, gens)
         index = {tuple(row): i for i, row in enumerate(G.elements.tolist())}
         neg = [index[tuple(-x % q for x in row)] for row in G.elements.tolist()]
         pairs = {frozenset((i, neg[i])) for i in range(G.order)}
         assert {frozenset(np.flatnonzero(cls == c).tolist())
                 for c in range(perms.shape[1])} == pairs
-        assert perms.dtype == np.int32 and ns == full.shape[0]
+        assert perms.dtype == np.int32 and genc.shape[0] == full.shape[0]
         folded = {tuple(cls[row].tolist()) for row in full}
         assert {tuple(row[cls].tolist()) for row in perms} == folded
         assert perms.shape[0] == len(folded)
@@ -352,6 +353,16 @@ def test_markov_spectrum_rejects_unsymmetric_generators(gens):
     # the walk on G/{+-I} needs S closed under s -> -s and s -> s^-1
     with pytest.raises(ValueError, match="symmetric_set"):
         sp.markov_spectrum(3, gens)
+
+
+def test_markov_spectrum_rejects_before_the_closure(monkeypatch):
+    # the check runs before closure_sl2, which at q = 11 would build and
+    # cache 1,771,440 elements (about 2 s and 150 MB) for nothing
+    calls = []
+    monkeypatch.setattr(sp, "closure_sl2", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="symmetric_set"):
+        sp.markov_spectrum(11, (sp.GAMMA1, sp.GAMMA2, sp.GAMMA3))
+    assert calls == []
 
 
 def test_block_spectrum_matches_power_oracle():
