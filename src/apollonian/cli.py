@@ -32,19 +32,20 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit on a 2-CPU machine: 25 s wall, 43 s CPU and
-# 208 MB with both CPUs, 47 s and 193 MB with --threads 1
-GASKET_DEFAULT_COST = ("about 25 s and 0.21 GB peak RSS on 2 CPUs "
-                       "(about 47 s with --threads 1)")
+# `gasket` at the default limit on a 2-CPU machine: 10 s wall, 19 s CPU and
+# 150 MB with both CPUs, 16 s and 144 MB with --threads 1
+GASKET_DEFAULT_COST = ("about 10 s and 0.15 GB peak RSS on 2 CPUs "
+                       "(about 16 s with --threads 1)")
 # the walk expands about one quadruple per circle of curvature at most N, a
 # count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
-# 4.90e8 at 1e8 and 2.06e9 at 3e8, at about 90 ns of CPU each; the peak is
-# the N-byte mask plus the walk's stack (107 MB, 208 MB and 464 MB)
+# 4.90e8 at 1e8 and 2.06e9 at 3e8, at 35-50 ns of CPU each; the peak is the
+# N-byte mask, the walk's stack and one int32 mark buffer of at most 4 MB
+# per worker (80 MB, 150 MB and 367 MB on 2 CPUs)
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's "
-                 "stack: 3e8 took 141 s and 0.46 GB on 2 CPUs")
+                 "stack: 3e8 took 55 s and 0.37 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
-# the stack: 4e8 (3.00e9 quadruples) peaks at 752 MB and 8e8 (7.41e9) at
-# 1.27 GB on 2 CPUs, so a larger N exits 3 before the mask is allocated
+# the stack: 4e8 (3.00e9 quadruples) peaks at 479 MB and 8e8 (7.41e9) at
+# 913 MB on 2 CPUs, so a larger N exits 3 before the mask is allocated
 GASKET_LIMIT_CAP = 8 * 10**8
 # `delta-fit` reports one (Y, count) row per point, about 580 bytes each
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU
@@ -574,7 +575,7 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
-                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 1.3 GB) "
+                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.9 GB) "
                         f"exits 3")
     p.add_argument("--threads", type=int, default=None,
                    help="threads sharing the tree walk, at most the CPUs this "

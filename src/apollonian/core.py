@@ -278,16 +278,6 @@ def unipotent_c1_power(n: int) -> Mat4:
     )
 
 
-def unipotent_c2_power(n: int) -> Mat4:
-    """C2^n = (S2 S3)^n."""
-    return (
-        (1, 0, 0, 0),
-        (4 * n * n + 2 * n, 2 * n + 1, -2 * n, 4 * n * n + 2 * n),
-        (4 * n * n - 2 * n, 2 * n, 1 - 2 * n, 4 * n * n - 2 * n),
-        (0, 0, 0, 1),
-    )
-
-
 def spin_rho(g) -> Mat4:
     """Spin map SL2 -> SO(2,1) inside 4x4, with 1/det prefactor.
 

@@ -105,10 +105,6 @@ def reduce_class(form) -> FormClass:
     return FormClass(A, B, C)
 
 
-def same_class(f1, f2) -> bool:
-    return reduce_class(f1) == reduce_class(f2)
-
-
 def reduced_forms_of_discriminant(a: int) -> list:
     """All reduced primitive classes (gcd(A,B,C)=1) of discriminant -4a^2."""
     det = a * a  # AC - B^2

@@ -104,13 +104,16 @@ class CurvatureSet:
 
 
 def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
-                         block_size: int = 1 << 14, threads: int = 1) -> CurvatureSet:
+                         block_size: int = 1 << 15, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
     threads workers share one LIFO stack of sorted quadruple columns.  A
-    worker takes about block_size rows off the top, marks their fresh
-    entries in the shared mask and pushes their children back, until the
-    stack is empty and no worker holds rows.  The witness of a curvature is
+    worker takes about block_size rows off the top, gathers their fresh
+    entries in a mark buffer of its own and pushes their children back,
+    until the stack is empty and no worker holds rows; a full buffer, and
+    the buffer of a worker leaving the walk, is sorted and written into the
+    shared mask.  Besides the N-byte mask the walk holds its stack and one
+    buffer of at most N/8 bytes per worker.  The witness of a curvature is
     the first sorted quadruple seen to hold it; it follows the traversal, so
     it is fixed only at threads=1.  An exception in a worker stops the walk
     and is raised here.  The result's rows counts the quadruples expanded.
@@ -118,6 +121,8 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     root = core.validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
+    if block_size < 1:
+        raise core.InputError(f"block_size must be at least 1, got {block_size}")
     if n_max <= 0:
         return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool), rows=0)
     dtype = _column_dtype(root, n_max)
@@ -132,7 +137,8 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
-    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, block_size, mask, wit)
+    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, block_size, mask, wit,
+                       dtype)
     workers = []
     try:
         for _ in range(threads - 1):
@@ -151,37 +157,60 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     return CurvatureSet.from_bool(n_max, mask, wit, walk.rows)
 
 
+# entries of a worker's mark buffer, at most; it also holds at most n_max/8
+# bytes, so a small walk pays no more for it than the packed bitset.  At
+# N = 3e7 a full buffer holds one value per 32 bytes of the mask: a random
+# write into the mask costs 25-38 ns a value, sorting the buffer about 4 ns
+# and writing it in order about 5 ns (2-CPU VM, numpy 2.4)
+MARK_BUFFER_ENTRIES = 1 << 20
+# values written into the mask per fancy-index call: its intp index
+# temporary is 512 KB, not the whole buffer
+MARK_CHUNK = 1 << 16
+
+
 class _SharedWalk:
     """Depth-first walk of the quadruple tree by any number of threads.
 
-    stack holds column tuples of sorted quadruples not yet expanded.  busy
-    counts the workers holding rows taken off it: the walk is over when the
-    stack is empty and busy is 0, or when a worker has failed.  Setting True
-    in the mask is idempotent, so without witnesses the mask is written
-    outside the lock; new bits and their witnesses are read and written
-    under it."""
+    stack holds column tuples of sorted quadruples not yet expanded, each
+    owning its memory: the rest of a split entry goes back as a copy, so no
+    expanded rows stay alive behind a view.  busy counts the workers holding
+    rows taken off it: the walk is over when the stack is empty and busy is
+    0, or when a worker has failed.  Without witnesses each worker gathers the
+    fresh entries of its blocks in a buffer of its own and, when it is full
+    or the worker leaves, sorts it and writes it into the mask outside the
+    lock: setting True is idempotent and order-free.  With witnesses the
+    marks are immediate, and new bits and their witnesses are read and
+    written under the lock."""
 
-    def __init__(self, stack, n_max, block_size, mask, wit):
+    def __init__(self, stack, n_max, block_size, mask, wit, dtype):
         self.stack = stack
         self.n_max = n_max
         self.block_size = block_size
         self.mask = mask
         self.wit = wit
+        self.dtype = np.dtype(dtype)
+        self.mark_entries = max(1, min(MARK_BUFFER_ENTRIES,
+                                       n_max // (8 * self.dtype.itemsize)))
         self.cond = threading.Condition()
         self.busy = 0
         self.rows = 0
         self.errors = []
 
     def _take(self):
-        """Pop stack entries, under the lock, until block_size rows are held;
-        the rows past block_size go back on the stack."""
+        """Pop stack entries, under the lock, until block_size rows are held.
+        A split entry is taken from its tail, where `_children` puts the
+        a-children: each has the largest fresh entry of its parent's children,
+        so the smallest subtree.  The head goes back on the stack as a copy.
+        Finishing the small subtrees first keeps the stack small: at N = 3e7
+        it peaks at 5 MB, where taking the head first peaks at 25 MB."""
         parts, held = [], 0
         while self.stack and held < self.block_size:
             cols = self.stack.pop()
             room = self.block_size - held
             if cols[0].size > room:
-                self.stack.append(tuple(x[room:] for x in cols))
-                cols = tuple(x[:room] for x in cols)
+                cut = cols[0].size - room
+                self.stack.append(tuple(x[:cut].copy() for x in cols))
+                cols = tuple(x[cut:] for x in cols)
             parts.append(cols)
             held += cols[0].size
         self.rows += held
@@ -195,12 +224,14 @@ class _SharedWalk:
 
     def run(self):
         cond = self.cond
+        marks = np.empty(self.mark_entries, self.dtype) if self.wit is None else None
+        held = 0
         while True:
             with cond:
                 while not self.stack and self.busy and not self.errors:
                     cond.wait()
                 if self.errors or not self.stack:
-                    return
+                    break
                 parts = self._take()
                 self.busy += 1
             kids = None
@@ -208,8 +239,8 @@ class _SharedWalk:
                 cols = parts[0] if len(parts) == 1 else tuple(
                     np.concatenate(x) for x in zip(*parts))
                 d = cols[3]
-                if self.wit is None:
-                    self.mask[d.astype(np.intp)] = True
+                if marks is not None:
+                    held = self._gather(marks, held, d)
                 else:
                     with cond:
                         new = np.flatnonzero(~self.mask[d])
@@ -225,6 +256,31 @@ class _SharedWalk:
                     if kids is not None and kids[0].size:
                         self.stack.append(kids)
                     cond.notify_all()
+        if held and not self.errors:
+            try:
+                self._flush(marks[:held])
+            except BaseException as e:
+                self.fail(e)
+
+    def _gather(self, marks, held, d):
+        """Copy d into marks[held:], flushing marks whenever it fills;
+        returns the entries it holds after."""
+        start = 0
+        while start < d.size:
+            n = min(marks.size - held, d.size - start)
+            marks[held:held + n] = d[start:start + n]
+            held += n
+            start += n
+            if held == marks.size:
+                self._flush(marks)
+                held = 0
+        return held
+
+    def _flush(self, vals):
+        """Sort vals in place and set their bits in the mask, in chunks."""
+        vals.sort()
+        for i in range(0, vals.size, MARK_CHUNK):
+            self.mask[vals[i:i + MARK_CHUNK]] = True
 
 
 def _column_dtype(root, n_max):
@@ -491,18 +547,3 @@ def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Fa
     forms //= 2
     return Family(root, t1, t2, g1_index, g2_index, shell1, shell2, quads, quads[:, 0],
                   forms)
-
-
-def modular_equidistribution_report(family: Family, q: int) -> dict:
-    """Histogram of the anchor curvatures a_gamma mod q."""
-    if q < 1:
-        raise ValueError("q >= 1")
-    counts = np.bincount(family.a % q, minlength=q)
-    occupied = {int(r): int(c) for r, c in enumerate(counts) if c > 0}
-    return {
-        "q": q,
-        "counts": occupied,
-        "occupied_classes": len(occupied),
-        "max_count": int(counts.max()) if len(family) else 0,
-        "family_size": len(family),
-    }

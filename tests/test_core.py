@@ -81,6 +81,16 @@ def test_reduce_round_trip():
         assert core.apply_word(list(reversed(back)), rt) == v
 
 
+def unipotent_c2_power(n: int):
+    """C2^n = (S2 S3)^n."""
+    return (
+        (1, 0, 0, 0),
+        (4 * n * n + 2 * n, 2 * n + 1, -2 * n, 4 * n * n + 2 * n),
+        (4 * n * n - 2 * n, 2 * n, 1 - 2 * n, 4 * n * n - 2 * n),
+        (0, 0, 0, 1),
+    )
+
+
 def test_unipotent_powers():
     assert core.unipotent_c1_power(0) == core.IDENTITY
     assert core.unipotent_c1_power(1) == core.C1
@@ -96,7 +106,7 @@ def test_unipotent_powers():
             core.J_CONJ,
             core.mat_mul(core.spin_rho(((1, 0), (2 * n, 1))), core.J_CONJ_INV))
         assert tuple(tuple(int(x) for x in r) for r in via_spin2) == \
-            core.unipotent_c2_power(n)
+            unipotent_c2_power(n)
 
 
 def test_spin_rho_display():

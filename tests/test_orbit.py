@@ -70,6 +70,9 @@ def test_monotone_and_thread_determinism():
     for bad in (0, -3):
         with pytest.raises(ValueError):
             orbit.enumerate_curvatures(ROOT, 100, threads=bad)
+    for bad in (0, -5):
+        with pytest.raises(core.InputError):
+            orbit.enumerate_curvatures(ROOT, 1000, block_size=bad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,6 +129,43 @@ def test_walk_matches_reference(root, n_max):
             cs = orbit.enumerate_curvatures(root, n_max, block_size=block_size,
                                             threads=threads)
             assert np.array_equal(cs.to_bool(), want), (block_size, threads)
+
+
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
+                                  (-6, 11, 14, 15), ROOT])
+def test_mark_buffer_flushes(root, monkeypatch):
+    # a mark buffer of 5 entries, fewer than a block of 7 rows or of the
+    # default size, is flushed when it fills, often within one block, and
+    # when a worker leaves the walk holding fewer than 5 marks
+    monkeypatch.setattr(orbit, "MARK_BUFFER_ENTRIES", 5)
+    sizes = []
+    flush = orbit._SharedWalk._flush
+
+    def spy(walk, vals):
+        sizes.append(vals.size)
+        return flush(walk, vals)
+
+    monkeypatch.setattr(orbit._SharedWalk, "_flush", spy)
+    want = reference_curvatures(root, 5000)
+    for blocks in ({"block_size": 1}, {"block_size": 7}, {}):
+        for threads in (1, 3):
+            cs = orbit.enumerate_curvatures(root, 5000, threads=threads, **blocks)
+            assert np.array_equal(cs.to_bool(), want), (blocks, threads)
+    assert max(sizes) == 5 and min(sizes) < 5
+
+
+def test_split_entry_goes_back_as_a_copy():
+    # the rest of a split entry must not keep the popped arrays, rows
+    # already expanded included, alive behind a view
+    cols = tuple(np.arange(40, dtype=np.int32) + k for k in range(4))
+    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 + 1, dtype=bool), None,
+                             np.int32)
+    (taken,) = walk._take()
+    (rest,) = walk.stack
+    assert taken[0].size == 16 and rest[0].size == 24 and walk.rows == 16
+    assert not any(np.shares_memory(r, x) for r in rest for x in cols)
+    for x, r, t in zip(cols, rest, taken):
+        assert np.array_equal(np.sort(np.concatenate((r, t))), x)
 
 
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
@@ -578,13 +618,28 @@ def test_family_empty_window():
         orbit.build_family(ROOT, 2, 8)
 
 
+def modular_equidistribution_report(family, q: int) -> dict:
+    """Histogram of the anchor curvatures a_gamma mod q."""
+    if q < 1:
+        raise ValueError("q >= 1")
+    counts = np.bincount(family.a % q, minlength=q)
+    occupied = {int(r): int(c) for r, c in enumerate(counts) if c > 0}
+    return {
+        "q": q,
+        "counts": occupied,
+        "occupied_classes": len(occupied),
+        "max_count": int(counts.max()) if len(family) else 0,
+        "family_size": len(family),
+    }
+
+
 def test_modular_equidistribution(family_32):
-    rep1 = orbit.modular_equidistribution_report(family_32, 1)
+    rep1 = modular_equidistribution_report(family_32, 1)
     assert rep1["occupied_classes"] == 1
     assert rep1["counts"][0] == len(family_32)
-    rep24 = orbit.modular_equidistribution_report(family_32, 24)
+    rep24 = modular_equidistribution_report(family_32, 24)
     assert set(rep24["counts"]) <= {0, 4, 12, 13, 16, 21}
-    rep5 = orbit.modular_equidistribution_report(family_32, 5)
+    rep5 = modular_equidistribution_report(family_32, 5)
     counts = list(rep5["counts"].values())
     assert max(counts) <= 4 * min(counts)
 
