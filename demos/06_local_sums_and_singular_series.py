@@ -3,8 +3,9 @@
 S_f is a normalized complete sum in two variables; for odd moduli it
 collapses to Gauss sums and the closed form reproduces the direct sum to
 ten digits on its whole domain.  The singular series multiplies local
-densities read off the orbit mod prime powers and vanishes exactly on the
-non-admissible classes.
+densities: at 2 and 3 they are read off the orbit mod 8 and mod 3, and at
+p >= 5, where the orbit mod p is the whole punctured Descartes cone, they
+have a closed form.  It vanishes exactly on the non-admissible classes.
 """
 
 import numpy as np

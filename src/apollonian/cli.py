@@ -51,6 +51,10 @@ GASKET_LIMIT_CAP = 8 * 10**8
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU
 # machine, so more exit 3 before the radii are allocated
 DELTA_FIT_POINTS_CAP = 10**6
+# `expsum` tallies all q0^2 residue pairs in sf_direct, in chunks of 2^22: q0
+# = 10,007 takes 1.9 s, 20,011 8.1 s and 30,000 18 s, each near 0.16 GB on a
+# 2-CPU machine, so a larger q0 exits 3 before the tally
+EXPSUM_Q0_CAP = 20_000
 # `circle` keeps about 100 bytes per grid point (the bump, the folded weights
 # and their transforms): at 2^22 points it takes 4 s and 0.47 GB on a 2-CPU
 # machine with the T = 8 family at X = 8, and 9.5 s and 1.19 GB with T = 32
@@ -286,6 +290,8 @@ def _parse_form(s: str) -> forms.ShiftedForm:
 def cmd_expsum(args) -> int:
     t0 = time.time()
     f = _parse_form(args.form)
+    if args.q0 > EXPSUM_Q0_CAP:
+        raise orbit.CapExceededError(f"--q0 {args.q0} is above the cap {EXPSUM_Q0_CAP}")
     val = expsums.sf_direct(f, args.q0, args.r, args.n, args.m)
     results = {"sf_direct": val}
     if args.q0 % 2 == 1:
@@ -298,7 +304,9 @@ def cmd_expsum(args) -> int:
 def cmd_singular(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
-    val = expsums.singular_series(args.n, root, args.pcut, args.depth)
+    if args.depth < 1:
+        raise core.InputError(f"--depth must be at least 1, got {args.depth}")
+    val = expsums.singular_series(args.n, root, args.pcut)
     results = {
         "n": args.n,
         "singular_series": val,
@@ -607,7 +615,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("expsum", help="local exponential sum values")
     _add_common(p)
     p.add_argument("--form", default="10,7,17,-11")
-    p.add_argument("--q0", type=int, required=True)
+    p.add_argument("--q0", type=int, required=True,
+                   help=f"modulus; time grows like q0^2, and above {EXPSUM_Q0_CAP:,} "
+                        f"(about 8 s) exits 3")
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--m", type=int, default=0)
@@ -617,11 +627,11 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pcut", type=int, default=13,
-                   help=f"primes up to this cutoff; the orbit mod p^depth has "
-                        f"about p^(3 depth) rows, and more than "
-                        f"{congruence.ORBIT_CAP:,} exits 3 (--pcut 250 at depth 1 "
-                        f"after about 2 min, near 1.4 GB)")
-    p.add_argument("--depth", type=int, default=1)
+                   help=f"primes up to this cutoff; above "
+                        f"{expsums.PRIME_CUTOFF_CAP:,} (about 2.7 s and 0.39 GB) exits 3")
+    p.add_argument("--depth", type=int, default=1,
+                   help="at least 1; changes no factor (the 2- and 3-factors are "
+                        "read mod 8 and mod 3, the others in closed form)")
     p.set_defaults(func=cmd_singular)
 
     p = sub.add_parser("spectral", help="quotient spectra and transference")
@@ -638,9 +648,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("circle", help="toy circle-method decomposition")
     _add_common(p, root=True)
     p.add_argument("--t1", type=int, default=8,
-                   help=f"norm shell of gamma1; with --t2, more than "
+                   help=f"norm shell of gamma1; above {orbit.SHELL_T_CAP:,} (for "
+                        f"--t1 or --t2), or with --t2 more than "
                         f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (the family alone about "
-                        f"0.33 GB) exit 3")
+                        f"0.33 GB), exit 3")
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32,
                    help=f"box scale X; members times live (x, y) points above "

@@ -507,16 +507,25 @@ class Family:
 # each, so near the cap the family peaks near 0.33 GB (4,043,520 pairs at
 # T1 = 632, T2 = 1024: 321 MB)
 FAMILY_PAIR_CAP = 1 << 22
+# largest T_i norm_shells walks to: the smallest non-empty shell holds 12
+# elements (T = 6 to 9), and at T = 38,300 12 times the T-shell is already
+# above FAMILY_PAIR_CAP; the walk to 4 T at T = 38,000 takes about 3 s and
+# 0.32 GB
+SHELL_T_CAP = 38_000
 
 
 def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
     """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i,
     split by norm from one walk that keeps both.
 
-    A CapExceededError is raised when they hold more than count_cap pairs."""
+    A CapExceededError is raised before the walk when a T_i is above
+    SHELL_T_CAP, and after it when the shells hold more than count_cap
+    pairs."""
     if t1 < 4 or t2 < 4:
         raise core.InputError("norm windows need T1, T2 >= 4")
     lo, hi = min(t1, t2), max(t1, t2)
+    if hi > SHELL_T_CAP:
+        raise CapExceededError(f"norm shell T = {hi} is above the cap {SHELL_T_CAP}")
     _, kept = enumerate_gamma((4 * hi) ** 2, keep_window=(lo * lo, 4 * hi * hi))
     nsq = np.einsum("nij,nij->n", kept, kept)
     shell1, shell2 = (kept[(nsq > t * t) & (nsq < 4 * t * t)] for t in (t1, t2))

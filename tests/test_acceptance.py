@@ -162,7 +162,7 @@ def test_criterion_08_s_identities(crt_mismatches):
 
 def test_criterion_09_singular_series(registry):
     ns = np.arange(1, 10001)
-    vals = es.singular_series_sweep(ns, ROOT, 13, 1)
+    vals = es.singular_series_sweep(ns, ROOT, 13)
     adm = np.array([n % 24 in cg.admissible_classes(24, ROOT) for n in ns])
     assert ((vals > 0) == adm).all()
     registry.check("acceptance.singular_96", es.singular_series(96, ROOT))

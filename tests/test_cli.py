@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apollonian import cli, congruence, orbit, spectral
+from apollonian import cli, congruence, expsums, orbit, spectral
 from apollonian.cli import FrozenMismatch, FrozenRegistry
 
 
@@ -174,6 +174,8 @@ def test_admissible_exit_codes(monkeypatch, capsys):
     ["gasket", "--limit", "100", "--out", "."],
     ["admissible", "--out", "/nonexistent/r.json"],
     ["admissible", "--out", "."],
+    # n outside int64
+    ["singular", "--n", "100000000000000000000"],
 ])
 def test_bad_input_exits_2_with_one_line(argv, capsys):
     assert run(argv) == 2
@@ -317,6 +319,9 @@ def _limit_address_space():
     ["circle", "--t1", "1024", "--t2", "1024", "--x", "8"],
     # about 100 GB at 100 bytes a grid point
     ["circle", "--t1", "8", "--t2", "8", "--x", "8", "--grid", "1000000000"],
+    # the norm-shell walk to 4e20 would keep every element it meets, up to
+    # its 50M-element cap (about 6.4 GB of 4x4 matrices)
+    ["circle", "--t1", "100000000000000000000", "--t2", "32", "--x", "4"],
 ])
 def test_circle_over_cap_exits_3_before_allocating(argv):
     # under a 3 GB address-space limit the allocation itself would fail,
@@ -353,20 +358,25 @@ def test_delta_fit_over_cap_exits_3_before_allocating():
     assert out.stderr.strip() == f"--points 1000000000 is above the cap {cli.DELTA_FIT_POINTS_CAP}"
 
 
-def test_singular_depth_over_cap_exits_3(monkeypatch, capsys):
-    # one orbit per prime, mod p^depth: at depth 50 the modulus 5^50 is
-    # refused before any arithmetic, and at depth 9 the orbit mod 5^9
-    # reaches the closure cap (at the shipped cap after about 18 s and
-    # 0.93 GB; a lower one here makes it fire sooner)
-    monkeypatch.setattr(congruence, "vector_orbit",
-                        functools.partial(congruence.vector_orbit, cap=200_000))
-    assert run(["singular", "--n", "5", "--depth", "50"]) == 3
-    err = capsys.readouterr().err
-    assert err.strip() == (f"modulus {5**50} is above the cap "
-                           f"{congruence.ORBIT_MODULUS_CAP}"), err
-    assert run(["singular", "--n", "5", "--depth", "9"]) == 3
-    err = capsys.readouterr().err
-    assert err.strip() == "closure exceeded cap 200000", err
+@pytest.mark.parametrize("pcut", ["100000001", "100000000000000000000"])
+def test_singular_pcut_over_cap_exits_3(pcut):
+    # the sieve takes a byte per integer up to --pcut: at 1e20 it could not
+    # be allocated under the 3 GB address-space limit, so only a check made
+    # before it can exit 3
+    out = run_child("-m", "apollonian", "singular", "--n", "5", "--pcut", pcut, timeout=60,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"prime cutoff {pcut} is above the cap {expsums.PRIME_CUTOFF_CAP}"
+
+
+@pytest.mark.parametrize("q0", ["20001", "100000000000000000000"])
+def test_expsum_over_cap_exits_3_before_allocating(q0):
+    # sf_direct tallies q0^2 residue pairs into q0 counts: at 1e20 the counts
+    # alone could not be allocated, and at 20,001 the tally takes about 8 s
+    out = run_child("-m", "apollonian", "expsum", "--q0", q0, timeout=60,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == f"--q0 {q0} is above the cap {cli.EXPSUM_Q0_CAP}"
 
 
 def test_spectral_over_cap_exits_3():

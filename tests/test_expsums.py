@@ -7,6 +7,8 @@ from apollonian import congruence as cg
 from apollonian import core, expsums as es, orbit
 from apollonian.forms import ShiftedForm
 
+from conftest import square_classes
+
 ROOT = (-11, 21, 24, 28)
 F0 = ShiftedForm(10, 7, 17, -11)
 
@@ -74,6 +76,29 @@ def test_closed_form_shear_path():
                 continue
             assert abs(es.sf_closed(f, q0, r, n, m)
                        - es.sf_direct(f, q0, r, n, m)) < 1e-9
+
+
+def test_sf_table_square_class_identity():
+    """S_f(q0, r u^2; n, m) = S_f(q0, r; n/u, m/u) for every unit r and u and
+    every q0 <= 60, table for table: the reduction the sf_bound fixture makes.
+    Each q0's tables are built once and compared by index permutation."""
+    for q0 in range(2, 61):
+        units = [r for r in range(1, q0) if gcd(r, q0) == 1]
+        tabs = np.stack([es.sf_table(F0, q0, r) for r in units])
+        pos = {r: i for i, r in enumerate(units)}
+        for u in units:
+            idx = pow(u, -1, q0) * np.arange(q0) % q0
+            lhs = tabs[[pos[r * u * u % q0] for r in units]]
+            assert np.abs(lhs - tabs[:, idx][:, :, idx]).max() < 1e-12, (q0, u)
+
+
+def test_square_classes_cover_the_units():
+    """One r per square class: the classes r * squares partition the units."""
+    for q0 in range(1, 201):
+        units = {r % q0 for r in range(1, q0 + 1) if gcd(r, q0) == 1}
+        squares = {u * u % q0 for u in units}
+        classes = [{r * s % q0 for s in squares} for r in square_classes(q0)]
+        assert sum(map(len, classes)) == len(units) == len(set().union(*classes)), q0
 
 
 def test_sqrt_bound_odd_moduli(sf_bound):
@@ -160,7 +185,7 @@ def test_ramanujan_exhaustive_small():
 
 def test_singular_series_vanishing():
     ns = np.arange(1, 10001)
-    vals = es.singular_series_sweep(ns, ROOT, 13, 1)
+    vals = es.singular_series_sweep(ns, ROOT, 13)
     adm = np.array([n % 24 in cg.admissible_classes(24, ROOT) for n in ns])
     assert ((vals > 0) == adm).all()
     assert (vals >= 0).all()
@@ -191,9 +216,40 @@ def test_singular_series_computes_each_orbit_once(monkeypatch):
 
     monkeypatch.setattr(cg, "vector_orbit", counted)
     cg._orbit_cached.cache_clear()
-    es.singular_series_sweep([96, 97], ROOT, prime_cutoff=7, depth=2)
-    # one orbit per prime, mod 8, 3, 25 and 49, shared by the four slots
-    assert sorted(calls) == [3, 8, 25, 49]
+    es.singular_series_sweep([96, 97], ROOT, prime_cutoff=7)
+    # one orbit mod 8 and one mod 3, shared by the four slots; no orbit mod
+    # p >= 5 is closed
+    assert sorted(calls) == [3, 8]
+
+
+SIX_ROOTS = [(-11, 21, 24, 28), (-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
+             (-6, 10, 15, 19), (0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("root", SIX_ROOTS)
+def test_closed_form_factors_match_the_orbits(root):
+    """The closed-form factor at p >= 5 against the orbit mod p: the sweep at
+    cutoff 31 equals the slot average of the product of the orbit tables
+    mod 8, 3 and every prime 5 <= p <= 31, and both vanish together."""
+    ns = np.arange(20001)
+    oracle = np.ones((4, ns.size))
+    for p, kappa in ((2, 3), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1),
+                     (19, 1), (23, 1), (29, 1), (31, 1)):
+        oracle *= es._slot_factor_table(root, p, kappa)[:, ns % p ** kappa]
+    oracle = oracle.sum(axis=0) / 4.0
+    vals = es.singular_series_sweep(ns, root, 31)
+    assert ((vals == 0) == (oracle == 0)).all()
+    np.testing.assert_allclose(vals, oracle, rtol=1e-14, atol=0)
+
+
+def test_singular_series_checks_root_and_range():
+    for bad in ((1, 2, 3, 4), (-22, 42, 48, 56)):
+        with pytest.raises(es.InputError):
+            es.singular_series(5, bad)
+    with pytest.raises(es.InputError):
+        es.singular_series(10**20, ROOT)
+    with pytest.raises(es.CapExceededError):
+        es.singular_series(5, ROOT, es.PRIME_CUTOFF_CAP + 1)
 
 
 def ramanujan_factor_table(root, p: int, kappa: int) -> np.ndarray:
@@ -233,9 +289,9 @@ def test_slot_factor_table_matches_ramanujan_expansion(p, kappa):
                                               (5, 1, (2,)), (7, 1, (2,))])
 def test_slot_factor_table_is_tiled_above_the_prime_cap(p, small, larger):
     """The local factors mod 8 and mod 3 are those of every higher power of
-    2 and 3, which _prime_cap relies on; for p >= 5 the factor mod p^2 is
-    the factor mod p (strong approximation, Fuchs, J. Number Theory 131,
-    2011), so a depth above 1 changes no factor at these primes."""
+    2 and 3, which singular_series_sweep relies on; for p >= 5 the factor mod
+    p^2 is the factor mod p (strong approximation, Fuchs, J. Number Theory
+    131, 2011), so a higher power of p changes no factor at these primes."""
     base = es._slot_factor_table(ROOT, p, small)
     for kappa in larger:
         tiled = np.tile(base, p ** (kappa - small))
