@@ -56,9 +56,11 @@ DELTA_FIT_POINTS_CAP = 10**6
 # 2-CPU machine, so a larger q0 exits 3 before the tally
 EXPSUM_Q0_CAP = 20_000
 # `circle` keeps about 100 bytes per grid point (the bump, the folded weights
-# and their transforms): at 2^22 points it takes 4 s and 0.47 GB on a 2-CPU
-# machine with the T = 8 family at X = 8, and 9.5 s and 1.19 GB with T = 32
-# at X = 160; 2^23 would take 0.89 GB and 1.50 GB
+# and their transforms) on top of the family and its representation numbers:
+# at 2^22 points it takes 4 s and 0.47 GB on a 2-CPU machine with the T = 8
+# family at X = 8, 6.5 s and 0.85 GB with T = 32 at X = 160 (16.3M pairs)
+# and 6.6 s and 1.05 GB with T1 = 632, T2 = 1024 at X = 5 (the largest
+# family, 11.0M pairs); 2^23 would add about 0.4 GB to each
 CIRCLE_GRID_CAP = 1 << 22
 # `render` holds two levels of the reflection tree, 4 * 3^(depth - 1) nodes at
 # the last, as float arrays and writes the circles as it goes, so time, memory
@@ -197,6 +199,22 @@ def _peak_rss_mb():
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, 1)
 
 
+class StageRecorder:
+    """The stages block of a report.  Each call records the stage that ran
+    since the previous call (or since the recorder was made): its seconds,
+    the items it processed and the peak RSS after it."""
+
+    def __init__(self):
+        self.stages = {}
+        self._start = time.time()
+
+    def __call__(self, name: str, items: int) -> None:
+        end = time.time()
+        self.stages[name] = {"s": round(end - self._start, 3), "items": int(items),
+                             "peak_rss_mb": _peak_rss_mb()}
+        self._start = end
+
+
 def cmd_gasket(args) -> int:
     t0 = time.time()
     root = _parse_root(args.root)
@@ -214,24 +232,14 @@ def cmd_gasket(args) -> int:
         raise core.InputError(f"--threads {args.threads} is above the {cpus} CPUs "
                               f"this process may run on")
     adm = congruence.admissible_classes(24, root)
-    stages = {}
-
-    def stage(name, start, items):
-        """Record a stage begun at start; returns the time it ended."""
-        end = time.time()
-        peak_mb = _peak_rss_mb()
-        stages[name] = {"s": round(end - start, 3), "items": int(items),
-                        "peak_rss_mb": peak_mb}
-        return end
-
-    start = time.time()
+    stage = StageRecorder()
     cs = orbit.enumerate_curvatures(root, args.limit, threads=args.threads)
-    start = stage("walk", start, cs.rows)
+    stage("walk", cs.rows)
     rep = orbit.census(cs, adm)
-    start = stage("census", start, cs.n_max)
+    stage("census", cs.n_max)
     if args.snapshot:
         cs.save(args.snapshot)
-        stage("snapshot", start, cs.bits.size)
+        stage("snapshot", cs.bits.size)
     results = {
         "residue_counts": rep.residue_counts,
         "curvature_count": rep.curvature_count,
@@ -243,7 +251,7 @@ def cmd_gasket(args) -> int:
     }
     if args.limit <= 1000:
         results["curvatures"] = cs.values()
-    emit_report("gasket", vars(args), results, args.out, t0=t0, stages=stages)
+    emit_report("gasket", vars(args), results, args.out, t0=t0, stages=stage.stages)
     return EXIT_OK
 
 
@@ -355,25 +363,39 @@ def cmd_spectral(args) -> int:
 
 def cmd_circle(args) -> int:
     t0 = time.time()
+    stage = StageRecorder()
     root = _parse_root(args.root)
     for flag, v in (("--q0cap", args.q0cap), ("--grid", args.grid), ("--k0", args.k0)):
         if not v > 0:
             raise core.InputError(f"{flag} must be positive, got {v}")
-    # the caps, then the grid, are checked before the family is built; the
-    # shells are enumerated again by build_family, which costs about 1.4 ms
-    # at T1 = T2 = 32
+    # the caps, then the shells and the grid, are checked before the family
+    # is built; the shells are enumerated again by build_family, which costs
+    # about 1.4 ms at T1 = T2 = 32
     if args.grid > CIRCLE_GRID_CAP:
         raise orbit.CapExceededError(f"--grid {args.grid} is above the cap {CIRCLE_GRID_CAP}")
     expsums.box_axes(args.x)
-    orbit.norm_shells(args.t1, args.t2)
+    for flag, t, shell in zip(("--t1", "--t2"), (args.t1, args.t2),
+                              orbit.norm_shells(args.t1, args.t2)):
+        if not shell.shape[0]:
+            raise core.InputError(f"{flag} {t}: the norm shell {t} < ||gamma|| < {2 * t} "
+                                  f"is empty, so the family is empty")
     n_scale = args.t1 * args.t2 * args.x * args.x
     bump = expsums.bump_on_grid(n_scale, args.q0cap, args.k0, args.grid)
+    stage("bump", args.grid)
     fam = orbit.build_family(root, args.t1, args.t2)
+    if not len(fam):
+        raise core.InputError(f"the anchor cut a > T1 T2 / 100 leaves no member of the "
+                              f"family at --t1 {args.t1} --t2 {args.t2}")
+    stage("family", len(fam))
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
+    stage("representation", rep.pairs)
     dec = expsums.major_arc_decomposition(rep, bump)
     resid = float(np.abs(dec.major + dec.error - dec.folded).max())
+    stage("decomposition", dec.grid)
+    minor_grid = min(args.grid, 1 << 12)
     minor = expsums.minor_arc_report(rep, n_scale, args.q0cap, args.k0,
-                                     min(args.grid, 1 << 12), args.x * fam.t)
+                                     minor_grid, args.x * fam.t)
+    stage("minor_arcs", minor_grid)
     results = {
         "family_size": len(fam),
         "support_size": rep.values.size,
@@ -382,7 +404,7 @@ def cmd_circle(args) -> int:
         "decomposition_residual": resid,
         "minor_arc_report": minor,
     }
-    emit_report("circle", vars(args), results, args.out, t0=t0)
+    emit_report("circle", vars(args), results, args.out, t0=t0, stages=stage.stages)
     return EXIT_OK
 
 
@@ -651,11 +673,14 @@ def main(argv=None) -> int:
                    help=f"norm shell of gamma1; above {orbit.SHELL_T_CAP:,} (for "
                         f"--t1 or --t2), or with --t2 more than "
                         f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (the family alone about "
-                        f"0.33 GB), exit 3")
+                        f"0.33 GB), exit 3; an empty shell or family exits 2")
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32,
                    help=f"box scale X; members times live (x, y) points above "
-                        f"{expsums.REPRESENTATION_CAP:,} (about 1.2 GB) exit 3")
+                        f"{expsums.REPRESENTATION_CAP:,} (32-36 bytes each: "
+                        f"0.85-1.05 GB near the cap with --grid 4194304) exit 3, and so "
+                        f"do values too wide for the int64 keys (roots with entries "
+                        f"near 1e12)")
     p.add_argument("--u", type=int, default=0,
                    help="Moebius truncation U >= 2: sum mu(u) over u | (2x, y), u < U, "
                         "in place of gcd(2x, y) = 1; 0 (default) keeps the exact gcd")
@@ -663,7 +688,8 @@ def main(argv=None) -> int:
     p.add_argument("--k0", type=float, default=64.0)
     p.add_argument("--grid", type=int, default=1 << 16,
                    help=f"points of the uniform grid on the circle; above "
-                        f"{CIRCLE_GRID_CAP:,} (about 1.2 GB at --x 160) exit 3")
+                        f"{CIRCLE_GRID_CAP:,} (about 1.05 GB at --t1 632 --t2 1024 "
+                        f"--x 5) exit 3")
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -177,48 +177,6 @@ def sf_closed(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> complex:
     return _eps(q0) * _eps(q1) * math.sqrt(qt) / q0 * legs * phase
 
 
-def sf_crt_factors(form: ShiftedForm, qa: int, qb: int, r: int, n: int, m: int):
-    """CRT split of sf over coprime moduli: sf(qa*qb, r; n, m) equals the
-    product of the factors returned here (computed with sf_direct)."""
-    if gcd(qa, qb) != 1:
-        raise ValueError("moduli must be coprime")
-    ib = pow(qb % qa, -1, qa) if qa > 1 else 0
-    ia = pow(qa % qb, -1, qb) if qb > 1 else 0
-    fa = sf_direct(form, qa, (r * ib) % qa if qa > 1 else 1, n * ib, m * ib)
-    fb = sf_direct(form, qb, (r * ia) % qb if qb > 1 else 1, n * ia, m * ia)
-    return fa, fb
-
-
-def s_avg(q: int, q0: int, f: ShiftedForm, f2: ShiftedForm,
-          n: int, m: int, n2: int, m2: int, u0: int = 1) -> complex:
-    """sum over (r, q)=1 of S_f(q0, r u0; n, m) conj(S_f2(q0, r u0; n2, m2))
-    times e_q(r (a2 - a))."""
-    if q % q0 != 0:
-        raise ValueError("q0 must divide q")
-    if gcd(u0, q0) != 1:
-        raise ValueError("(u0, q0) = 1 required")
-    roots = _roots_of_unity(q)
-    # cache the two tables over r mod q0
-    tabs = {}
-    total = 0.0 + 0.0j
-    da = f2.a - f.a
-    for r in range(1, q + 1):
-        if gcd(r, q) != 1:
-            continue
-        r0 = (r * u0) % q0 if q0 > 1 else 0
-        if r0 not in tabs:
-            if q0 == 1:
-                tabs[r0] = (1.0 + 0j, 1.0 + 0j)
-            else:
-                tabs[r0] = (
-                    sf_table(f, q0, r0)[n % q0, m % q0],
-                    sf_table(f2, q0, r0)[n2 % q0, m2 % q0],
-                )
-        sa, sb = tabs[r0]
-        total += sa * np.conj(sb) * roots[(r * da) % q]
-    return complex(total)
-
-
 def kloosterman(a: int, b: int, c: int) -> complex:
     """K(a, b; c) = sum over units x mod c of e_c(a x + b x^-1)."""
     if c < 1:
@@ -321,16 +279,6 @@ def hat_t(x, out=None) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def hat_t_fourier(y) -> np.ndarray:
-    """Fourier transform of the tent: (sin(pi y)/(pi y))^2, value 1 at 0."""
-    y = np.asarray(y, dtype=float)
-    out = np.ones_like(y)
-    nz = y != 0
-    s = np.sin(np.pi * y[nz]) / (np.pi * y[nz])
-    out[nz] = s * s
-    return out
-
-
 def big_theta(theta, n_scale: float, q0_cut: int, k0: float) -> np.ndarray:
     """Spike bump: sum over q < q0_cut, (r,q)=1, |m| <= 2 of
     t((n_scale/k0)(theta + m - r/q)).  The m-window suffices because the
@@ -380,13 +328,23 @@ def upsilon(t) -> np.ndarray:
     return _bump_raw(2.0 * t - 3.0) * (2.0 / _BUMP_MASS)
 
 
-# (member, point) values evaluated per chunk; bounds the evaluation's
-# temporaries, not the result
-_CHUNK_ELEMENTS = 1 << 20
+# (member, point) pairs evaluated, and sorted keys reduced, per chunk: bounds
+# the temporaries, not the result, and changes no bit of it
+_CHUNK_ELEMENTS = 1 << 16
 # default cap on family size times live (x, y) points, and on the points of
-# the (x, y) box: `circle` peaks at about 50 MB plus 71 bytes per (member,
-# point) pair (measured at 5.8M and 16.3M pairs), so near 1.2 GB at the cap
+# the (x, y) box: the representation holds an 8-byte key per (member, point)
+# pair and 24 bytes per represented integer (at most one per pair), 32-36
+# bytes a pair with its temporaries (0.26 GB at 7.3M pairs, 0.40 GB at 11.0M
+# and 0.53 GB at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M pairs at X = 5)
+# and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU machine, and
+# 2^25 would pass 1.4 GB
 REPRESENTATION_CAP = 1 << 24
+# the key of a pair is the int64 (n - n_lo) P + pair, P the number of pairs:
+# (n_hi - n_lo + 1) P above this cap, or a value n that may leave +-2^62,
+# exits before the keys are allocated; at the pair cap the default root
+# needs at most a sixth of it (1.5e18 at T1 = T2 = 64, X = 158), so only
+# roots with large entries reach it
+REPRESENTATION_KEY_CAP = 2**63 - 1
 
 
 @dataclass
@@ -394,17 +352,29 @@ class Representation:
     """Weighted representation numbers of a family at scale X.
 
     values holds the represented integers n in ascending order and weights
-    the R(n) aligned with them.  witnesses, for exact-coprime runs only (else
-    None), is the aligned (m, 3) array of (member index, x, y) with
-    n = (f - a)(2x, y) and gcd(2x, y) = 1: the first such pair in member
-    order, then in row-major order of the (x, y) box.
+    the R(n) aligned with them.  origin holds, aligned with them, the first
+    (member, point) pair giving n, as member * points + point over the live
+    points of the (x, y) box in row-major order: the first pair in member
+    order, then in box order.  pairs counts the (member, point) pairs summed.
     """
     family: Family
     x_scale: int
     truncation: int | None
     values: np.ndarray
     weights: np.ndarray
-    witnesses: np.ndarray | None
+    origin: np.ndarray
+    pairs: int = 0
+
+    @cached_property
+    def witnesses(self) -> np.ndarray | None:
+        """For exact-coprime runs only (else None), the (m, 3) int64 array of
+        (member index, x, y) aligned with values, n = (f - a)(2x, y) and
+        gcd(2x, y) = 1, read off origin when first accessed."""
+        if self.truncation is not None:
+            return None
+        fx, fy, _ = _live_points(self.x_scale, None)
+        member, point = np.divmod(self.origin, fx.size)
+        return np.stack([member, fx[point], fy[point]], axis=1)
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -425,28 +395,14 @@ def box_axes(x_scale: int, count_cap: int = REPRESENTATION_CAP):
     return xs, ys
 
 
-def representation_number(family: Family, x_scale: int,
-                          truncation: int | None = None,
-                          count_cap: int = REPRESENTATION_CAP) -> Representation:
-    """Direct double sum over the family and the smoothed (x, y) box.
-
-    With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
-    with truncation=U >= 2 the Moebius sum over u | (2x, y), u < U is used
-    instead (values may then be negative).  Whole members are evaluated at
-    every live point in chunks of about _CHUNK_ELEMENTS values; all the
-    (member, point) values are then sorted once and reduced once, so the
-    result does not depend on the chunk size.  A CapExceededError is raised,
-    before anything that size is allocated, when the (x, y) box or family
-    size times live points exceeds count_cap."""
+def _live_points(x_scale: int, truncation: int | None, count_cap: int = REPRESENTATION_CAP):
+    """The points (x, y) of the box with a nonzero weight, in row-major
+    order, and their weights: the smoothing times 1 if gcd(2x, y) = 1 (else
+    0) or, with truncation U, times the Moebius sum over u | (2x, y), u < U."""
     X = x_scale
-    if truncation is not None and truncation < 2:
-        raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
-                         f"u < U is empty below), got {truncation}")
     xs, ys = box_axes(X, count_cap)
-    wx = upsilon(2.0 * xs / X)
-    wy = upsilon(ys / X)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    weights = np.outer(wx, wy)
+    weights = np.outer(upsilon(2.0 * xs / X), upsilon(ys / X))
     g = np.gcd(2 * gx, gy)
     if truncation is None:
         mult = (g == 1).astype(float)
@@ -457,41 +413,116 @@ def representation_number(family: Family, x_scale: int,
             mu_tab[gg] = sum(mobius(u) for u in range(1, min(truncation, gg + 1))
                              if gg % u == 0)
         mult = mu_tab[g]
-    weights = weights * mult
+    weights *= mult
     live = np.abs(weights) > 0
-    fx, fy, fw = gx[live], gy[live], weights[live]
-    points = fx.size
-    if len(family) * points > count_cap:
-        raise CapExceededError(f"{len(family)} members at {points} live points "
+    return gx[live], gy[live], weights[live]
+
+
+def _value_bounds(forms: np.ndarray, mono: np.ndarray, step: int):
+    """Integers n_lo <= n_hi bounding every value n = A m0 + B m1 + C m2 - a
+    of the forms (rows A, B, C, a) at the monomials (one positive column per
+    point), from the least and largest of each monomial, step members at a
+    time.  A CapExceededError is raised when a value may leave +-2^62, where
+    the int64 keys would overflow."""
+    if forms.shape[0] == 0 or mono.shape[1] == 0:
+        return 0, 0
+    lo_m, hi_m = mono.min(axis=1), mono.max(axis=1)
+    size = np.append(hi_m, 1).astype(float)
+    n_lo, n_hi = math.inf, -math.inf
+    for lo in range(0, forms.shape[0], step):
+        f = forms[lo:lo + step]
+        biggest = float((np.abs(f.astype(float)) @ size).max())
+        if biggest >= 2.0**62:
+            raise CapExceededError(f"represented values reach about {biggest:.3g}, "
+                                   f"past the int64 key cap {REPRESENTATION_KEY_CAP}")
+        at_lo, at_hi = f[:, :3] * lo_m, f[:, :3] * hi_m
+        n_lo = min(n_lo, int((np.minimum(at_lo, at_hi).sum(axis=1) - f[:, 3]).min()))
+        n_hi = max(n_hi, int((np.maximum(at_lo, at_hi).sum(axis=1) - f[:, 3]).max()))
+    return n_lo, n_hi
+
+
+def representation_number(family: Family, x_scale: int,
+                          truncation: int | None = None,
+                          count_cap: int = REPRESENTATION_CAP) -> Representation:
+    """Direct double sum over the family and the smoothed (x, y) box.
+
+    With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
+    with truncation=U >= 2 the Moebius sum over u | (2x, y), u < U is used
+    instead (values may then be negative).  The (member, point) pair k =
+    member * points + point of value n gets the int64 key (n - n_lo) P + k,
+    P the number of pairs and n_lo <= n <= n_hi read off the forms and the
+    box.  The keys are evaluated into one array, sorted in place and reduced
+    in chunks of about max(_CHUNK_ELEMENTS, points) pairs; a run of equal n
+    lists its pairs in ascending order and is never split, so the result
+    does not depend on the chunk size.  The peak is 8 bytes a pair plus the
+    result.  A CapExceededError is raised, before anything that
+    size is allocated, when the (x, y) box or family size times live points
+    exceeds count_cap, or the keys exceed REPRESENTATION_KEY_CAP."""
+    X = x_scale
+    if truncation is not None and truncation < 2:
+        raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
+                         f"u < U is empty below), got {truncation}")
+    fx, fy, fw = _live_points(X, truncation, count_cap)
+    members, points = len(family), fx.size
+    pairs = members * points
+    if pairs > count_cap:
+        raise CapExceededError(f"{members} members at {points} live points "
                                f"exceed the cap {count_cap}")
-    # n = A (4x^2) + B (4xy) + C y^2 - a, one row per member of a chunk; pair
-    # k of the concatenation is member k // points at point k % points
+    # n = A (4x^2) + B (4xy) + C y^2 - a
     mono = np.stack([4 * fx * fx, 4 * fx * fy, fy * fy])
-    chunks = [np.empty(0, dtype=np.int64)]
-    step = max(1, _CHUNK_ELEMENTS // max(points, 1))
-    for lo in range(0, len(family), step):
-        A, B, C, a = family.forms[lo:lo + step].T[:, :, None]
-        chunks.append((A * mono[0] + B * mono[1] + C * mono[2] - a).ravel())
-    vals = np.concatenate(chunks)
-    del chunks
-    order = np.argsort(vals)
-    vals = vals[order]
-    head = np.ones(vals.size, dtype=bool)
-    np.not_equal(vals[1:], vals[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    values = vals[starts]
-    del vals, head
-    sums = np.add.reduceat(fw[order % points], starts)
-    origin = np.minimum.reduceat(order, starts)   # first pair of each value
-    del order, starts
-    # drop numerically zero entries
-    keep = np.abs(sums) > 1e-14
-    values, sums, origin = values[keep], sums[keep], origin[keep]
-    witnesses = None
-    if truncation is None:
-        member, point = np.divmod(origin, points)
-        witnesses = np.stack([member, fx[point], fy[point]], axis=1)
-    return Representation(family, X, truncation, values, sums, witnesses)
+    chunk = max(_CHUNK_ELEMENTS, points, 1)  # pairs evaluated or reduced at once
+    step = chunk // max(points, 1)  # members per chunk
+    n_lo, n_hi = _value_bounds(family.forms, mono, step)
+    if (n_hi - n_lo + 1) * pairs > REPRESENTATION_KEY_CAP:
+        raise CapExceededError(f"{pairs} pairs with values in [{n_lo}, {n_hi}] need keys "
+                               f"above the int64 key cap {REPRESENTATION_KEY_CAP}")
+    keys = np.empty(pairs, dtype=np.int64)
+    term = np.empty((min(step, members), points), dtype=np.int64)
+    offsets = np.arange(term.size, dtype=np.int64)
+    for lo in range(0, members, step):
+        hi = min(lo + step, members)
+        flat = keys[lo * points:hi * points]
+        rows, t = flat.reshape(hi - lo, points), term[:hi - lo]
+        A, B, C, a = family.forms[lo:hi].T[:, :, None]
+        np.multiply(A, mono[0], out=rows)
+        np.multiply(B, mono[1], out=t)
+        rows += t
+        np.multiply(C, mono[2], out=t)
+        rows += t
+        rows -= a + n_lo
+        flat *= pairs
+        flat += offsets[:flat.size]
+        flat += lo * points
+    del term, offsets
+    keys.sort()
+    # reduce a chunk of keys at a time, cut where a run starts; the kept
+    # n - n_lo go to the front of keys, which is read ahead of them
+    origin, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    pos = m = 0
+    while pos < pairs:
+        end = min(pos + chunk, pairs)
+        if end < pairs:  # end where the run holding keys[end] starts
+            run = keys[end] // pairs * pairs
+            end = pos + int(np.searchsorted(keys[pos:end], run))
+            if end == pos:  # one run fills the chunk: take all of it
+                end = int(np.searchsorted(keys, run + pairs))
+        rel = keys[pos:end] // pairs
+        head = np.ones(rel.size, dtype=bool)
+        np.not_equal(rel[1:], rel[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        pair = keys[pos:end] - rel * pairs
+        sums = np.add.reduceat(fw[pair % points], starts)
+        # drop numerically zero entries
+        keep = np.abs(sums) > 1e-14
+        starts, sums = starts[keep], sums[keep]
+        keys[m:m + starts.size] = rel[starts]
+        origin.append(pair[starts])
+        weights.append(sums)
+        m, pos = m + starts.size, end
+    origin = np.concatenate(origin)  # one list at a time, each freed once joined
+    weights = np.concatenate(weights)
+    values = keys[:m] + n_lo
+    return Representation(family, X, truncation, values, weights, origin, pairs)
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:

@@ -399,13 +399,19 @@ def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_
 
     Returns (norms_sq sorted ascending, kept) where kept is an (m,4,4) array,
     in lexicographic order of the 16 entries, of the elements whose norm^2
-    lies in the half-open integer window keep_window = (lo_sq, hi_sq) with
-    lo_sq < norm^2 < hi_sq (strict), or None.  The identity is included.
+    lies in the integer window keep_window = (lo_sq, hi_sq) with
+    lo_sq < norm^2 < hi_sq (strict), or in any of a sequence of such
+    windows, or None.  The identity is included.
     """
+    windows = None if keep_window is None else np.atleast_2d(keep_window)
+
+    def in_window(nsq):
+        return ((nsq[:, None] > windows[:, 0]) & (nsq[:, None] < windows[:, 1])).any(axis=1)
+
     mats = np.eye(4, dtype=np.int64)[None]
     last = np.array([-1], dtype=np.int8)
     norms = [np.array([4], dtype=np.int64)]  # ||I||^2 = 4
-    kept = [mats] if keep_window is not None and keep_window[0] < 4 < keep_window[1] else []
+    kept = [mats] if windows is not None and in_window(norms[0])[0] else []
     total = 1
     while mats.shape[0]:
         level, letters = [], []
@@ -421,8 +427,8 @@ def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_
                 if total > count_cap:
                     raise CapExceededError(f"norm-ball walk exceeded {count_cap} elements")
                 norms.append(nsq)
-                if keep_window is not None:
-                    kept.append(child[(nsq > keep_window[0]) & (nsq < keep_window[1])])
+                if windows is not None:
+                    kept.append(child[in_window(nsq)])
                 level.append(child)
                 letters.append(np.full(nsq.size, letter, dtype=np.int8))
         mats, last = np.concatenate(level), np.concatenate(letters)
@@ -505,28 +511,31 @@ class Family:
 
 # shell pairs build_family takes by default: about 72 bytes of peak memory
 # each, so near the cap the family peaks near 0.33 GB (4,043,520 pairs at
-# T1 = 632, T2 = 1024: 321 MB)
+# T1 = 632, T2 = 1024: 321 MB, 3,664,119 members); `circle` adds the
+# representation numbers and the grid, 0.97 GB at X = 4 and 1.05 GB at X = 5
+# with a 2^22-point grid, so twice the cap would pass 1.4 GB
 FAMILY_PAIR_CAP = 1 << 22
 # largest T_i norm_shells walks to: the smallest non-empty shell holds 12
 # elements (T = 6 to 9), and at T = 38,300 12 times the T-shell is already
-# above FAMILY_PAIR_CAP; the walk to 4 T at T = 38,000 takes about 3 s and
-# 0.32 GB
+# above FAMILY_PAIR_CAP; the walk to 4 T at T = 38,000 takes about 2-3 s and
+# 0.22 GB
 SHELL_T_CAP = 38_000
 
 
 def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
     """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i,
-    split by norm from one walk that keeps both.
+    split by norm from one walk that keeps the two shells alone.
 
     A CapExceededError is raised before the walk when a T_i is above
     SHELL_T_CAP, and after it when the shells hold more than count_cap
     pairs."""
     if t1 < 4 or t2 < 4:
         raise core.InputError("norm windows need T1, T2 >= 4")
-    lo, hi = min(t1, t2), max(t1, t2)
+    hi = max(t1, t2)
     if hi > SHELL_T_CAP:
         raise CapExceededError(f"norm shell T = {hi} is above the cap {SHELL_T_CAP}")
-    _, kept = enumerate_gamma((4 * hi) ** 2, keep_window=(lo * lo, 4 * hi * hi))
+    windows = [(t * t, 4 * t * t) for t in (t1, t2)]
+    _, kept = enumerate_gamma((4 * hi) ** 2, keep_window=windows)
     nsq = np.einsum("nij,nij->n", kept, kept)
     shell1, shell2 = (kept[(nsq > t * t) & (nsq < 4 * t * t)] for t in (t1, t2))
     pairs = shell1.shape[0] * shell2.shape[0]

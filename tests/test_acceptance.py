@@ -23,7 +23,7 @@ import pytest
 from apollonian import congruence as cg
 from apollonian import core, expsums as es, forms, orbit, spectral as sp
 from apollonian.forms import ShiftedForm
-from test_expsums import l1_distance
+from test_expsums import l1_distance, s_avg
 from test_forms import coincidence_bruteforce, zero_pairs_bruteforce
 
 ROOT = (-11, 21, 24, 28)
@@ -151,7 +151,7 @@ def test_criterion_07_stated_bound_all_moduli(sf_bound):
 
 
 def test_criterion_08_s_identities(crt_mismatches):
-    full = es.s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
+    full = s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
     short = sum(es.sf_table(F0, 3, r)[1, 2] * np.conj(es.sf_table(F0, 3, r)[1, 2])
                 for r in (1, 2))
     assert abs(full - 3 * short) < 1e-9

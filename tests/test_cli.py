@@ -74,6 +74,7 @@ def test_gasket_stages(tmp_path, capsys):
     assert stages["census"]["items"] == 10000
     assert stages["snapshot"]["items"] == 1250
     for entry in stages.values():
+        assert set(entry) == {"s", "items", "peak_rss_mb"}
         assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
     assert rep["elapsed_s"] is not None
     assert rep["config"]["threads"] == threads
@@ -255,6 +256,55 @@ def test_circle_grid_checked_before_family(monkeypatch, capsys):
     assert len(err.splitlines()) == 1 and "refine the grid" in err
 
 
+@pytest.mark.parametrize("t", [4, 5, 10])
+def test_circle_empty_shell_exits_2_before_the_bump(t, monkeypatch, capsys):
+    # no element of Gamma has its norm in (T, 2T) at T = 4, 5 and 10
+    def bump(*args, **kw):
+        raise AssertionError("the bump was built for an empty family")
+
+    monkeypatch.setattr(expsums, "bump_on_grid", bump)
+    assert run(["circle", "--t1", "8", "--t2", str(t), "--x", "8"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert f"--t2 {t}: the norm shell {t} < ||gamma|| < {2 * t} is empty" in err
+
+
+def test_circle_empty_anchor_cut_exits_2(monkeypatch, capsys):
+    # no root and shells at hand leave the cut empty, so the built family is
+    # cut to its first zero members
+    build = orbit.build_family
+
+    def build_empty(*args, **kw):
+        fam = build(*args, **kw)
+        return orbit.Family(fam.root, fam.t1, fam.t2, fam.g1_index[:0], fam.g2_index[:0],
+                            fam.shell1, fam.shell2, fam.quads[:0], fam.a[:0],
+                            fam.forms[:0])
+
+    monkeypatch.setattr(orbit, "build_family", build_empty)
+    assert run(["circle", "--t1", "8", "--t2", "8", "--x", "8"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "anchor cut" in err, err
+
+
+def test_circle_stages_within_elapsed(capsys):
+    assert run(["circle", "--t1", "8", "--t2", "8", "--x", "32"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = rep["stages"]
+    assert set(stages) == {"bump", "family", "representation", "decomposition",
+                           "minor_arcs"}
+    # 96 members at the 192 live points of the X = 32 box
+    assert rep["results"]["family_size"] == stages["family"]["items"] == 96
+    assert stages["representation"]["items"] == 96 * 192
+    assert stages["bump"]["items"] == stages["decomposition"]["items"] == 1 << 16
+    assert stages["minor_arcs"]["items"] == 1 << 12
+    for entry in stages.values():
+        assert set(entry) == {"s", "items", "peak_rss_mb"}
+        assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
+    # every value is rounded to the millisecond, so each may read 0.5 ms high
+    total = sum(entry["s"] for entry in stages.values())
+    assert total <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+
+
 def test_circle_q0cap_0_exits_2():
     # the dyadic minor-arc blocks doubled q from 0 forever; a subprocess
     # with a timeout fails instead of hanging the suite
@@ -301,11 +351,12 @@ def test_spectral_memory():
 
 
 def test_circle_memory():
-    # chunked sorted arrays, not dicts of every represented integer (198 MB
-    # peak with the dicts)
+    # one 8-byte key per (member, point) pair, sorted in place, and no
+    # witnesses unless read: the process peaks at about 60 MB (77 MB with an
+    # argsort of the values, 198 MB with dicts of every represented integer)
     rc, res, peak_kb = child_report(["circle", "--t1", "32", "--t2", "32", "--x", "32"])
     assert (rc, res["family_size"], res["support_size"]) == (0, 3180, 560_345)
-    assert peak_kb < 160 * 1024
+    assert peak_kb < 72 * 1024
 
 
 def _limit_address_space():
@@ -322,6 +373,10 @@ def _limit_address_space():
     # the norm-shell walk to 4e20 would keep every element it meets, up to
     # its 50M-element cap (about 6.4 GB of 4x4 matrices)
     ["circle", "--t1", "100000000000000000000", "--t2", "32", "--x", "4"],
+    # a root with entries near 1e12: its values span about 8e16 integers, so
+    # 864 pairs need keys past the int64 range
+    ["circle", "--root=-1000000,1000001,1000001000000,1000001000001",
+     "--t1", "8", "--t2", "8", "--x", "8"],
 ])
 def test_circle_over_cap_exits_3_before_allocating(argv):
     # under a 3 GB address-space limit the allocation itself would fail,

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -119,16 +121,46 @@ def test_multiplicativity_exhaustive(crt_mismatches):
     assert crt_mismatches == 0
 
 
+def s_avg(q: int, q0: int, f: ShiftedForm, f2: ShiftedForm,
+          n: int, m: int, n2: int, m2: int, u0: int = 1) -> complex:
+    """sum over (r, q)=1 of S_f(q0, r u0; n, m) conj(S_f2(q0, r u0; n2, m2))
+    times e_q(r (a2 - a))."""
+    if q % q0 != 0:
+        raise ValueError("q0 must divide q")
+    if gcd(u0, q0) != 1:
+        raise ValueError("(u0, q0) = 1 required")
+    roots = es._roots_of_unity(q)
+    # cache the two tables over r mod q0
+    tabs = {}
+    total = 0.0 + 0.0j
+    da = f2.a - f.a
+    for r in range(1, q + 1):
+        if gcd(r, q) != 1:
+            continue
+        r0 = (r * u0) % q0 if q0 > 1 else 0
+        if r0 not in tabs:
+            if q0 == 1:
+                tabs[r0] = (1.0 + 0j, 1.0 + 0j)
+            else:
+                tabs[r0] = (
+                    es.sf_table(f, q0, r0)[n % q0, m % q0],
+                    es.sf_table(f2, q0, r0)[n2 % q0, m2 % q0],
+                )
+        sa, sb = tabs[r0]
+        total += sa * np.conj(sb) * roots[(r * da) % q]
+    return complex(total)
+
+
 def test_s_avg():
-    assert es.s_avg(1, 1, F0, F0, 0, 0, 0, 0) == 1
+    assert s_avg(1, 1, F0, F0, 0, 0, 0, 0) == 1
     # coset reduction when the shifts agree: sum over r mod 9 collapses
-    full = es.s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
+    full = s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
     short = sum(
         es.sf_table(F0, 3, r)[1, 2] * np.conj(es.sf_table(F0, 3, r)[1, 2])
         for r in (1, 2))
     assert abs(full - 3 * short) < 1e-9
     with pytest.raises(ValueError):
-        es.s_avg(10, 3, F0, F0, 0, 0, 0, 0)
+        s_avg(10, 3, F0, F0, 0, 0, 0, 0)
 
 
 def test_s_avg_bound(registry):
@@ -137,7 +169,7 @@ def test_s_avg_bound(registry):
     worst = 0.0
     for q in range(3, 101, 2):
         for q0 in (d for d in range(1, q + 1) if q % d == 0):
-            val = abs(es.s_avg(q, q0, F0, F0, 1, 0, 0, 1, u0=1))
+            val = abs(s_avg(q, q0, F0, F0, 1, 0, 0, 1, u0=1))
             gfac = (q / q0) ** 2 * gcd(121, q0) * (q ** 0.25)
             worst = max(worst, val * q ** 1.25 / gfac)
     registry.check("expsums.s_avg_bound_ratio", worst)
@@ -300,16 +332,26 @@ def test_slot_factor_table_is_tiled_above_the_prime_cap(p, small, larger):
         np.testing.assert_allclose(table, tiled, rtol=1e-15, atol=0)
 
 
+def hat_t_fourier(y) -> np.ndarray:
+    """Fourier transform of the tent: (sin(pi y)/(pi y))^2, value 1 at 0."""
+    y = np.asarray(y, dtype=float)
+    out = np.ones_like(y)
+    nz = y != 0
+    s = np.sin(np.pi * y[nz]) / (np.pi * y[nz])
+    out[nz] = s * s
+    return out
+
+
 def test_hat_functions():
-    assert es.hat_t_fourier(np.array([0.0]))[0] == 1.0
-    v = float(es.hat_t_fourier(np.array([0.5]))[0])
+    assert hat_t_fourier(np.array([0.0]))[0] == 1.0
+    v = float(hat_t_fourier(np.array([0.5]))[0])
     assert v == pytest.approx((2 / np.pi) ** 2)
     assert v > 0.4
     from scipy.integrate import quad
     for y in (0.25, 0.5, 1.3, 2.7):
         val, _ = quad(lambda x: max(min(1 + x, 1 - x), 0.0)
                       * np.cos(2 * np.pi * x * y), -1, 1)
-        assert abs(val - float(es.hat_t_fourier(np.array([y]))[0])) < 1e-8
+        assert abs(val - float(hat_t_fourier(np.array([y]))[0])) < 1e-8
     # spike field: nonnegative, and at least 1 on low fractions
     theta = np.array([0.0, 0.5, 1 / 3, 0.25, 2 / 7])
     b = es.big_theta(theta, 65536.0, 8, 64.0)
@@ -418,6 +460,26 @@ def test_representation_independent_of_chunk(truncation, monkeypatch):
             assert np.array_equal(getattr(rep, name), getattr(reps[0], name)), name
 
 
+def test_representation_runs_longer_than_a_chunk(family_8, monkeypatch):
+    # 500 copies of one member: every value is a run of at least 500 pairs,
+    # longer than the 192-pair chunk that a chunk size of 1 comes to
+    family = dataclasses.replace(family_8, quads=np.repeat(family_8.quads[:1], 500, axis=0),
+                                 forms=np.repeat(family_8.forms[:1], 500, axis=0))
+    values, witnesses = reference_representation(family, 32)
+    reps = []
+    for chunk in (1, 1000, es._CHUNK_ELEMENTS):
+        monkeypatch.setattr(es, "_CHUNK_ELEMENTS", chunk)
+        reps.append(es.representation_number(family, 32))
+    keys = sorted(values)
+    ref = np.array([values[k] for k in keys])
+    assert reps[0].values.tolist() == keys
+    assert np.all(np.abs(reps[0].weights - ref) <= 1e-12 * np.abs(ref))
+    assert reps[0].witnesses.tolist() == [list(witnesses[k]) for k in keys]
+    for rep in reps[1:]:
+        for name in ("values", "weights", "origin"):
+            assert np.array_equal(getattr(rep, name), getattr(reps[0], name)), name
+
+
 def test_representation_count_cap(family_8):
     # 96 members at 192 live points of the X = 32 box (561 points)
     es.representation_number(family_8, 32, count_cap=96 * 192)
@@ -426,6 +488,44 @@ def test_representation_count_cap(family_8):
     # the box is checked before it is built, even for an empty family
     with pytest.raises(orbit.CapExceededError):
         es.representation_number(orbit.build_family(ROOT, 8, 16), 32, count_cap=560)
+
+
+def test_witnesses_built_when_read(family_8, monkeypatch):
+    calls = []
+    live_points = es._live_points
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return live_points(*args, **kw)
+
+    monkeypatch.setattr(es, "_live_points", counted)
+    rep = es.representation_number(family_8, 32)
+    assert len(calls) == 1 and "witnesses" not in vars(rep)
+    _, witnesses = reference_representation(family_8, 32)
+    assert rep.witnesses.dtype == np.int64
+    assert rep.witnesses.tolist() == [list(witnesses[k]) for k in rep.values.tolist()]
+    assert len(calls) == 2  # built once, on the first read
+    assert es.representation_number(family_8, 32, truncation=4).witnesses is None
+
+
+def test_representation_key_cap(family_8):
+    # a root with entries near 1e12 spreads the values over about 8e16
+    # integers, so the keys of its 610,560 pairs would pass 2^63; the cap is
+    # read off the forms before the 4.9 MB of keys is allocated
+    n = 10**6
+    family = orbit.build_family((-n, n + 1, n * (n + 1), n * (n + 1) + 1), 32, 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(orbit.CapExceededError, match="key cap"):
+            es.representation_number(family, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family) * 192 == 610_560 and peak < 1 << 20
+    # values that may leave +-2^62 are refused before any int64 arithmetic
+    huge = dataclasses.replace(family_8, forms=family_8.forms << 50)
+    with pytest.raises(orbit.CapExceededError, match="key cap"):
+        es.representation_number(huge, 32)
 
 
 def reference_fold(rep, grid):

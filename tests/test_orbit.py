@@ -509,6 +509,20 @@ def test_fit_delta_needs_two_counts():
         orbit.fit_delta(flat)
 
 
+@pytest.mark.parametrize("t1,t2", [(6, 4096), (8, 32), (32, 32)])
+def test_norm_shells_match_one_walk_per_shell(t1, t2):
+    # one walk keeps the two shells alone, not every element between them
+    cap_sq = (4 * max(t1, t2)) ** 2
+    got = orbit.norm_shells(t1, t2)
+    for shell, t in zip(got, (t1, t2)):
+        want = orbit.enumerate_gamma(cap_sq, keep_window=(t * t, 4 * t * t))[1]
+        assert shell.dtype == want.dtype and np.array_equal(shell, want)
+    # a sequence of windows keeps their union, in lexicographic order
+    kept = orbit.enumerate_gamma(cap_sq, keep_window=[(t * t, 4 * t * t) for t in (t1, t2)])[1]
+    union = np.unique(np.concatenate(got).reshape(-1, 16), axis=0)
+    assert kept.reshape(-1, 16).tolist() == union.tolist()
+
+
 def test_family_constraints(family_8):
     fam = family_8
     assert len(fam) > 0
