@@ -335,9 +335,9 @@ _CHUNK_ELEMENTS = 1 << 16
 # the (x, y) box: the representation holds an 8-byte key per (member, point)
 # pair and 24 bytes per represented integer (at most one per pair), 32-36
 # bytes a pair with its temporaries (0.26 GB at 7.3M pairs, 0.40 GB at 11.0M
-# and 0.53 GB at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M pairs at X = 5)
-# and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU machine, and
-# 2^25 would pass 1.4 GB
+# and 0.53 GB at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M
+# pairs at X = 5) and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU
+# machine, and 2^25 would pass 1.4 GB
 REPRESENTATION_CAP = 1 << 24
 # the key of a pair is the int64 (n - n_lo) P + pair, P the number of pairs:
 # (n_hi - n_lo + 1) P above this cap, or a value n that may leave +-2^62,
