@@ -68,6 +68,9 @@ CIRCLE_GRID_CAP = 1 << 22
 # 12 about 3.3 s and 184 MB, 13 about 7-9 s and 454 MB for a 293 MB file on a
 # 2-CPU machine, and 14 would need about 1.3 GB
 RENDER_DEPTH_CAP = 13
+# side of render's square SVG canvas in pixels, read at each call of
+# render_svg: render and demo 09 reach it
+RENDER_SIZE = 800
 
 
 # the constants that verify compares against, shipped with the package
@@ -134,9 +137,10 @@ def _jsonable(x):
 def emit_report(command: str, config: dict, results: dict, out=None,
                 fmt: str = "json", t0: float | None = None,
                 stages: dict | None = None) -> dict:
-    """stages, when given, maps each stage to its seconds, the items it
-    processed and the peak RSS after it; it sits beside elapsed_s, outside
-    results, because it changes from run to run."""
+    """stages, when given, holds the run's timings: a StageRecorder's
+    stages, or for spectral the seconds of each step per modulus.  It sits
+    beside elapsed_s, outside results, because it changes from run to run,
+    so two runs of one command give equal results."""
     config = {k: v for k, v in config.items() if not callable(v)}
     report = {
         "command": command,
@@ -274,14 +278,18 @@ def cmd_delta_fit(args) -> int:
     if args.points > DELTA_FIT_POINTS_CAP:
         raise orbit.CapExceededError(
             f"--points {args.points} is above the cap {DELTA_FIT_POINTS_CAP}")
+    stage = StageRecorder()
     ys = np.geomspace(args.ymin, args.ymax, args.points)
     table = orbit.norm_ball_count(ys)
+    stage("walk", table.counts[-1])
     delta = orbit.fit_delta(table)
+    stage("fit", args.points)
     results = {
         "delta": delta,
         "table": [[float(y), int(c)] for y, c in zip(table.ys, table.counts)],
     }
-    emit_report("delta-fit", vars(args), results, args.out, args.format, t0)
+    emit_report("delta-fit", vars(args), results, args.out, args.format, t0,
+                stages=stage.stages)
     return EXIT_OK
 
 
@@ -329,7 +337,7 @@ def cmd_spectral(args) -> int:
     t0 = time.time()
     if args.seed < 0:
         raise core.InputError(f"--seed must be a non-negative integer, got {args.seed}")
-    results = {}
+    results, timings = {}, {}
     for q in _parse_qs(args.q):
         entry = {}
         spec = spectral.markov_spectrum(q, seed=args.seed)
@@ -352,9 +360,9 @@ def cmd_spectral(args) -> int:
             entry["set_sizes"] = sizes
         if args.check != "spectrum":
             stages[f"{args.check}_s"] = time.perf_counter() - t1
-        entry["stages"] = {k: round(v, 3) for k, v in stages.items()}
+        timings[str(q)] = {k: round(v, 3) for k, v in stages.items()}
         results[str(q)] = entry
-    emit_report("spectral", vars(args), results, args.out, t0=t0)
+    emit_report("spectral", vars(args), results, args.out, t0=t0, stages=timings)
     if args.check == "transference" and not all(
             v.get("transference", {}).get("holds", True) for v in results.values()):
         return EXIT_INVARIANT
@@ -520,12 +528,13 @@ def _tangent_point(r1, r2, r):
     return complex(x, math.sqrt(d1 * d1 - x * x))
 
 
-def render_svg(root, depth: int, fh, size: int = 800) -> int:
+def render_svg(root, depth: int, fh) -> int:
     """Write the SVG of the gasket to the open text file fh and return the
     number of circles drawn.  The swap reflections act linearly on the
     curvature-times-center coordinates (b, b x, b y), so each level of the
     reflection tree is one (k, 4, 3) array; a node's children replace each
     slot but the one last replaced."""
+    size = RENDER_SIZE
     scale, c = size / (2.2 / abs(root[0])), size / 2
 
     def draw(circles):

@@ -86,13 +86,16 @@ class QuotientClosure:
             raise KeyError("element outside the closure")
         return idx
 
-    def element_set(self) -> set:
-        """The rows as a set of bytes."""
-        return {row.tobytes() for row in self.elements}
+
+# Largest image quotient_closure closes, read at each call.  The value is
+# unmeasured: only verify (q = 2, 3, 6), demo 04 (q up to 16) and tests
+# reach quotient_closure, and only tests change it
+QUOTIENT_CAP = 100_000_000
 
 
-def quotient_closure(q: int, cap: int = 100_000_000) -> QuotientClosure:
-    """Image of Gamma in matrices mod q."""
+def quotient_closure(q: int) -> QuotientClosure:
+    """Image of Gamma in matrices mod q; CapExceededError once more than
+    QUOTIENT_CAP elements are reached."""
     if q < 1:
         raise core.InputError("q >= 1")
     if q > 255:
@@ -104,7 +107,7 @@ def quotient_closure(q: int, cap: int = 100_000_000) -> QuotientClosure:
         return (np.einsum("nij,gjk->ngik", mats, gmats) % q).reshape(-1, 16).astype(np.uint8)
 
     ident = np.eye(4, dtype=np.uint8).reshape(1, 16) % q
-    return QuotientClosure(q, _bfs_closure(ident, step, cap))
+    return QuotientClosure(q, _bfs_closure(ident, step, QUOTIENT_CAP))
 
 
 @lru_cache(maxsize=64)
@@ -180,60 +183,25 @@ def _anisotropic_vector(gram: np.ndarray, p: int) -> np.ndarray:
     raise ValueError("form is degenerate mod p")
 
 
-def so_f_order_pairs(p: int) -> int:
-    """Cross-check of so_f_order via a 2-transitive (pair-orbit) decomposition.
-
-    |O(Q_4)| = #{v : Q(v)=c1} * #{w : Q(w)=c2, B(v0,w)=t} * |O(Q_2'')| for the
-    stabilizer of a fixed nondegenerate pair, counted by brute force.
-    """
-    if p in (2, 3) or p > 13:
-        raise ValueError("oracle supports primes 5 <= p <= 13")
-    gram = np.array(core.GRAM, dtype=np.int64) % p
-    u1 = _anisotropic_vector(gram, p)
-    c1 = int(u1 @ gram @ u1 % p)
-    n1 = _count_norm(gram, p, c1)
-    # second vector: anisotropic in the complement
-    g3, b3 = _orthogonal_complement_gram(gram, u1, p)
-    u2r = _anisotropic_vector(g3, p)
-    u2 = (b3 @ u2r) % p
-    c2 = int(u2 @ gram @ u2 % p)
-    t = int(u1 @ gram @ u2 % p)
-    # count w with Q(w)=c2, B(u1,w)=t
-    grids = np.meshgrid(*[np.arange(p)] * 4, indexing="ij")
-    v = np.stack([g.ravel() for g in grids])
-    qv = np.einsum("in,ij,jn->n", v, gram, v) % p
-    bv = (u1 @ gram @ v) % p
-    m = int(((qv == c2 % p) & (bv == t % p)).sum())
-    # stabilizer of the pair: O of the 2-dim complement, brute force over 2x2
-    g2h, b2 = _orthogonal_complement_gram(gram, u1, p)
-    # restrict again by u2r inside the 3-dim space
-    g2, _ = _orthogonal_complement_gram(g2h, u2r, p)
-    cnt = 0
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    m22 = np.array([[a, b], [c, d]], dtype=np.int64)
-                    if ((m22.T @ g2 @ m22) % p == g2 % p).all():
-                        cnt += 1
-    return n1 * m * cnt // 2
-
-
-# Largest orbit vector_orbit closes.  The peak is about 250 bytes per row of
-# the largest BFS level, which holds up to 0.68 of the rows reached: q = 151
-# (3,420,300 rows) peaks at 506 MB, q = 199 (7,841,196) at 1.08 GB, and
-# q = 223 stopped at a cap of 8,000,000 peaks at 1.38 GB, so a closure
-# stopped at this cap peaks near 1.2 GB.
+# Largest orbit vector_orbit closes, read at each call: every command that
+# closes an orbit (admissible and its --q help, singular, gasket, verify)
+# reaches it through _orbit_cached, and only tests change it.  The peak is
+# about 250 bytes per row of the largest BFS level, which holds up to 0.68
+# of the rows reached: q = 151 (3,420,300 rows) peaks at 506 MB, q = 199
+# (7,841,196) at 1.08 GB, and q = 223 stopped at a cap of 8,000,000 peaks at
+# 1.38 GB, so a closure stopped at this cap peaks near 1.2 GB.
 ORBIT_CAP = 7_000_000
 # Largest modulus vector_orbit takes: a step's entries are sums of four
 # products of residues, below 4 (q - 1)^2, which fits in int64 up to here.
 ORBIT_MODULUS_CAP = 1 << 30
 
 
-def vector_orbit(root, q: int, cap: int = ORBIT_CAP) -> np.ndarray:
+def vector_orbit(root, q: int) -> np.ndarray:
     """Orbit of the root quadruple mod q under Gamma, as an (n, 4) array
-    with rows in lexicographic order.  A modulus above ORBIT_MODULUS_CAP
-    raises CapExceededError before any arithmetic."""
+    with rows in lexicographic order.  The root is reduced mod q in Python
+    integers, so its entries may be of any size.  A modulus above
+    ORBIT_MODULUS_CAP raises CapExceededError before any arithmetic, and an
+    orbit of more than ORBIT_CAP rows once it is reached."""
     if q < 1:
         raise core.InputError("q >= 1")
     if q > ORBIT_MODULUS_CAP:
@@ -247,8 +215,8 @@ def vector_orbit(root, q: int, cap: int = ORBIT_CAP) -> np.ndarray:
         imgs %= q
         return imgs.reshape(-1, 4).astype(dtype)
 
-    start = (np.array(root, dtype=np.int64) % q).astype(dtype).reshape(1, 4)
-    return _bfs_closure(start, step, cap).astype(np.int64)
+    start = np.array([[x % q for x in root]], dtype=dtype)
+    return _bfs_closure(start, step, ORBIT_CAP).astype(np.int64)
 
 
 @lru_cache(maxsize=256)
@@ -288,6 +256,6 @@ def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
     orb = _orbit_cached(tuple(root), q)
     big = orb.dtype.newbyteorder(">")
     units = np.array([lam for lam in range(q) if gcd(lam, q) == 1], dtype=np.int64)
-    scaled = units[:, None] * (np.array(root, dtype=np.int64) % q) % q
+    scaled = units[:, None] * np.array([x % q for x in root], dtype=np.int64) % q
     kept = np.isin(_row_keys(scaled.astype(big)), _row_keys(orb.astype(big)))
     return orb.shape[0] // int(kept.sum())

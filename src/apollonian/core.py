@@ -63,29 +63,6 @@ def mat_vec(m: Mat4, v) -> Vec4:
     return tuple(sum(m[i][j] * v[j] for j in range(4)) for i in range(4))
 
 
-def mat_transpose(m: Mat4) -> Mat4:
-    return tuple(tuple(m[j][i] for j in range(4)) for i in range(4))
-
-
-def mat_det(m: Mat4):
-    # Laplace along first row; matrices here are 4x4 and exact.
-    def det3(r):
-        (a, b, c), (d, e, f), (g, h, i) = r
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-    total = 0
-    for j in range(4):
-        minor = tuple(
-            tuple(m[r][c] for c in range(4) if c != j) for r in range(1, 4)
-        )
-        total += (-1) ** j * m[0][j] * det3(minor)
-    return total
-
-
-def preserves_descartes(m: Mat4) -> bool:
-    return mat_mul(mat_transpose(m), mat_mul(GRAM, m)) == GRAM
-
-
 def reflection(i: int) -> Mat4:
     """Swap reflection S_i (1-based), replacing entry i by 2*(sum of others) - it."""
     if i not in (1, 2, 3, 4):
@@ -175,7 +152,14 @@ class NegativeSheetError(ValueError):
     """Quadruple lies on the descending sheet of the cone (no root below it)."""
 
 
-def reduce_to_root(v, max_steps: int = 10**6):
+# sum-decreasing steps reduce_to_root takes before it gives up, read at each
+# call: gamma_word (verify's spin check), CurvatureSet.witness_word and demos
+# 01 and 07 reach it, and only tests change it.  It only bounds the loop; the
+# value is not measured
+REDUCTION_MAX_STEPS = 10**6
+
+
+def reduce_to_root(v):
     """Reduce an on-cone quadruple by sum-decreasing reflections.
 
     Returns (root, word) with root sorted ascending and word the list of
@@ -188,7 +172,7 @@ def reduce_to_root(v, max_steps: int = 10**6):
         raise NotOnConeError(f"descartes_form{tuple(v)} != 0")
     cur = tuple(v)
     word = []
-    for _ in range(max_steps):
+    for _ in range(REDUCTION_MAX_STEPS):
         s = sum(cur)
         best = None
         for i in (1, 2, 3, 4):

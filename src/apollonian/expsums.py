@@ -76,22 +76,6 @@ def sf_direct(form: ShiftedForm, q0: int, r: int, n: int, m: int) -> complex:
     return complex(counts @ _roots_of_unity(q0)) / (q0 * q0)
 
 
-def sf_table(form: ShiftedForm, q0: int, r: int) -> np.ndarray:
-    """All values S_f(q0, r; n, m) as an (n, m)-indexed array via a 2-d FFT."""
-    if gcd(r, q0) != 1:
-        raise ValueError("requires (r, q0) = 1")
-    if q0 == 1:
-        return np.ones((1, 1), dtype=complex)
-    k = np.arange(q0, dtype=np.int64)
-    fk = (form.A % q0) * k[:, None] % q0 * k[:, None] \
-        + 2 * (form.B % q0) * k[:, None] * k[None, :] \
-        + (form.C % q0) * k[None, :] % q0 * k[None, :]
-    t = _roots_of_unity(q0)[(r * fk) % q0]
-    # S[n, m] = q0^{-2} sum_{k,l} t[k,l] e_q0(nk + ml) = ifft2(t)[(-n) mod, ...]
-    full = np.fft.ifft2(t)  # gives q0^{-2} sum t e^{+2pi i (nk+ml)/q0} at [n, m]
-    return full
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1."""
     if n < 1 or n % 2 == 0:
@@ -331,13 +315,15 @@ def upsilon(t) -> np.ndarray:
 # (member, point) pairs evaluated, and sorted keys reduced, per chunk: bounds
 # the temporaries, not the result, and changes no bit of it
 _CHUNK_ELEMENTS = 1 << 16
-# default cap on family size times live (x, y) points, and on the points of
-# the (x, y) box: the representation holds an 8-byte key per (member, point)
-# pair and 24 bytes per represented integer (at most one per pair), 32-36
-# bytes a pair with its temporaries (0.26 GB at 7.3M pairs, 0.40 GB at 11.0M
-# and 0.53 GB at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M
-# pairs at X = 5) and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU
-# machine, and 2^25 would pass 1.4 GB
+# cap on family size times live (x, y) points, and on the points of the
+# (x, y) box, read at each call of box_axes and representation_number:
+# circle (and its --x help) and demo 07 reach it, and only tests change it.
+# The representation holds an 8-byte key per (member, point) pair and 24
+# bytes per represented integer (at most one per pair), 32-36 bytes a pair
+# with its temporaries (0.26 GB at 7.3M pairs, 0.40 GB at 11.0M and 0.53 GB
+# at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M pairs at
+# X = 5) and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU machine,
+# and 2^25 would pass 1.4 GB
 REPRESENTATION_CAP = 1 << 24
 # the key of a pair is the int64 (n - n_lo) P + pair, P the number of pairs:
 # (n_hi - n_lo + 1) P above this cap, or a value n that may leave +-2^62,
@@ -380,27 +366,27 @@ class Representation:
         return float(self.weights.sum())
 
 
-def box_axes(x_scale: int, count_cap: int = REPRESENTATION_CAP):
+def box_axes(x_scale: int):
     """The x and y ranges of the smoothed box at scale X: X/2 <= x <= X and
     X <= y <= 2X.  A CapExceededError is raised when the box holds more than
-    count_cap points."""
+    REPRESENTATION_CAP points."""
     X = x_scale
     if X < 4:
         raise InputError("X >= 4")
     xs = np.arange((X + 1) // 2, X + 1, dtype=np.int64)
     ys = np.arange(X, 2 * X + 1, dtype=np.int64)
-    if xs.size * ys.size > count_cap:
+    if xs.size * ys.size > REPRESENTATION_CAP:
         raise CapExceededError(f"the (x, y) box at X = {X} has {xs.size * ys.size} "
-                               f"points, above the cap {count_cap}")
+                               f"points, above the cap {REPRESENTATION_CAP}")
     return xs, ys
 
 
-def _live_points(x_scale: int, truncation: int | None, count_cap: int = REPRESENTATION_CAP):
+def _live_points(x_scale: int, truncation: int | None):
     """The points (x, y) of the box with a nonzero weight, in row-major
     order, and their weights: the smoothing times 1 if gcd(2x, y) = 1 (else
     0) or, with truncation U, times the Moebius sum over u | (2x, y), u < U."""
     X = x_scale
-    xs, ys = box_axes(X, count_cap)
+    xs, ys = box_axes(X)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     weights = np.outer(upsilon(2.0 * xs / X), upsilon(ys / X))
     g = np.gcd(2 * gx, gy)
@@ -442,8 +428,7 @@ def _value_bounds(forms: np.ndarray, mono: np.ndarray, step: int):
 
 
 def representation_number(family: Family, x_scale: int,
-                          truncation: int | None = None,
-                          count_cap: int = REPRESENTATION_CAP) -> Representation:
+                          truncation: int | None = None) -> Representation:
     """Direct double sum over the family and the smoothed (x, y) box.
 
     With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
@@ -457,17 +442,17 @@ def representation_number(family: Family, x_scale: int,
     does not depend on the chunk size.  The peak is 8 bytes a pair plus the
     result.  A CapExceededError is raised, before anything that
     size is allocated, when the (x, y) box or family size times live points
-    exceeds count_cap, or the keys exceed REPRESENTATION_KEY_CAP."""
+    exceeds REPRESENTATION_CAP, or the keys exceed REPRESENTATION_KEY_CAP."""
     X = x_scale
     if truncation is not None and truncation < 2:
         raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
                          f"u < U is empty below), got {truncation}")
-    fx, fy, fw = _live_points(X, truncation, count_cap)
+    fx, fy, fw = _live_points(X, truncation)
     members, points = len(family), fx.size
     pairs = members * points
-    if pairs > count_cap:
+    if pairs > REPRESENTATION_CAP:
         raise CapExceededError(f"{members} members at {points} live points "
-                               f"exceed the cap {count_cap}")
+                               f"exceed the cap {REPRESENTATION_CAP}")
     # n = A (4x^2) + B (4xy) + C y^2 - a
     mono = np.stack([4 * fx * fx, 4 * fx * fy, fy * fy])
     chunk = max(_CHUNK_ELEMENTS, points, 1)  # pairs evaluated or reduced at once

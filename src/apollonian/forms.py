@@ -51,24 +51,6 @@ def evaluate(form: ShiftedForm, x: int, y: int) -> int:
     return 4 * form.A * x * x + 4 * form.B * x * y + form.C * y * y - form.a
 
 
-def tangency_parabola(v, n: int) -> int:
-    """Fourth entry of C1^n . v: 4(a+b) n^2 + 2(a+b-c+d) n + d."""
-    a, b, c, d = v
-    return 4 * (a + b) * n * n + 2 * (a + b - c + d) * n + d
-
-
-def gl2_act(form: ShiftedForm, g) -> ShiftedForm:
-    """Right action (f.g)(v) = f(g v) for unimodular integer g = ((p,q),(r,s))."""
-    (p, q), (r, s) = g
-    if abs(p * s - q * r) != 1:
-        raise ValueError("gl2_act needs determinant +-1")
-    A, B, C = form.A, form.B, form.C
-    A2 = p * p * A + 2 * p * r * B + r * r * C
-    B2 = p * q * A + (p * s + q * r) * B + r * s * C
-    C2 = q * q * A + 2 * q * s * B + s * s * C
-    return ShiftedForm(A=A2, B=B2, C=C2, a=form.a)
-
-
 @dataclass(frozen=True)
 class FormClass:
     A: int

@@ -104,11 +104,11 @@ class CurvatureSet:
 
 
 def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
-                         block_size: int = 1 << 15, threads: int = 1) -> CurvatureSet:
+                         threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
     threads workers share one LIFO stack of sorted quadruple columns.  A
-    worker takes about block_size rows off the top, gathers their fresh
+    worker takes about WALK_BLOCK_ROWS rows off the top, gathers their fresh
     entries in a mark buffer of its own and pushes their children back,
     until the stack is empty and no worker holds rows; a full buffer, and
     the buffer of a worker leaving the walk, is sorted and written into the
@@ -121,8 +121,6 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     root = core.validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
-    if block_size < 1:
-        raise core.InputError(f"block_size must be at least 1, got {block_size}")
     if n_max <= 0:
         return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool), rows=0)
     dtype = _column_dtype(root, n_max)
@@ -137,8 +135,8 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
-    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, block_size, mask, wit,
-                       dtype)
+    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, mask,
+                       wit, dtype)
     workers = []
     try:
         for _ in range(threads - 1):
@@ -157,6 +155,13 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     return CurvatureSet.from_bool(n_max, mask, wit, walk.rows)
 
 
+# rows a worker of enumerate_curvatures takes off the stack per step, read at
+# each call; every command and demo that walks the tree (gasket, verify, demo
+# 02) reaches it, and only tests change it.  It changes no bit and no row
+# count.  The stack holds about two blocks per tree level: at 1e8 the walk
+# peaked at 908 MB with 2^20 rows and 281 MB with 2^16 at the same speed;
+# 2^15 came with the sorted mark buffers (census at 3e7: 3.0 s, 81 MB)
+WALK_BLOCK_ROWS = 1 << 15
 # entries of a worker's mark buffer, at most; it also holds at most n_max/8
 # bytes, so a small walk pays no more for it than the packed bitset.  At
 # N = 3e7 a full buffer holds one value per 32 bytes of the mask: a random
@@ -386,16 +391,26 @@ _GEN_STACK = np.array(
 )  # letters 0,1,2 generators; 3,4,5 their inverses
 
 
-def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_000,
-                    block_size: int = 1 << 18):
+# elements enumerate_gamma keeps, at most, read at each call: delta-fit
+# (through norm_ball_count) and circle (through norm_shells) reach it, and
+# only tests change it.  Their own caps keep them far below it: the walk to
+# 4 NORM_BALL_Y_CAP keeps 549,595 elements, to 4 SHELL_T_CAP 1,318,367.  At
+# the cap the sorted int64 norms alone take 0.4 GB
+GAMMA_COUNT_CAP = 50_000_000
+# words of a level enumerate_gamma multiplies at once, read at each call and
+# changed only by tests: no product holds more than this many 4x4 int64
+# matrices (32 MB), and the result does not depend on it
+GAMMA_BLOCK_ROWS = 1 << 18
+
+
+def enumerate_gamma(norm_cap_sq: int, keep_window=None):
     """Walk reduced words of the free group Gamma, pruning at norm^2 > cap.
 
     The walk goes one word length at a time: each step multiplies every
     word of the level by each letter that does not cancel its last one and
-    keeps the products with norm^2 <= norm_cap_sq.  block_size caps how
-    many words of a level are multiplied at once, so no product holds more
-    than block_size 4x4 int64 matrices; it does not change the result.  A
-    CapExceededError is raised once more than count_cap elements are kept.
+    keeps the products with norm^2 <= norm_cap_sq, GAMMA_BLOCK_ROWS words of
+    a level at a time.  A CapExceededError is raised once more than
+    GAMMA_COUNT_CAP elements are kept.
 
     Returns (norms_sq sorted ascending, kept) where kept is an (m,4,4) array,
     in lexicographic order of the 16 entries, of the elements whose norm^2
@@ -415,8 +430,8 @@ def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_
     total = 1
     while mats.shape[0]:
         level, letters = [], []
-        for start in range(0, mats.shape[0], block_size):
-            stop = start + block_size
+        for start in range(0, mats.shape[0], GAMMA_BLOCK_ROWS):
+            stop = start + GAMMA_BLOCK_ROWS
             block, block_last = mats[start:stop], last[start:stop]
             for letter in range(6):
                 child = block[block_last != (letter + 3) % 6] @ _GEN_STACK[letter]
@@ -424,8 +439,8 @@ def enumerate_gamma(norm_cap_sq: int, keep_window=None, count_cap: int = 50_000_
                 keep = nsq <= norm_cap_sq
                 child, nsq = child[keep], nsq[keep]
                 total += nsq.size
-                if total > count_cap:
-                    raise CapExceededError(f"norm-ball walk exceeded {count_cap} elements")
+                if total > GAMMA_COUNT_CAP:
+                    raise CapExceededError(f"norm-ball walk exceeded {GAMMA_COUNT_CAP} elements")
                 norms.append(nsq)
                 if windows is not None:
                     kept.append(child[in_window(nsq)])
@@ -448,18 +463,29 @@ def _gamma_norms(cap_sq: int) -> np.ndarray:
     return enumerate_gamma(cap_sq)[0]
 
 
-def norm_ball_count(ys, slack: float = 4.0, y_cap: float = 2.0e4) -> NormBallTable:
+# norm_ball_count walks to NORM_BALL_SLACK * max(Y): the Frobenius norm is
+# not monotone along words, so a margin is kept.  At Y = 3000 slack 3, 4, 6,
+# 8 and 12 all give the frozen 9,325 and slack 2 gives 9,211; the margin has
+# no proof.  Read at each call; delta-fit and demo 03 reach it, only tests
+# change it
+NORM_BALL_SLACK = 4.0
+# largest Y norm_ball_count takes, read at each call: delta-fit --ymax above
+# it exits 3; the walk to 4 x 2e4 takes about 0.7 s and 79 MB
+NORM_BALL_Y_CAP = 2.0e4
+
+
+def norm_ball_count(ys) -> NormBallTable:
     """Counts #{gamma in Gamma : ||gamma||_F < Y} for each Y.
 
-    The walk prunes only beyond slack*max(Y): the Frobenius norm is not
-    monotone along words, so a margin is kept and validated separately.
+    The walk prunes only beyond NORM_BALL_SLACK * max(Y), and a Y above
+    NORM_BALL_Y_CAP raises CapExceededError.
     """
     ys = np.asarray(sorted(ys), dtype=float)
     if ys.size == 0:
         raise core.InputError("norm_ball_count needs at least one radius Y")
-    if ys[-1] > y_cap:
-        raise CapExceededError(f"Y={ys[-1]} exceeds cap {y_cap}")
-    norms = _gamma_norms(int((slack * ys[-1]) ** 2) + 1)
+    if ys[-1] > NORM_BALL_Y_CAP:
+        raise CapExceededError(f"Y={ys[-1]} exceeds cap {NORM_BALL_Y_CAP}")
+    norms = _gamma_norms(int((NORM_BALL_SLACK * ys[-1]) ** 2) + 1)
     counts = np.searchsorted(norms, ys * ys, side="left")
     return NormBallTable(ys=ys, counts=counts.astype(np.int64))
 
@@ -509,11 +535,13 @@ class Family:
         return self.quads.shape[0]
 
 
-# shell pairs build_family takes by default: about 72 bytes of peak memory
-# each, so near the cap the family peaks near 0.33 GB (4,043,520 pairs at
-# T1 = 632, T2 = 1024: 321 MB, 3,664,119 members); `circle` adds the
-# representation numbers and the grid, 0.97 GB at X = 4 and 1.05 GB at X = 5
-# with a 2^22-point grid, so twice the cap would pass 1.4 GB
+# shell pairs norm_shells and build_family take, read at each call: circle
+# (and its --t1 help), demos 05 and 07 reach it, and only tests change it.
+# About 72 bytes of peak memory each, so near the cap the family peaks near
+# 0.33 GB (4,043,520 pairs at T1 = 632, T2 = 1024: 321 MB, 3,664,119
+# members); `circle` adds the representation numbers and the grid, 0.97 GB
+# at X = 4 and 1.05 GB at X = 5 with a 2^22-point grid, so twice the cap
+# would pass 1.4 GB
 FAMILY_PAIR_CAP = 1 << 22
 # largest T_i norm_shells walks to: the smallest non-empty shell holds 12
 # elements (T = 6 to 9), and at T = 38,300 12 times the T-shell is already
@@ -522,13 +550,13 @@ FAMILY_PAIR_CAP = 1 << 22
 SHELL_T_CAP = 38_000
 
 
-def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
+def norm_shells(t1: int, t2: int):
     """The two norm shells of build_family, T_i < ||gamma_i||_F < 2 T_i,
     split by norm from one walk that keeps the two shells alone.
 
     A CapExceededError is raised before the walk when a T_i is above
-    SHELL_T_CAP, and after it when the shells hold more than count_cap
-    pairs."""
+    SHELL_T_CAP, and after it when the shells hold more than
+    FAMILY_PAIR_CAP pairs."""
     if t1 < 4 or t2 < 4:
         raise core.InputError("norm windows need T1, T2 >= 4")
     hi = max(t1, t2)
@@ -539,21 +567,29 @@ def norm_shells(t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP):
     nsq = np.einsum("nij,nij->n", kept, kept)
     shell1, shell2 = (kept[(nsq > t * t) & (nsq < 4 * t * t)] for t in (t1, t2))
     pairs = shell1.shape[0] * shell2.shape[0]
-    if pairs > count_cap:
+    if pairs > FAMILY_PAIR_CAP:
         raise CapExceededError(f"norm shells at T1 = {t1}, T2 = {t2} hold {pairs} pairs, "
-                               f"above the cap {count_cap}")
+                               f"above the cap {FAMILY_PAIR_CAP}")
     return shell1, shell2
 
 
-def build_family(root, t1: int, t2: int, count_cap: int = FAMILY_PAIR_CAP) -> Family:
+def build_family(root, t1: int, t2: int) -> Family:
     """All products gamma1*gamma2 from the two norm shells passing the anchor
     cut, in row-major (gamma1, gamma2) order.
 
     The cut reads gamma1 (gamma2 v0) for every pair, so no 4x4 product is
     formed.  A CapExceededError is raised, before anything per pair is
-    allocated, when the shells hold more than count_cap pairs."""
+    allocated, when the shells hold more than FAMILY_PAIR_CAP pairs, or when
+    an entry of a quadruple or of a doubled form could pass int64: each
+    partial sum is at most sqrt(8) ||gamma1||_F ||gamma2||_F ||v0||, so the
+    bound taken is 4 N1 N2 ||v0|| < 2^63, with N_i the largest norm of shell
+    i, checked in Python integers."""
     root = core.validate_root(root)
-    shell1, shell2 = norm_shells(t1, t2, count_cap)
+    shell1, shell2 = norm_shells(t1, t2)
+    n1, n2 = (int(np.einsum("nij,nij->n", s, s).max(initial=0)) for s in (shell1, shell2))
+    if 16 * n1 * n2 * sum(x * x for x in root) >= 2**126:
+        raise CapExceededError(f"root {root} with the norm shells at T1 = {t1}, T2 = {t2} "
+                               f"gives family entries that may pass int64")
     w = shell2 @ np.array(root, dtype=np.int64)  # gamma2 v0
     quads = np.einsum("aij,bj->iab", shell1, w)  # (4, n1, n2): gamma1 (gamma2 v0)
     # a > T/100 exactly, as a is an integer

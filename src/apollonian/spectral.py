@@ -119,21 +119,25 @@ def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return (out % q).astype(np.uint8)
 
 
-# Largest closure markov_spectrum takes on.  spectral --q at q = 9 (87,480
-# elements) takes 1.1 s and 52 MB, at q = 11 (1,771,440) 23 s and 407 MB on
-# a 2-CPU machine, about 230 bytes an element; q = 13 (4,769,856) would need
-# about 1.1 GB, so the closure stops between the two.
+# Largest closure closure_sl2 builds, read at each call: spectral (and its
+# --q help), verify and demo 08 reach it through _closure_cached, and only
+# tests change it.  spectral --q at q = 9 (87,480 elements) takes 1.1 s and
+# 52 MB, at q = 11 (1,771,440) 23 s and 407 MB on a 2-CPU machine, about 230
+# bytes an element; q = 13 (4,769,856) would need about 1.1 GB, so the
+# closure stops between the two.
 CLOSURE_CAP = 2_000_000
 
 
-def closure_sl2(q: int, gens=None, cap: int = CLOSURE_CAP) -> QuotientClosure:
+def closure_sl2(q: int, gens=None) -> QuotientClosure:
     """Breadth-first closure of the given generators (S_BAR if None) mod q.
 
-    Raises CapExceededError once more than cap elements are reached, before
-    anything that scales with the closure times the generators is built."""
+    Raises CapExceededError once more than CLOSURE_CAP elements are reached,
+    before anything that scales with the closure times the generators is
+    built."""
     genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
     elements = _bfs_closure(_encode([IDENTITY2], q),
-                            lambda f: np.concatenate([_gmul(f, g, q) for g in genc]), cap)
+                            lambda f: np.concatenate([_gmul(f, g, q) for g in genc]),
+                            CLOSURE_CAP)
     return QuotientClosure(q, elements)
 
 
@@ -142,10 +146,6 @@ def _closure_cached(q: int, gens: tuple) -> QuotientClosure:
     # gens has no default: the cache keys on the arguments as passed, and a
     # default would give the closure of S_BAR two keys
     return closure_sl2(q, gens)
-
-
-def quotient_order_sl2(q: int) -> int:
-    return _closure_cached(q, S_BAR).order
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +476,7 @@ def _rayleigh_ritz(S: np.ndarray, TS: np.ndarray, b: int):
     return theta[::-1][:b], (whiten @ z[:, ::-1][:, :b]).T
 
 
-def _top_eigenvalues(perms: np.ndarray, b: int, tol: float, max_iter: int, rng):
+def _top_eigenvalues(perms: np.ndarray, b: int, rng):
     """The b largest eigenvalues of T on the functions of mean zero, with
     multiplicity, by LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001).
 
@@ -503,15 +503,15 @@ def _top_eigenvalues(perms: np.ndarray, b: int, tol: float, max_iter: int, rng):
     TX[...] = np.matmul(c, TX, out=buf)
     rows = 2 * b   # rows of S in the basis: X and R, then also P
     resid = np.inf
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         resid = _residual(X, TX, mu, R)
-        if resid < tol * 10:
+        if resid < EIGEN_TOL * 10:
             # confirm on a fresh product, which also clears the rounding
             # that the carried combination TX has gathered
             _apply_walk(perms, X, TX, buf)
             matvecs += b
             resid = _residual(X, TX, mu, R)
-            if resid < tol * 10:
+            if resid < EIGEN_TOL * 10:
                 return mu, matvecs
         R -= R.mean(axis=1, keepdims=True)
         R -= np.matmul(R @ X.T, X, out=buf)
@@ -530,12 +530,20 @@ def _top_eigenvalues(perms: np.ndarray, b: int, tol: float, max_iter: int, rng):
         np.divide(tbuf, norms, out=TP)
         rows = 3 * b
     raise EigensolverError(
-        f"block eigensolver did not converge in {max_iter} iterations "
+        f"block eigensolver did not converge in {EIGEN_MAX_ITER} iterations "
         f"(residual {resid:.3g})")
 
 
-def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
-                    max_iter: int = 100_000, seed: int = 0) -> CayleySpectrum:
+# residual bound and block steps of markov_spectrum's eigensolver, read at
+# each call: spectral, verify and demo 08 reach them, and only tests change
+# them.  Every returned pair has |Tv - mu v| < 10 EIGEN_TOL.  spectral --q 5
+# and 7 converge after 171 and 147 matvecs (about 50 block steps of 3 rows),
+# so EIGEN_MAX_ITER only stops a solve that does not converge
+EIGEN_TOL = 1e-8
+EIGEN_MAX_ITER = 100_000
+
+
+def markov_spectrum(q: int, s_mats=None, top_k: int = 3, seed: int = 0) -> CayleySpectrum:
     """Top eigenvalues of the walk operator T f(g) = |S|^-1 sum f(s g).
 
     S (S_BAR if None) is deduplicated mod q and must be closed under
@@ -548,8 +556,8 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
     multiplicity, from one block iteration (LOBPCG) of top_k rows drawn
     from seed on the functions of mean zero; T is applied as gathers
     through the permutations of the classes.  Every returned pair has
-    residual |Tv - mu v| < 10 tol, or EigensolverError is raised after
-    max_iter block steps.  When the classes are too few for a block step
+    residual |Tv - mu v| < 10 EIGEN_TOL, or EigensolverError is raised after
+    EIGEN_MAX_ITER block steps.  When the classes are too few for a block step
     (at most 3 top_k + 1) the spectrum comes from a dense eigvalsh
     instead."""
     if top_k < 1:
@@ -571,8 +579,7 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, tol: float = 1e-8,
             T[np.arange(m), row] += 1.0 / perms.shape[0]
         eigs, matvecs = np.linalg.eigvalsh(T)[::-1][1:], 0
     else:
-        eigs, matvecs = _top_eigenvalues(perms, top_k, tol, max_iter,
-                                         np.random.default_rng(seed))
+        eigs, matvecs = _top_eigenvalues(perms, top_k, np.random.default_rng(seed))
     eigs = np.sort(np.concatenate([eigs, np.zeros(min(top_k, n - m))]))[::-1][:top_k]
     stages["solve_s"] = time.perf_counter() - t0
     return CayleySpectrum(q, n, genc.shape[0], (1.0,) + tuple(float(e) for e in eigs), matvecs,

@@ -23,6 +23,8 @@ import pytest
 from apollonian import congruence as cg
 from apollonian import core, expsums as es, forms, orbit, spectral as sp
 from apollonian.forms import ShiftedForm
+from conftest import sf_table
+from test_congruence import so_f_order_pairs
 from test_expsums import l1_distance, s_avg
 from test_forms import coincidence_bruteforce, zero_pairs_bruteforce
 
@@ -55,8 +57,8 @@ def test_criterion_03_quotient_structure():
     assert cg.quotient_order(16) == 2**6 * cg.quotient_order(8)
     # corrected third clause: the quotient is the index-2 spinor kernel of
     # SO_F(F_p), with both sides computed by independent algorithms
-    assert 2 * cg.quotient_order(5) == cg.so_f_order(5) == cg.so_f_order_pairs(5)
-    assert 2 * cg.quotient_order(7) == cg.so_f_order(7) == cg.so_f_order_pairs(7)
+    assert 2 * cg.quotient_order(5) == cg.so_f_order(5) == so_f_order_pairs(5)
+    assert 2 * cg.quotient_order(7) == cg.so_f_order(7) == so_f_order_pairs(7)
     passline(3, "multiplicativity, 2-power stabilization, and the exact "
                 "index-2 spinor identity against the sphere-count oracle")
 
@@ -152,7 +154,7 @@ def test_criterion_07_stated_bound_all_moduli(sf_bound):
 
 def test_criterion_08_s_identities(crt_mismatches):
     full = s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
-    short = sum(es.sf_table(F0, 3, r)[1, 2] * np.conj(es.sf_table(F0, 3, r)[1, 2])
+    short = sum(sf_table(F0, 3, r)[1, 2] * np.conj(sf_table(F0, 3, r)[1, 2])
                 for r in (1, 2))
     assert abs(full - 3 * short) < 1e-9
     assert crt_mismatches == 0

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import os
@@ -245,6 +244,65 @@ def test_delta_fit_csv_prints_only_the_table(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines() == [f"{y},{c}" for y, c in table]
 
 
+def test_delta_fit_stages_within_elapsed(capsys):
+    assert run(["delta-fit", "--ymin", "20", "--ymax", "200", "--points", "7"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    stages = rep["stages"]
+    assert set(stages) == {"walk", "fit"}
+    # the walk's items are the elements of Gamma in the largest ball
+    assert stages["walk"]["items"] == rep["results"]["table"][-1][1] > 0
+    assert stages["fit"]["items"] == 7
+    for entry in stages.values():
+        assert set(entry) == {"s", "items", "peak_rss_mb"}
+        assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
+    # every value is rounded to the millisecond, so each may read 0.5 ms high
+    total = sum(entry["s"] for entry in stages.values())
+    assert total <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+
+
+def test_circle_help_reads_the_pair_cap(monkeypatch, capsys):
+    monkeypatch.setattr(orbit, "FAMILY_PAIR_CAP", 143)
+    with pytest.raises(SystemExit):
+        run(["circle", "--help"])
+    assert "more than 143 shell pairs" in " ".join(capsys.readouterr().out.split())
+
+
+def _descartes_root(n):
+    """The root -n, n + 1, n(n + 1), n(n + 1) + 1, as --root text and as a tuple."""
+    root = (-n, n + 1, n * (n + 1), n * (n + 1) + 1)
+    return "--root=" + ",".join(map(str, root)), root
+
+
+def test_roots_past_int64(capsys):
+    # entries near 1e20: the orbit of the root mod q is that of any root
+    # congruent to it mod q, here the root at n = 1e10 mod 840 = lcm(8, 3, 5, 7)
+    n = 10**10
+    big, root = _descartes_root(n)
+    twin, _ = _descartes_root(n % 840 or 840)
+    reports = []
+    for flag in (big, twin):
+        assert run(["admissible", flag, "--q", "24,5,7,8"]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["results"])
+        assert run(["singular", flag, "--n", "5"]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["results"])
+    assert reports[:2] == reports[2:]
+    # no curvature of this gasket is at most 1000, so every admissible
+    # integer there is an exception
+    assert run(["gasket", big, "--limit", "1000"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    classes = set(reports[2]["24"])
+    assert res["curvature_count"] == 0
+    assert res["exception_count"] == res["admissible_count"] == sum(
+        k % 24 in classes for k in range(1, 1001))
+    # the family's entries would pass int64: refused before any product, and
+    # at n = 1e9, where the quadruples used to wrap silently
+    for n in (10**10, 10**9):
+        flag, root = _descartes_root(n)
+        assert run(["circle", flag, "--t1", "8", "--t2", "8"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(root) in err and "int64" in err, err
+
+
 def test_circle_grid_checked_before_family(monkeypatch, capsys):
     # the default grid cannot resolve the spikes at n_scale = 32 * 32 * 96^2
     def build(*args, **kw):
@@ -315,8 +373,7 @@ def test_circle_q0cap_0_exits_2():
 
 
 def test_spectral_non_convergence_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(spectral, "markov_spectrum",
-                        functools.partial(spectral.markov_spectrum, max_iter=2))
+    monkeypatch.setattr(spectral, "EIGEN_MAX_ITER", 2)
     assert run(["spectral", "--q", "5"]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "did not converge" in err, err
@@ -582,9 +639,9 @@ def test_spectral_command(capsys):
     entry = rep["results"]["4"]
     # G/{+-I} mod 4 has 8 elements, so the dense branch runs
     assert entry["matvecs"] == 0
-    assert set(entry["stages"]) == {"closure_s", "permutations_s", "solve_s",
-                                    "transference_s"}
-    assert all(v >= 0 for v in entry["stages"].values())
+    assert set(rep["stages"]["4"]) == {"closure_s", "permutations_s", "solve_s",
+                                       "transference_s"}
+    assert all(v >= 0 for v in rep["stages"]["4"].values())
     assert entry["status"] == "PASS"
     assert entry["transference"]["holds"] is True
 
@@ -600,10 +657,22 @@ def test_spectral_transference_trivial_quotient(capsys):
 def test_spectral_stages_within_elapsed(capsys):
     assert run(["spectral", "--q", "3,5", "--check", "alternation"]) == 0
     rep = json.loads(capsys.readouterr().out)
-    stages = [v for e in rep["results"].values() for v in e["stages"].values()]
-    assert all("alternation_s" in e["stages"] for e in rep["results"].values())
+    assert set(rep["stages"]) == set(rep["results"]) == {"3", "5"}
+    stages = [v for e in rep["stages"].values() for v in e.values()]
+    assert all("alternation_s" in e for e in rep["stages"].values())
     # every value is rounded to the millisecond, so each may read 0.5 ms high
     assert sum(stages) <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+
+
+def test_spectral_results_repeat(capsys):
+    # the per-modulus seconds sit in stages, outside results, so two runs
+    # give equal results
+    reports = []
+    for _ in range(2):
+        assert run(["spectral", "--q", "5"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert set(reports[0]["stages"]["5"]) == {"closure_s", "permutations_s", "solve_s"}
 
 
 def test_circle_command(tmp_path):

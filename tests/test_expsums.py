@@ -9,7 +9,7 @@ from apollonian import congruence as cg
 from apollonian import core, expsums as es, orbit
 from apollonian.forms import ShiftedForm
 
-from conftest import square_classes
+from conftest import sf_table, square_classes
 
 ROOT = (-11, 21, 24, 28)
 F0 = ShiftedForm(10, 7, 17, -11)
@@ -29,7 +29,7 @@ def test_sf_table_matches_direct():
         for r in range(1, q0):
             if gcd(r, q0) != 1:
                 continue
-            tab = es.sf_table(F0, q0, r)
+            tab = sf_table(F0, q0, r)
             for (n, m) in ((0, 0), (1, 2), (q0 - 1, 3 % q0)):
                 assert abs(tab[n % q0, m % q0]
                            - es.sf_direct(F0, q0, r, n, m)) < 1e-10
@@ -86,7 +86,7 @@ def test_sf_table_square_class_identity():
     Each q0's tables are built once and compared by index permutation."""
     for q0 in range(2, 61):
         units = [r for r in range(1, q0) if gcd(r, q0) == 1]
-        tabs = np.stack([es.sf_table(F0, q0, r) for r in units])
+        tabs = np.stack([sf_table(F0, q0, r) for r in units])
         pos = {r: i for i, r in enumerate(units)}
         for u in units:
             idx = pow(u, -1, q0) * np.arange(q0) % q0
@@ -143,8 +143,8 @@ def s_avg(q: int, q0: int, f: ShiftedForm, f2: ShiftedForm,
                 tabs[r0] = (1.0 + 0j, 1.0 + 0j)
             else:
                 tabs[r0] = (
-                    es.sf_table(f, q0, r0)[n % q0, m % q0],
-                    es.sf_table(f2, q0, r0)[n2 % q0, m2 % q0],
+                    sf_table(f, q0, r0)[n % q0, m % q0],
+                    sf_table(f2, q0, r0)[n2 % q0, m2 % q0],
                 )
         sa, sb = tabs[r0]
         total += sa * np.conj(sb) * roots[(r * da) % q]
@@ -156,7 +156,7 @@ def test_s_avg():
     # coset reduction when the shifts agree: sum over r mod 9 collapses
     full = s_avg(9, 3, F0, F0, 1, 2, 1, 2, u0=1)
     short = sum(
-        es.sf_table(F0, 3, r)[1, 2] * np.conj(es.sf_table(F0, 3, r)[1, 2])
+        sf_table(F0, 3, r)[1, 2] * np.conj(sf_table(F0, 3, r)[1, 2])
         for r in (1, 2))
     assert abs(full - 3 * short) < 1e-9
     with pytest.raises(ValueError):
@@ -480,14 +480,17 @@ def test_representation_runs_longer_than_a_chunk(family_8, monkeypatch):
             assert np.array_equal(getattr(rep, name), getattr(reps[0], name)), name
 
 
-def test_representation_count_cap(family_8):
+def test_representation_count_cap(family_8, monkeypatch):
     # 96 members at 192 live points of the X = 32 box (561 points)
-    es.representation_number(family_8, 32, count_cap=96 * 192)
+    monkeypatch.setattr(es, "REPRESENTATION_CAP", 96 * 192)
+    es.representation_number(family_8, 32)
+    monkeypatch.setattr(es, "REPRESENTATION_CAP", 96 * 192 - 1)
     with pytest.raises(orbit.CapExceededError):
-        es.representation_number(family_8, 32, count_cap=96 * 192 - 1)
+        es.representation_number(family_8, 32)
     # the box is checked before it is built, even for an empty family
+    monkeypatch.setattr(es, "REPRESENTATION_CAP", 560)
     with pytest.raises(orbit.CapExceededError):
-        es.representation_number(orbit.build_family(ROOT, 8, 16), 32, count_cap=560)
+        es.representation_number(orbit.build_family(ROOT, 8, 16), 32)
 
 
 def test_witnesses_built_when_read(family_8, monkeypatch):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,29 +60,29 @@ def test_residues_mod_24():
     assert set(np.unique(vals % 24).tolist()) == {0, 4, 12, 13, 16, 21}
 
 
-def test_monotone_and_thread_determinism():
+def test_monotone_and_thread_determinism(monkeypatch):
     a = orbit.enumerate_curvatures(ROOT, 2000)
     b = orbit.enumerate_curvatures(ROOT, 5000)
     assert set(a.values().tolist()) <= set(b.values().tolist())
     c = orbit.enumerate_curvatures(ROOT, 5000, threads=3)
     assert np.array_equal(b.bits, c.bits)
-    d = orbit.enumerate_curvatures(ROOT, 5000, block_size=64)
-    assert np.array_equal(b.bits, d.bits)
     for bad in (0, -3):
         with pytest.raises(ValueError):
             orbit.enumerate_curvatures(ROOT, 100, threads=bad)
-    for bad in (0, -5):
-        with pytest.raises(core.InputError):
-            orbit.enumerate_curvatures(ROOT, 1000, block_size=bad)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    d = orbit.enumerate_curvatures(ROOT, 5000)
+    assert np.array_equal(b.bits, d.bits)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n_max=st.integers(1, 3000), block_size=st.integers(1, 512),
        threads=st.integers(1, 6))
 def test_walk_independent_of_blocks_and_threads(n_max, block_size, threads):
+    # a function-scoped monkeypatch fixture fails Hypothesis's health check
     ref = orbit.enumerate_curvatures(ROOT, n_max)
-    cs = orbit.enumerate_curvatures(ROOT, n_max, record_witnesses=True,
-                                    block_size=block_size, threads=threads)
+    with mock.patch.object(orbit, "WALK_BLOCK_ROWS", block_size):
+        cs = orbit.enumerate_curvatures(ROOT, n_max, record_witnesses=True,
+                                        threads=threads)
     assert np.array_equal(cs.bits, ref.bits)
     vals = cs.values()
     assert (cs.witnesses[vals] == vals[:, None]).any(axis=1).all()
@@ -120,14 +121,14 @@ def reference_curvatures(root, n_max):
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
                                   (-6, 11, 14, 15), ROOT])
 @pytest.mark.parametrize("n_max", [1, 28, 100, 5000, 2 * 10**5])
-def test_walk_matches_reference(root, n_max):
+def test_walk_matches_reference(root, n_max, monkeypatch):
     want = reference_curvatures(root, n_max)
     # one-row blocks cost about 50 us a step: 65 s for (-1, 2, 2, 3) at 2e5
     small = (1, 7) if n_max <= 5000 else (1 << 10,)
     for block_size in small + (1 << 20,):
+        monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", block_size)
         for threads in (1, 3):
-            cs = orbit.enumerate_curvatures(root, n_max, block_size=block_size,
-                                            threads=threads)
+            cs = orbit.enumerate_curvatures(root, n_max, threads=threads)
             assert np.array_equal(cs.to_bool(), want), (block_size, threads)
 
 
@@ -147,9 +148,10 @@ def test_mark_buffer_flushes(root, monkeypatch):
 
     monkeypatch.setattr(orbit._SharedWalk, "_flush", spy)
     want = reference_curvatures(root, 5000)
-    for blocks in ({"block_size": 1}, {"block_size": 7}, {}):
+    for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
+        monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
         for threads in (1, 3):
-            cs = orbit.enumerate_curvatures(root, 5000, threads=threads, **blocks)
+            cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
             assert np.array_equal(cs.to_bool(), want), (blocks, threads)
     assert max(sizes) == 5 and min(sizes) < 5
 
@@ -189,8 +191,9 @@ def test_walk_expands_each_quadruple_once(root, monkeypatch):
 def test_rows_independent_of_blocks_and_threads(monkeypatch):
     ref = orbit.enumerate_curvatures(ROOT, 10**5)
     for block_size, threads in ((1, 1), (7, 3), (1 << 10, 2), (1 << 20, 4)):
-        cs = orbit.enumerate_curvatures(ROOT, 10**5, block_size=block_size,
-                                        threads=threads)
+        with monkeypatch.context() as m:
+            m.setattr(orbit, "WALK_BLOCK_ROWS", block_size)
+            cs = orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
         assert cs.rows == ref.rows, (block_size, threads)
     # rows counts exactly the quadruples handed to _children
     rows = []
@@ -222,11 +225,12 @@ def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
         return children(*cols)
 
     monkeypatch.setattr(orbit, "_children", failing)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
     raised = []
 
     def walk():
         try:
-            orbit.enumerate_curvatures(ROOT, 10**5, block_size=16, threads=threads)
+            orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
         except RuntimeError as e:
             raised.append(e)
 
@@ -260,12 +264,13 @@ def test_interrupted_caller_stops_the_workers(monkeypatch):
         return children(*cols)
 
     monkeypatch.setattr(orbit, "_children", spy)
-    orbit.enumerate_curvatures(ROOT, 10**6, block_size=64)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    orbit.enumerate_curvatures(ROOT, 10**6)
     steps, full[:] = len(full), []
     monkeypatch.setattr(orbit._SharedWalk, "run", interrupted)
     before = threading.active_count()
     with pytest.raises(Interrupt):
-        orbit.enumerate_curvatures(ROOT, 10**6, block_size=64, threads=3)
+        orbit.enumerate_curvatures(ROOT, 10**6, threads=3)
     assert threading.active_count() == before
     assert len(full) < steps // 10, (len(full), steps)
 
@@ -286,22 +291,23 @@ def test_failed_thread_start_stops_the_workers(monkeypatch):
         return start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", failing_start)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     before = threading.active_count()
     with pytest.raises(StartFailed):
-        orbit.enumerate_curvatures(ROOT, 10**6, block_size=64, threads=4)
+        orbit.enumerate_curvatures(ROOT, 10**6, threads=4)
     assert len(starts) == 2
     assert threading.active_count() == before
 
 
-def test_shared_witnesses_under_thread_switching():
+def test_shared_witnesses_under_thread_switching(monkeypatch):
     # more threads than cores, switching as often as the interpreter allows:
     # a witness row torn between two threads would leave the Descartes cone
     root, n_max = (-1, 2, 2, 3), 20000
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True,
-                                        block_size=16, threads=8)
+        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True, threads=8)
     finally:
         sys.setswitchinterval(old)
     assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
@@ -462,44 +468,50 @@ def reference_gamma(norm_cap_sq, keep_window=None):
 
 
 @pytest.mark.parametrize("y", [2.1, 10, 100, 1000])
-def test_gamma_walk_matches_reference(y):
+def test_gamma_walk_matches_reference(y, monkeypatch):
     cap = int((4 * y) ** 2) + 1
     want, _ = reference_gamma(cap)
     for block_size in (1, 5, 1 << 18):
-        got, kept = orbit.enumerate_gamma(cap, block_size=block_size)
+        monkeypatch.setattr(orbit, "GAMMA_BLOCK_ROWS", block_size)
+        got, kept = orbit.enumerate_gamma(cap)
         assert got.dtype == want.dtype and np.array_equal(got, want), block_size
         assert kept.shape == (0, 4, 4)
 
 
 @pytest.mark.parametrize("t", [4, 8, 32])
-def test_gamma_window_matches_reference(t):
+def test_gamma_window_matches_reference(t, monkeypatch):
     cap, window = (4 * t) ** 2, (t * t, 4 * t * t)
     want_norms, want = reference_gamma(cap, window)
     for block_size in (1, 5, 1 << 18):
-        norms, kept = orbit.enumerate_gamma(cap, keep_window=window,
-                                            block_size=block_size)
+        monkeypatch.setattr(orbit, "GAMMA_BLOCK_ROWS", block_size)
+        norms, kept = orbit.enumerate_gamma(cap, keep_window=window)
         assert np.array_equal(norms, want_norms)
         # the same set, in lexicographic order of the 16 entries
         assert kept.reshape(-1, 16).tolist() == sorted(want.reshape(-1, 16).tolist())
 
 
-def test_gamma_count_cap():
+def test_gamma_count_cap(monkeypatch):
     cap = (4 * 100) ** 2 + 1
     total = reference_gamma(cap)[0].size
+    monkeypatch.setattr(orbit, "GAMMA_COUNT_CAP", total - 1)
     with pytest.raises(orbit.CapExceededError):
-        orbit.enumerate_gamma(cap, count_cap=total - 1)
-    assert orbit.enumerate_gamma(cap, count_cap=total)[0].size == total
+        orbit.enumerate_gamma(cap)
+    monkeypatch.setattr(orbit, "GAMMA_COUNT_CAP", total)
+    assert orbit.enumerate_gamma(cap)[0].size == total
 
 
-def test_norm_ball_counts_and_slack():
+def test_norm_ball_counts_and_slack(monkeypatch):
     t = orbit.norm_ball_count([2.1, 5, 10, 30, 100])
     assert t.counts[0] >= 1           # identity has norm 2
     assert (np.diff(t.counts) >= 0).all()
-    t16 = orbit.norm_ball_count([10, 30, 100, 300], slack=16.0)
-    t4 = orbit.norm_ball_count([10, 30, 100, 300], slack=4.0)
+    monkeypatch.setattr(orbit, "NORM_BALL_SLACK", 16.0)
+    t16 = orbit.norm_ball_count([10, 30, 100, 300])
+    monkeypatch.setattr(orbit, "NORM_BALL_SLACK", 4.0)
+    t4 = orbit.norm_ball_count([10, 30, 100, 300])
     assert np.array_equal(t4.counts, t16.counts)
+    monkeypatch.setattr(orbit, "NORM_BALL_Y_CAP", 2.0e4)
     with pytest.raises(orbit.CapExceededError):
-        orbit.norm_ball_count([10**5], y_cap=2.0e4)
+        orbit.norm_ball_count([10**5])
 
 
 def test_fit_delta_needs_two_counts():
@@ -576,6 +588,38 @@ def test_family_matches_reference(t1, t2):
     for name, arr in want.items():
         got = getattr(fam, name)
         assert got.dtype == arr.dtype and np.array_equal(got, arr), name
+
+
+def test_family_just_under_the_int64_bound():
+    # roots -n, n + 1, n(n + 1), n(n + 1) + 1: at the largest n build_family
+    # takes at T1 = T2 = 8 its quadruples and forms are those of Python
+    # integers; at n = 1e9 they used to wrap silently
+    def root(n):
+        return (-n, n + 1, n * (n + 1), n * (n + 1) + 1)
+
+    def accepted(n):
+        try:
+            orbit.build_family(root(n), 8, 8)
+        except orbit.CapExceededError:
+            return False
+        return True
+
+    lo, hi = 1, 10**9
+    assert accepted(lo) and not accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    fam = orbit.build_family(root(lo), 8, 8)
+    w = fam.shell2.astype(object) @ np.array(root(lo), dtype=object)
+    quads = fam.shell1.astype(object) @ w.T  # (n1, 4, n2): gamma1 (gamma2 v0)
+    g1, g2 = np.nonzero(quads[:, 0, :] > 8 * 8 // 100)
+    assert fam.g1_index.tolist() == g1.tolist() and fam.g2_index.tolist() == g2.tolist()
+    exact = quads[g1, :, g2]
+    a, b, c, d = exact.T
+    assert fam.quads.tolist() == exact.tolist()
+    assert fam.forms.tolist() == np.stack([a + b, (a + b - c + d) // 2, a + d, a],
+                                          axis=1).tolist()
+    assert max(abs(x) for x in exact.ravel()) > 2**60
 
 
 def test_family_memory():
@@ -658,9 +702,11 @@ def test_modular_equidistribution(family_32):
     assert max(counts) <= 4 * min(counts)
 
 
-def test_family_count_cap():
+def test_family_count_cap(monkeypatch):
     # the T = 8 shell holds 12 elements, so the family multiplies 144 pairs
-    fam = orbit.build_family(ROOT, 8, 8, count_cap=144)
+    monkeypatch.setattr(orbit, "FAMILY_PAIR_CAP", 144)
+    fam = orbit.build_family(ROOT, 8, 8)
     assert fam.shell1.shape[0] * fam.shell2.shape[0] == 144
+    monkeypatch.setattr(orbit, "FAMILY_PAIR_CAP", 143)
     with pytest.raises(orbit.CapExceededError):
-        orbit.build_family(ROOT, 8, 8, count_cap=143)
+        orbit.build_family(ROOT, 8, 8)

@@ -41,23 +41,27 @@ def sl2_zi_full_order(q: int) -> int:
     return count
 
 
+def quotient_order_sl2(q: int) -> int:
+    return sp._closure_cached(q, sp.S_BAR).order
+
+
 def test_closure_orders(registry):
-    assert sp.quotient_order_sl2(1) == 1
-    o2 = sp.quotient_order_sl2(2)
+    assert quotient_order_sl2(1) == 1
+    o2 = quotient_order_sl2(2)
     registry.check("spectral.order_q2", o2)
     assert sl2_zi_full_order(2) == 48
     assert 48 % o2 == 0
     for q in (3, 4, 5, 8):
-        registry.check(f"spectral.order_q{q}", sp.quotient_order_sl2(q))
+        registry.check(f"spectral.order_q{q}", quotient_order_sl2(q))
     # mod 5 the closure is everything
-    assert sp.quotient_order_sl2(5) == 14400
+    assert quotient_order_sl2(5) == 14400
 
 
 def test_closure_multiplicativity():
-    assert sp.quotient_order_sl2(6) == \
-        sp.quotient_order_sl2(2) * sp.quotient_order_sl2(3)
-    assert sp.quotient_order_sl2(12) == \
-        sp.quotient_order_sl2(4) * sp.quotient_order_sl2(3)
+    assert quotient_order_sl2(6) == \
+        quotient_order_sl2(2) * quotient_order_sl2(3)
+    assert quotient_order_sl2(12) == \
+        quotient_order_sl2(4) * quotient_order_sl2(3)
 
 
 def test_h1_characterization():
@@ -383,9 +387,10 @@ def test_block_spectrum_independent_of_seed():
                 pytest.approx(base, abs=1e-9)
 
 
-def test_block_spectrum_reports_non_convergence():
+def test_block_spectrum_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(sp, "EIGEN_MAX_ITER", 2)
     with pytest.raises(sp.EigensolverError, match="did not converge"):
-        sp.markov_spectrum(5, max_iter=2)
+        sp.markov_spectrum(5)
     # the dense branch, for groups too small for a block step, counts no matvecs
     assert sp.markov_spectrum(2).matvecs == 0
     with pytest.raises(ValueError):
