@@ -140,7 +140,9 @@ def emit_report(command: str, config: dict, results: dict, out=None,
     """stages, when given, holds the run's timings: a StageRecorder's
     stages, or for spectral the seconds of each step per modulus.  It sits
     beside elapsed_s, outside results, because it changes from run to run,
-    so two runs of one command give equal results."""
+    so two runs of one command give equal results.  cpu_s is the CPU
+    seconds the process has spent so far, in every thread, interpreter
+    start-up and imports included."""
     config = {k: v for k, v in config.items() if not callable(v)}
     report = {
         "command": command,
@@ -148,6 +150,7 @@ def emit_report(command: str, config: dict, results: dict, out=None,
         "results": _jsonable(results),
         "version": __version__,
         "elapsed_s": round(time.time() - t0, 3) if t0 else None,
+        "cpu_s": round(time.process_time(), 3),
     }
     if stages is not None:
         report["stages"] = stages
@@ -206,17 +209,20 @@ def _peak_rss_mb():
 class StageRecorder:
     """The stages block of a report.  Each call records the stage that ran
     since the previous call (or since the recorder was made): its seconds,
-    the items it processed and the peak RSS after it."""
+    the CPU seconds of the whole process over it (every thread, user and
+    system), the items it processed and the peak RSS after it."""
 
     def __init__(self):
         self.stages = {}
         self._start = time.time()
+        self._cpu_start = time.process_time()
 
     def __call__(self, name: str, items: int) -> None:
-        end = time.time()
-        self.stages[name] = {"s": round(end - self._start, 3), "items": int(items),
-                             "peak_rss_mb": _peak_rss_mb()}
-        self._start = end
+        end, cpu_end = time.time(), time.process_time()
+        self.stages[name] = {"s": round(end - self._start, 3),
+                             "cpu_s": round(cpu_end - self._cpu_start, 3),
+                             "items": int(items), "peak_rss_mb": _peak_rss_mb()}
+        self._start, self._cpu_start = end, cpu_end
 
 
 def cmd_gasket(args) -> int:

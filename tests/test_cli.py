@@ -47,6 +47,47 @@ def child_report(argv):
     return json.loads(out.stdout)
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def threads_after_import(**blas_env):
+    """The threads of a fresh interpreter that has imported apollonian.cli,
+    with blas_env as the only BLAS thread settings of its environment."""
+    code = "import os, apollonian.cli; print(len(os.listdir('/proc/self/task')))"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_env, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout)
+
+
+needs_task_dir = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                    reason="no /proc/self/task to count threads")
+
+
+@needs_task_dir
+def test_import_starts_no_blas_thread():
+    # numpy's OpenBLAS would start one helper thread per CPU at import
+    assert threads_after_import() == 1
+
+
+@needs_task_dir
+@pytest.mark.skipif(cli._available_cpus() < 2, reason="one CPU: OpenBLAS starts no helper")
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_caller_blas_threads_win(var):
+    assert threads_after_import(**{var: "2"}) == 2
+
+
+def assert_stage_cpu_within_report(rep):
+    """Each stage's CPU seconds are at least 0 and sum to no more than the
+    report's cpu_s, the process's CPU since start-up (each value is rounded
+    to the millisecond, so each may read 0.5 ms high)."""
+    cpu = [entry["cpu_s"] for entry in rep["stages"].values()]
+    assert all(c >= 0 for c in cpu)
+    assert sum(cpu) <= rep["cpu_s"] + 0.0005 * (len(cpu) + 1)
+
+
 def test_gasket_command(tmp_path):
     out = tmp_path / "report.json"
     snap = tmp_path / "bits.bin"
@@ -73,10 +114,11 @@ def test_gasket_stages(tmp_path, capsys):
     assert stages["census"]["items"] == 10000
     assert stages["snapshot"]["items"] == 1250
     for entry in stages.values():
-        assert set(entry) == {"s", "items", "peak_rss_mb"}
+        assert set(entry) == {"s", "cpu_s", "items", "peak_rss_mb"}
         assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
     assert rep["elapsed_s"] is not None
     assert rep["config"]["threads"] == threads
+    assert_stage_cpu_within_report(rep)
 
 
 def test_gasket_threads_default_to_available_cpus(capsys):
@@ -253,11 +295,12 @@ def test_delta_fit_stages_within_elapsed(capsys):
     assert stages["walk"]["items"] == rep["results"]["table"][-1][1] > 0
     assert stages["fit"]["items"] == 7
     for entry in stages.values():
-        assert set(entry) == {"s", "items", "peak_rss_mb"}
+        assert set(entry) == {"s", "cpu_s", "items", "peak_rss_mb"}
         assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
     # every value is rounded to the millisecond, so each may read 0.5 ms high
     total = sum(entry["s"] for entry in stages.values())
     assert total <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+    assert_stage_cpu_within_report(rep)
 
 
 def test_circle_help_reads_the_pair_cap(monkeypatch, capsys):
@@ -356,11 +399,12 @@ def test_circle_stages_within_elapsed(capsys):
     assert stages["bump"]["items"] == stages["decomposition"]["items"] == 1 << 16
     assert stages["minor_arcs"]["items"] == 1 << 12
     for entry in stages.values():
-        assert set(entry) == {"s", "items", "peak_rss_mb"}
+        assert set(entry) == {"s", "cpu_s", "items", "peak_rss_mb"}
         assert entry["s"] >= 0 and entry["peak_rss_mb"] > 0
     # every value is rounded to the millisecond, so each may read 0.5 ms high
     total = sum(entry["s"] for entry in stages.values())
     assert total <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+    assert_stage_cpu_within_report(rep)
 
 
 def test_circle_q0cap_0_exits_2():
@@ -662,6 +706,7 @@ def test_spectral_stages_within_elapsed(capsys):
     assert all("alternation_s" in e for e in rep["stages"].values())
     # every value is rounded to the millisecond, so each may read 0.5 ms high
     assert sum(stages) <= rep["elapsed_s"] + 0.0005 * (len(stages) + 1)
+    assert rep["cpu_s"] > 0
 
 
 def test_spectral_results_repeat(capsys):

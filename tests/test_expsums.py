@@ -342,6 +342,24 @@ def hat_t_fourier(y) -> np.ndarray:
     return out
 
 
+def big_theta_full_pass(theta, n_scale, q0_cut, k0):
+    """big_theta as one pass over every point for each (q, r, m) term."""
+    scale = n_scale / k0
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros_like(theta)
+    x = np.empty_like(theta)
+    for q in range(1, q0_cut):
+        for r in range(q):
+            if gcd(r, q) != 1:
+                continue
+            for m in (-2, -1, 0, 1, 2):
+                np.add(theta, m, out=x)
+                x -= r / q
+                x *= scale
+                out += es.hat_t(x, out=x)
+    return out
+
+
 def test_hat_functions():
     assert hat_t_fourier(np.array([0.0]))[0] == 1.0
     v = float(hat_t_fourier(np.array([0.5]))[0])
@@ -355,8 +373,19 @@ def test_hat_functions():
     # spike field: nonnegative, and at least 1 on low fractions
     theta = np.array([0.0, 0.5, 1 / 3, 0.25, 2 / 7])
     b = es.big_theta(theta, 65536.0, 8, 64.0)
+    assert np.array_equal(b, big_theta_full_pass(theta, 65536.0, 8, 64.0))
     assert (b >= 0).all()
     assert (b[:4] >= 1 - 1e-12).all()
+
+
+@pytest.mark.parametrize("grid, q0_cut, k0", [
+    (1 << 12, 2, 65536.0 / 2.1), (1 << 16, 8, 64.0), (1 << 22, 8, 64.0)])
+def test_big_theta_windows_match_full_pass(grid, q0_cut, k0):
+    # each term is evaluated on its spike's window alone; the points left
+    # out add +0.0, so the bump is bit-identical to the full pass
+    theta = np.arange(grid) / grid
+    assert np.array_equal(es.big_theta(theta, 65536.0, q0_cut, k0),
+                          big_theta_full_pass(theta, 65536.0, q0_cut, k0))
 
 
 def test_upsilon_normalization():
