@@ -329,11 +329,12 @@ def cmd_singular(args) -> int:
     if args.depth < 1:
         raise core.InputError(f"--depth must be at least 1, got {args.depth}")
     val = expsums.singular_series(args.n, root, args.pcut)
+    admissible = congruence.is_admissible(args.n, root)
     results = {
         "n": args.n,
         "singular_series": val,
-        "admissible": congruence.is_admissible(args.n, root),
-        "note": "non-admissible" if val == 0 else "admissible",
+        "admissible": admissible,
+        "note": "admissible" if admissible else "non-admissible",
     }
     emit_report("singular", vars(args), results, args.out, t0=t0)
     return EXIT_OK
@@ -632,10 +633,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("admissible", help="admissible residue classes")
     _add_common(p, root=True)
     p.add_argument("--q", default="24",
-                   help=f"comma-separated moduli; an orbit of more than "
-                        f"{congruence.ORBIT_CAP:,} rows exits 3 (q = 181 has "
-                        f"5,962,320 and takes about 10 s and 0.84 GB), and so "
-                        f"does q above {congruence.ORBIT_MODULUS_CAP:,}")
+                   help=f"comma-separated moduli; the classes mod q are read off "
+                        f"the orbit mod gcd(q, 24), a quarter of q for the default "
+                        f"root when 24 divides q, at about 130 bytes a class: "
+                        f"4,000,002 take about 6 s and 0.57 GB, and more than "
+                        f"{congruence.ADMISSIBLE_CLASSES_CAP:,} (about 14 s and "
+                        f"1.33 GB at the cap) exit 3, as does q above "
+                        f"{congruence.ORBIT_MODULUS_CAP:,}")
     p.set_defaults(func=cmd_admissible)
 
     p = sub.add_parser("delta-fit", help="norm-ball growth exponent")

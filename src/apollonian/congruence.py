@@ -7,6 +7,9 @@ image of the spin preimage in SL(2, Z[i]/(q)).  Each caller encodes an
 element as a fixed-width row and supplies a vectorised step giving all its
 generator images; the engine deduplicates rows by sorting their keys,
 one machine word per row where the row fits in one.
+Admissible classes and orbit sizes modulo any q are read off the orbit
+modulo gcd(q, 24) in closed form (strong approximation, Fuchs 2011); the
+closures of the orbit modulo q are their oracle.
 The order of the special orthogonal group of the Descartes form over F_p is
 computed independently by orbit-stabilizer counting on spheres, giving an
 oracle for the structure of the quotients at primes away from 2 and 3.
@@ -21,6 +24,7 @@ from math import gcd
 import numpy as np
 
 from . import core
+from .forms import _factorize
 from .orbit import _GEN_STACK, CapExceededError
 
 
@@ -87,10 +91,17 @@ class QuotientClosure:
         return idx
 
 
-# Largest image quotient_closure closes, read at each call.  The value is
-# unmeasured: only verify (q = 2, 3, 6), demo 04 (q up to 16) and tests
-# reach quotient_closure, and only tests change it
-QUOTIENT_CAP = 100_000_000
+# Largest image quotient_closure closes, read at each call.  Only verify
+# (q = 2, 3, 6), demo 04 (q up to 16) and tests reach quotient_closure (the
+# largest, mod 15, has 432,000 elements), and only tests change it.  The cap
+# is checked after each BFS level, and stepping a level of F rows peaks
+# near 1.7 kB a row: q = 7 (58,800 elements) peaks at 72 MB, q = 11
+# (885,720) at 783 MB, and q = 13 (2,384,928) at 1.72 GB, 1.61 GB of it
+# while stepping its 939,224-row level.  A level is at most 5 times the one
+# before (one of a row's 6 images leads back), so at most 0.8 of the rows
+# reached, and a closure stopped at this cap peaks near 1.4 GB at most:
+# stopped at q = 13, 17, 19, 23, 29, 101 and 251 it peaked at 561-811 MB.
+QUOTIENT_CAP = 1_000_000
 
 
 def quotient_closure(q: int) -> QuotientClosure:
@@ -183,16 +194,17 @@ def _anisotropic_vector(gram: np.ndarray, p: int) -> np.ndarray:
     raise ValueError("form is degenerate mod p")
 
 
-# Largest orbit vector_orbit closes, read at each call: every command that
-# closes an orbit (admissible and its --q help, singular, gasket, verify)
-# reaches it through _orbit_cached, and only tests change it.  The peak is
-# about 250 bytes per row of the largest BFS level, which holds up to 0.68
-# of the rows reached: q = 151 (3,420,300 rows) peaks at 506 MB, q = 199
+# Largest orbit vector_orbit closes, read at each call.  Only tests and the
+# closures mod divisors of 24 that the closed forms below start from (40
+# rows for the default root) reach it, and only tests change it.  The peak
+# is about 250 bytes per row of the largest BFS level, which holds up to
+# 0.68 of the rows reached: q = 151 (3,420,300 rows) peaks at 506 MB, q = 199
 # (7,841,196) at 1.08 GB, and q = 223 stopped at a cap of 8,000,000 peaks at
 # 1.38 GB, so a closure stopped at this cap peaks near 1.2 GB.
 ORBIT_CAP = 7_000_000
-# Largest modulus vector_orbit takes: a step's entries are sums of four
-# products of residues, below 4 (q - 1)^2, which fits in int64 up to here.
+# Largest modulus vector_orbit and the closed forms take: a step's entries
+# are sums of four products of residues, below 4 (q - 1)^2, which fits in
+# int64 up to here, and trial division of q takes at most 2^15 steps.
 ORBIT_MODULUS_CAP = 1 << 30
 
 
@@ -219,17 +231,46 @@ def vector_orbit(root, q: int) -> np.ndarray:
     return _bfs_closure(start, step, ORBIT_CAP).astype(np.int64)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def _orbit_cached(root, q):
-    """vector_orbit(root, q) in the smallest unsigned dtype holding q - 1,
-    so that the cached orbits take 4 to 16 bytes a row, not 32."""
-    return vector_orbit(root, q).astype(np.min_scalar_type(q - 1))
+    return vector_orbit(root, q)
+
+
+def _orbit_mod_24_part(q: int, root):
+    """g = gcd(q, 24), the root and its orbit mod g, with q and the root
+    checked: a modulus above ORBIT_MODULUS_CAP is refused before it is
+    factored, and the root must be primitive for the closed forms below."""
+    if q < 1:
+        raise core.InputError("q >= 1")
+    if q > ORBIT_MODULUS_CAP:
+        raise CapExceededError(f"modulus {q} is above the cap {ORBIT_MODULUS_CAP}")
+    g, root = gcd(q, 24), core.validate_root(root)
+    return g, root, _orbit_cached(root, g)
+
+
+# Most classes admissible_classes lists, read at each call.  `admissible`
+# holds each class as a Python int in a set and a sorted list and then as
+# JSON text, about 130 bytes a class: 4,000,002 classes (q = 16,000,008)
+# take 5.9 s and 568 MB, 9,000,000 (q = 36,000,000) 13.0 s and 1.20 GB, and
+# 10,000,002 (q = 40,000,008, with the cap lifted) 13.9 s and 1.33 GB on a
+# 2-CPU machine, so more classes than this raise before any is listed
+ADMISSIBLE_CLASSES_CAP = 10_000_000
 
 
 def admissible_classes(q: int, root=core.DEFAULT_ROOT) -> set:
-    """Residues mod q arising as some entry of the orbit of the root."""
-    orb = _orbit_cached(tuple(root), q)
-    return {int(x) for x in np.unique(orb)}
+    """Residues mod q arising as some entry of the orbit of the root.
+
+    They are the n whose class mod g = gcd(q, 24) is admissible (see
+    stabilizer_index): every residue mod the rest of q occurs in each slot.
+    More than ADMISSIBLE_CLASSES_CAP classes raise CapExceededError before
+    any is listed."""
+    g, _, orb = _orbit_mod_24_part(q, root)
+    base = np.unique(orb)
+    count = base.size * (q // g)
+    if count > ADMISSIBLE_CLASSES_CAP:
+        raise CapExceededError(f"{count} admissible classes mod {q} are above "
+                               f"the cap {ADMISSIBLE_CLASSES_CAP}")
+    return set((np.arange(0, q, g)[:, None] + base).ravel().tolist())
 
 
 def is_admissible(n: int, root=core.DEFAULT_ROOT) -> bool:
@@ -239,9 +280,21 @@ def is_admissible(n: int, root=core.DEFAULT_ROOT) -> bool:
 def stabilizer_index(q: int, root=core.DEFAULT_ROOT) -> int:
     """Index of the mod-q stabilizer of the root = size of its orbit mod q.
 
-    The affine orbit grows like q^3; the projective count (see
-    stabilizer_index_projective) grows like q^2."""
-    return _orbit_cached(tuple(root), q).shape[0]
+    Closed form from the orbit mod g = gcd(q, 24), by strong approximation
+    for the Apollonian group (Fuchs, J. Number Theory 131, 2011): the orbit
+    mod q is the orbit mod the 2- and 3-parts times, for each p^k || q with
+    p >= 5, every primitive vector on the Descartes cone mod p^k, of which
+    there are p^(3(k-1)) (p^3 - 1 + e (p^2 - p)), e = (-1)^((p-1)/2); and
+    the orbits mod 2^a and 3^b are the preimages of those mod 8 and mod 3.
+    vector_orbit is the oracle.  The affine orbit grows like q^3; the
+    projective count (see stabilizer_index_projective) grows like q^2."""
+    g, _, orb = _orbit_mod_24_part(q, root)
+    size = orb.shape[0] * (q // g) ** 3
+    for p, _ in _factorize(q):
+        if p >= 5:
+            e = 1 if p % 4 == 1 else -1
+            size = size // p**3 * (p**3 - 1 + e * (p * p - p))
+    return size
 
 
 def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
@@ -252,10 +305,16 @@ def stabilizer_index_projective(q: int, root=core.DEFAULT_ROOT) -> int:
     The units keeping O form a group U, and every row of O is primitive mod
     q (Gamma is invertible and the root is primitive), so lam * w = w only
     for lam = 1: each class meets O in |U| rows, and the count is |O| / |U|.
-    For q = 1 the one unit is 0."""
-    orb = _orbit_cached(tuple(root), q)
-    big = orb.dtype.newbyteorder(">")
-    units = np.array([lam for lam in range(q) if gcd(lam, q) == 1], dtype=np.int64)
-    scaled = units[:, None] * np.array([x % q for x in root], dtype=np.int64) % q
-    kept = np.isin(_row_keys(scaled.astype(big)), _row_keys(orb.astype(big)))
-    return orb.shape[0] // int(kept.sum())
+    By the closed form of stabilizer_index (Fuchs 2011), lam keeps O mod q
+    exactly when lam mod g = gcd(q, 24) keeps O mod g, so |U| is phi(q) /
+    phi(g) times the units mod g keeping the orbit mod g.  For q = 1 the one
+    unit is 0."""
+    g, root, orb = _orbit_mod_24_part(q, root)
+    rows = set(map(tuple, orb.tolist()))
+    kept = sum(tuple(lam * x % g for x in root) in rows
+               for lam in range(g) if gcd(lam, g) == 1)
+    units = q // g  # phi(q) / phi(g)
+    for p, _ in _factorize(q):
+        if p >= 5:
+            units = units // p * (p - 1)
+    return stabilizer_index(q, root) // (kept * units)

@@ -146,6 +146,10 @@ def test_admissible_command(tmp_path, capsys):
     assert rep["results"]["24"] == [0, 4, 12, 13, 16, 21]
     assert rep["results"]["1"] == [0]
     assert rep["results"]["2"] == [0, 1]
+    # mod a prime above 3 every residue occurs; the orbit mod 251 was too
+    # large to close at 7M rows, and is now read off the orbit mod 1
+    assert run(["admissible", "--q", "251"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["251"] == list(range(251))
 
 
 def test_admissible_exit_codes(monkeypatch, capsys):
@@ -545,12 +549,14 @@ def test_spectral_over_cap_exits_3():
 
 
 def test_admissible_over_cap_exits_3():
-    # the orbit mod 251 has about 15.8M rows: the closure stops at the cap
-    # near 0.54 GB, where a cap of 10M rows let it reach 2.7 GB
-    out = run_child("-m", "apollonian", "admissible", "--q", "251", timeout=120,
+    # mod 10^8 the default root has 37,500,000 admissible classes, about
+    # 4.9 GB listed: the count is refused before the listing is allocated
+    out = run_child("-m", "apollonian", "admissible", "--q", "100000000", timeout=60,
                     preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
-    assert out.stderr.strip() == f"closure exceeded cap {congruence.ORBIT_CAP}", out.stderr
+    assert out.stderr.strip() == (f"37500000 admissible classes mod 100000000 are above "
+                                  f"the cap {congruence.ADMISSIBLE_CLASSES_CAP}"), out.stderr
+    assert len(out.stderr.splitlines()) == 1
 
 
 def _shipped_copy(tmp_path, monkeypatch):
@@ -669,11 +675,16 @@ def test_expsum_command(capsys):
 
 
 def test_singular_command(capsys):
-    rc = run(["singular", "--n", "5"])
-    assert rc == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["results"]["singular_series"] == 0.0
-    assert rep["results"]["note"] == "non-admissible"
+    # 5 is not admissible mod 24 (its class mod 3 is missed); the series
+    # truncated at 2 has no factor at 3 and stays 4.0, and the note follows
+    # the class mod 24, not the truncated series
+    for pcut, series in ((13, 0.0), (2, 4.0)):
+        rc = run(["singular", "--n", "5", "--pcut", str(pcut)])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["results"]["singular_series"] == series
+        assert rep["results"]["admissible"] is False
+        assert rep["results"]["note"] == "non-admissible"
 
 
 def test_spectral_command(capsys):

@@ -245,24 +245,56 @@ def test_stabilizer_index():
         cg.stabilizer_index(5, ROOT) * cg.stabilizer_index(7, ROOT)
 
 
-def reference_stabilizer_index_projective(q: int, root=ROOT) -> int:
-    """Oracle for stabilizer_index_projective: walk the orbit rows, count
-    each row not yet seen, and mark every unit multiple of it as seen."""
-    seen = set()
-    count = 0
-    for r in cg._orbit_cached(tuple(root), q).tolist():
-        if tuple(r) in seen:
-            continue
-        count += 1
-        for lam in range(1, q):
-            if gcd(lam, q) == 1:
-                seen.add(tuple(lam * x % q for x in r))
-    return count
+def reference_stabilizer_index_projective(orb: np.ndarray, q: int) -> int:
+    """Oracle for stabilizer_index_projective: the scalar classes among the
+    rows of the closed orbit, each named by its least multiple by a unit."""
+    keys = None
+    for lam in (lam for lam in range(q) if gcd(lam, q) == 1):
+        rows = orb * lam % q
+        key = ((rows[:, 0] * q + rows[:, 1]) * q + rows[:, 2]) * q + rows[:, 3]
+        keys = key if keys is None else np.minimum(keys, key)
+    return np.unique(keys).size
 
 
-@pytest.mark.parametrize("q", [*range(1, 14), 15, 16, 24, 25, 27, 35, 49])
-def test_stabilizer_index_projective_matches_reference(q):
-    assert cg.stabilizer_index_projective(q, ROOT) == reference_stabilizer_index_projective(q)
+ROOTS = [ROOT, (-2, 3, 6, 7), (0, 0, 1, 1), (-1, 2, 2, 3), (-6, 11, 14, 15)]
+
+
+# every q up to 13 and the prime powers 16, 25, 27, 32, 49 and 64 at five roots;
+# the default root's cases keep the bare modulus as their id
+@pytest.mark.parametrize("q,root", [
+    pytest.param(q, root, id=str(q) if root == ROOT else f"{q}-root{i}")
+    for q in [*range(1, 14), 15, 16, 24, 25, 27, 32, 35, 40, 49, 64]
+    for i, root in enumerate(ROOTS)])
+def test_stabilizer_index_projective_matches_reference(q, root):
+    """The closed forms from the orbit mod gcd(q, 24) against the closure of
+    the orbit mod q."""
+    orb = cg.vector_orbit(root, q)
+    assert cg.admissible_classes(q, root) == set(np.unique(orb).tolist())
+    assert cg.stabilizer_index(q, root) == orb.shape[0]
+    assert cg.stabilizer_index_projective(q, root) == reference_stabilizer_index_projective(orb, q)
+
+
+def test_closed_forms_close_only_orbits_mod_divisors_of_24(monkeypatch):
+    calls = []
+    real = cg.vector_orbit
+
+    def counted(root, q):
+        calls.append(q)
+        return real(root, q)
+
+    monkeypatch.setattr(cg, "vector_orbit", counted)
+    cg._orbit_cached.cache_clear()
+    for q in (251, 10007, 24 * 251, 1000):
+        cg.admissible_classes(q, ROOT)
+        cg.stabilizer_index(q, ROOT)
+        cg.stabilizer_index_projective(q, ROOT)
+    # the orbits mod 1, 24 and 8, each closed once
+    assert sorted(calls) == [1, 8, 24]
+    # mod a prime p = 3 mod 4 the orbit is the p^3 - p^2 + p - 1 nonzero
+    # points of the cone, p - 1 to a scalar class
+    assert cg.admissible_classes(251, ROOT) == set(range(251))
+    assert cg.stabilizer_index(251, ROOT) == 251**3 - 251**2 + 251 - 1
+    assert cg.stabilizer_index_projective(251, ROOT) == 251**2 + 1
 
 
 def test_stabilizer_exact_values(registry):
@@ -287,6 +319,12 @@ def test_caps(monkeypatch):
     for q in (2**30 + 1, 3_000_000_000, 10**20):
         with pytest.raises(CapExceededError, match=f"modulus {q} is above the cap"):
             cg.vector_orbit(ROOT, q)
+        for f in (cg.admissible_classes, cg.stabilizer_index, cg.stabilizer_index_projective):
+            with pytest.raises(CapExceededError, match=f"modulus {q} is above the cap"):
+                f(q, ROOT)
     monkeypatch.setattr(cg, "ORBIT_CAP", 100)
     with pytest.raises(CapExceededError):
         cg.vector_orbit(ROOT, 49)
+    # a quarter of 10^8 classes mod 10^8 is refused before any is listed
+    with pytest.raises(CapExceededError, match="37500000 admissible classes mod 100000000"):
+        cg.admissible_classes(10**8, ROOT)
