@@ -146,8 +146,7 @@ def test_admissible_command(tmp_path, capsys):
     assert rep["results"]["24"] == [0, 4, 12, 13, 16, 21]
     assert rep["results"]["1"] == [0]
     assert rep["results"]["2"] == [0, 1]
-    # mod a prime above 3 every residue occurs; the orbit mod 251 was too
-    # large to close at 7M rows, and is now read off the orbit mod 1
+    # mod a prime above 3 every residue occurs, read off the orbit mod 1
     assert run(["admissible", "--q", "251"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["251"] == list(range(251))
 

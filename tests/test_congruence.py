@@ -248,19 +248,20 @@ def test_stabilizer_index():
 def reference_stabilizer_index_projective(orb: np.ndarray, q: int) -> int:
     """Oracle for stabilizer_index_projective: the scalar classes among the
     rows of the closed orbit, each named by its least multiple by a unit."""
-    keys = None
-    for lam in (lam for lam in range(q) if gcd(lam, q) == 1):
-        rows = orb * lam % q
-        key = ((rows[:, 0] * q + rows[:, 1]) * q + rows[:, 2]) * q + rows[:, 3]
-        keys = key if keys is None else np.minimum(keys, key)
+    keys = np.full(orb.shape[0], np.iinfo(np.int64).max)
+    for lam in range(q):
+        if gcd(lam, q) == 1:
+            rows = orb * lam % q
+            np.minimum(keys, ((rows[:, 0] * q + rows[:, 1]) * q + rows[:, 2]) * q + rows[:, 3],
+                       out=keys)
     return np.unique(keys).size
 
 
 ROOTS = [ROOT, (-2, 3, 6, 7), (0, 0, 1, 1), (-1, 2, 2, 3), (-6, 11, 14, 15)]
 
 
-# every q up to 13 and the prime powers 16, 25, 27, 32, 49 and 64 at five roots;
-# the default root's cases keep the bare modulus as their id
+# every q up to 13, the prime powers 16, 25, 27, 32, 49 and 64, and 15, 24, 35
+# and 40, at five roots; the default root's cases keep the bare modulus as id
 @pytest.mark.parametrize("q,root", [
     pytest.param(q, root, id=str(q) if root == ROOT else f"{q}-root{i}")
     for q in [*range(1, 14), 15, 16, 24, 25, 27, 32, 35, 40, 49, 64]
@@ -325,6 +326,6 @@ def test_caps(monkeypatch):
     monkeypatch.setattr(cg, "ORBIT_CAP", 100)
     with pytest.raises(CapExceededError):
         cg.vector_orbit(ROOT, 49)
-    # a quarter of 10^8 classes mod 10^8 is refused before any is listed
+    # 3/8 of the residues mod 10^8 are admissible: refused before any is listed
     with pytest.raises(CapExceededError, match="37500000 admissible classes mod 100000000"):
         cg.admissible_classes(10**8, ROOT)
