@@ -3,10 +3,11 @@
 One breadth-first closure engine serves every finite quotient in the
 package: the image of Gamma modulo q (4x4 matrices as 16 bytes of entries
 in [0, q)), the orbit of the root quadruple modulo q, and, in spectral, the
-image of the spin preimage in SL(2, Z[i]/(q)).  Each caller encodes an
-element as a fixed-width row and supplies a vectorised step giving all its
-generator images; the engine deduplicates rows by sorting their keys,
-one machine word per row where the row fits in one.
+classes {g, -g} of the image of the spin preimage in SL(2, Z[i]/(q)).  Each
+caller encodes an element (or a class's representative) as a fixed-width
+row and supplies a vectorised step giving all its generator images; the
+engine deduplicates rows by sorting their keys, one machine word per row
+where the row fits in one.
 Admissible classes and orbit sizes modulo any q are read off the orbit
 modulo gcd(q, 24) in closed form (strong approximation, Fuchs 2011); the
 closures of the orbit modulo q are their oracle.
@@ -74,7 +75,8 @@ def _bfs_closure(start: np.ndarray, step, cap: int) -> np.ndarray:
 @dataclass
 class QuotientClosure:
     """A finite quotient as the encoded rows of its elements, sorted by their
-    bytes: (n, 16) entries of 4x4 matrices here, (n, 8) residues in spectral."""
+    bytes: (n, 16) entries of 4x4 matrices here; in spectral, (n, 8)
+    residues of the representatives of the n classes {g, -g}."""
     q: int
     elements: np.ndarray  # (n, d) uint8, rows in lexicographic order
 
@@ -248,13 +250,21 @@ def _orbit_mod_24_part(q: int, root):
     return g, root, _orbit_cached(root, g)
 
 
-# Most classes admissible_classes lists, read at each call.  `admissible`
-# holds each class as a Python int in a set and a sorted list and then as
-# JSON text, about 130 bytes a class: 4,000,002 classes (q = 16,000,008)
-# take 5.9 s and 568 MB, 9,000,000 (q = 36,000,000) 13.0 s and 1.20 GB, and
-# 10,000,002 (q = 40,000,008, with the cap lifted) 13.9 s and 1.33 GB on a
-# 2-CPU machine, so more classes than this raise before any is listed
+# Most classes admissible_classes lists, and `admissible` over all its
+# moduli, read at each call.  `admissible` holds each class as a Python int
+# in a set and a sorted list and then as JSON text, about 130 bytes a class:
+# 4,000,002 classes (q = 16,000,008) take 5.9 s and 568 MB, 9,000,000
+# (q = 36,000,000) 13.0 s and 1.20 GB, and 10,000,002 (q = 40,000,008, with
+# the cap lifted) 13.9 s and 1.33 GB on a 2-CPU machine, so more classes
+# than this raise before any is listed
 ADMISSIBLE_CLASSES_CAP = 10_000_000
+
+
+def admissible_count(q: int, root=core.DEFAULT_ROOT) -> int:
+    """The number of admissible classes mod q, without listing them: the
+    admissible classes mod g = gcd(q, 24) times q / g."""
+    g, _, orb = _orbit_mod_24_part(q, root)
+    return np.unique(orb).size * (q // g)
 
 
 def admissible_classes(q: int, root=core.DEFAULT_ROOT) -> set:
@@ -264,13 +274,12 @@ def admissible_classes(q: int, root=core.DEFAULT_ROOT) -> set:
     stabilizer_index): every residue mod the rest of q occurs in each slot.
     More than ADMISSIBLE_CLASSES_CAP classes raise CapExceededError before
     any is listed."""
-    g, _, orb = _orbit_mod_24_part(q, root)
-    base = np.unique(orb)
-    count = base.size * (q // g)
+    count = admissible_count(q, root)
     if count > ADMISSIBLE_CLASSES_CAP:
         raise CapExceededError(f"{count} admissible classes mod {q} are above "
                                f"the cap {ADMISSIBLE_CLASSES_CAP}")
-    return set((np.arange(0, q, g)[:, None] + base).ravel().tolist())
+    g, _, orb = _orbit_mod_24_part(q, root)
+    return set((np.arange(0, q, g)[:, None] + np.unique(orb)).ravel().tolist())
 
 
 def is_admissible(n: int, root=core.DEFAULT_ROOT) -> bool:

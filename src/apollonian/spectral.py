@@ -8,9 +8,10 @@ Working generators (after the off-diagonal twist of the spin preimage):
 
 with the symmetric set S = {+-gamma_j^{+-1}}.  Quotients mod q live in
 SL(2, Z[i]/(q)); elements are encoded as eight residues (real/imag parts
-of the four entries), one byte each.  Closures come from the breadth-first
-engine in congruence, which returns the encoded rows in lexicographic
-order, so an element's index is found by binary search over its bytes.
+of the four entries), one byte each.  closure_sl2 closes the classes
+{g, -g} with the breadth-first engine in congruence, which returns their
+representatives' rows in lexicographic order, so a class's index is found
+by binary search over its representative's bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import gcd
 
 import numpy as np
 
-from .congruence import QuotientClosure, _bfs_closure
+from .congruence import QuotientClosure, _bfs_closure, _row_keys
 from .core import (SPIN_PREIMAGE_GENERATORS, GaussInt, InputError, gi, m2_mul, m2_neg,
                    m2_inv_det1)
 from .orbit import CapExceededError
@@ -119,25 +120,45 @@ def _gmul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     return (out % q).astype(np.uint8)
 
 
-# Largest closure closure_sl2 builds, read at each call: spectral (and its
-# --q help), verify and demo 08 reach it through _closure_cached, and only
-# tests change it.  spectral --q at q = 9 (87,480 elements) takes 1.1 s and
-# 52 MB, at q = 11 (1,771,440) 23 s and 407 MB on a 2-CPU machine, about 230
-# bytes an element; q = 13 (4,769,856) would need about 1.1 GB, so the
-# closure stops between the two.
-CLOSURE_CAP = 2_000_000
+# Most classes {g, -g} closure_sl2 builds, read at each call: spectral (and
+# its --q help), verify and demo 08 reach it through _closure_cached, and
+# only tests change it.  spectral --q 9 (43,740 classes) takes 0.8-1.0 s and
+# 49 MB, q = 11 (885,720) 15-16 s and 237 MB on a 2-CPU machine, about 230
+# bytes a class with the solve's blocks setting the peak; q = 13 (2,384,928)
+# would need about 0.6 GB, and exits 3 here after 0.8-1.0 s and 106 MB.
+CLOSURE_CAP = 1_000_000
+
+
+def _canonical(rows: np.ndarray, q: int) -> np.ndarray:
+    """The representative of each encoded row's class {g, -g}: whichever of
+    g and -g mod q has the smaller bytes."""
+    neg = ((q - rows) % q).astype(np.uint8)
+    return np.where((_row_keys(neg) < _row_keys(rows))[:, None], neg, rows)
+
+
+def _walk_generators(s_mats, q: int) -> np.ndarray:
+    """The distinct s mod q, encoded; ValueError unless they are closed under
+    s -> -s and s -> s^-1, as symmetric_set makes them."""
+    genc = np.unique(_encode(s_mats, q), axis=0)
+    if not np.array_equal(np.unique(_encode(symmetric_set(s_mats), q), axis=0), genc):
+        raise ValueError(f"the walk generators mod {q} are not closed under "
+                         f"s -> -s and s -> s^-1; pass them through symmetric_set")
+    return genc
 
 
 def closure_sl2(q: int, gens=None) -> QuotientClosure:
-    """Breadth-first closure of the given generators (S_BAR if None) mod q.
-
-    Raises CapExceededError once more than CLOSURE_CAP elements are reached,
-    before anything that scales with the closure times the generators is
-    built."""
-    genc = np.unique(_encode(S_BAR if gens is None else gens, q), axis=0)
-    elements = _bfs_closure(_encode([IDENTITY2], q),
-                            lambda f: np.concatenate([_gmul(f, g, q) for g in genc]),
-                            CLOSURE_CAP)
+    """Breadth-first closure mod q of the classes {g, -g} of the group that
+    the generators (S_BAR if None) generate, as their representatives (see
+    _canonical).  The generators pass _walk_generators, so -I lies in the
+    group and a class has 2 elements for q > 2.  Raises CapExceededError
+    once more than CLOSURE_CAP classes are reached, before anything that
+    scales with the closure times the generators is built."""
+    # s and -s step to the same class, so one of each pair is enough
+    genc = np.unique(_canonical(_walk_generators(S_BAR if gens is None else gens, q), q),
+                     axis=0)
+    elements = _bfs_closure(
+        _canonical(_encode([IDENTITY2], q), q),
+        lambda f: _canonical(np.concatenate([_gmul(f, g, q) for g in genc]), q), CLOSURE_CAP)
     return QuotientClosure(q, elements)
 
 
@@ -181,20 +202,20 @@ def alternation_length(q: int):
     until they reach G or stop growing for good, which raises RuntimeError.
     Returns (k, sizes) where sizes[j] is |(H1 H2)^(j+1)|."""
     G = _closure_cached(q, S_BAR)
-    p1, cls = _class_perms(G, _walk_generators(H1_GENS, q), q)
-    p2, _ = _class_perms(G, _walk_generators(H2_GENS, q), q)
-    class_size = G.order // p1.shape[1]
-    current = np.zeros(p1.shape[1], dtype=bool)
-    current[cls[G.index_of(_encode([IDENTITY2], q))]] = True
+    p1 = _class_perms(G, _walk_generators(H1_GENS, q), q)
+    p2 = _class_perms(G, _walk_generators(H2_GENS, q), q)
+    class_size = 2 if q > 2 else 1
+    current = np.zeros(G.order, dtype=bool)
+    current[G.index_of(_canonical(_encode([IDENTITY2], q), q))] = True
     sizes = []
     while True:
         current = _left_product(p1, _left_product(p2, current))
         sizes.append(int(current.sum()) * class_size)
-        if sizes[-1] == G.order:
+        if sizes[-1] == G.order * class_size:
             return len(sizes), sizes
         if len(sizes) > 1 and sizes[-1] == sizes[-2]:
             raise RuntimeError(
-                f"set products stalled at {sizes[-1]} < {G.order} for q={q}"
+                f"set products stalled at {sizes[-1]} < {G.order * class_size} for q={q}"
             )
 
 
@@ -383,26 +404,11 @@ class CayleySpectrum:
     stages: dict           # seconds spent in closure_s, permutations_s and solve_s
 
 
-def _negate(rows: np.ndarray, q: int) -> np.ndarray:
-    """-x mod q of encoded matrices."""
-    return ((q - rows) % q).astype(np.uint8)
-
-
-def _walk_generators(s_mats, q: int) -> np.ndarray:
-    """The distinct s mod q, encoded; ValueError unless they are closed under
-    s -> -s and s -> s^-1, as symmetric_set makes them."""
-    genc = np.unique(_encode(s_mats, q), axis=0)
-    if not np.array_equal(np.unique(_encode(symmetric_set(s_mats), q), axis=0), genc):
-        raise ValueError(f"the walk generators mod {q} are not closed under "
-                         f"s -> -s and s -> s^-1; pass them through symmetric_set")
-    return genc
-
-
-def _class_perms(G: QuotientClosure, genc: np.ndarray, q: int):
+def _class_perms(G: QuotientClosure, genc: np.ndarray, q: int) -> np.ndarray:
     """The walk of the distinct s_k mod q on G/{+-I}, as permutations of the
-    classes {g, -g}: perms[k][c] = class of (s_k * g_c) for the first
-    element g_c of class c, with one s_k from each pair {s, -s}.  Also
-    returns cls, the class of each element of G.
+    classes {g, -g} that closure_sl2 closes: perms[k][c] = class of
+    (s_k * g_c) for the representative g_c of class c, with one s_k from
+    each pair {s, -s}.
 
     genc is _walk_generators(S, q), so S mod q is closed under s -> -s and
     s -> s^-1.  Then -I = (-s) s^-1 lies in G, and an odd function f
@@ -411,18 +417,11 @@ def _class_perms(G: QuotientClosure, genc: np.ndarray, q: int):
     So spec T = spec(walk on the classes) and 0 once for each of the
     |G| - (number of classes) odd dimensions.  For q <= 2, -g = g and every
     element is its own class."""
-    n = G.order
-    neg = G.index_of(_negate(G.elements, q))
-    reps = np.flatnonzero(np.arange(n) <= neg)
-    cls = np.empty(n, dtype=np.int32)
-    cls[reps] = cls[neg[reps]] = np.arange(reps.size)
-    gidx = G.index_of(genc)
-    gens = genc[gidx <= neg[gidx]]
-    rep_rows = G.elements[reps]
-    out = np.empty((gens.shape[0], reps.size), dtype=np.int32)
-    for k in range(gens.shape[0]):
-        out[k] = cls[G.index_of(_gmul(gens[k], rep_rows, q))]
-    return out, cls
+    gens = np.unique(_canonical(genc, q), axis=0)
+    out = np.empty((gens.shape[0], G.order), dtype=np.int32)
+    for k, s in enumerate(gens):
+        out[k] = G.index_of(_canonical(_gmul(s, G.elements, q), q))
+    return out
 
 
 def _apply_walk(perms: np.ndarray, X: np.ndarray, out: np.ndarray,
@@ -569,10 +568,10 @@ def markov_spectrum(q: int, s_mats=None, top_k: int = 3, seed: int = 0) -> Cayle
     G = _closure_cached(q, s_mats)
     t1 = time.perf_counter()
     stages["closure_s"] = t1 - t0
-    perms, _ = _class_perms(G, genc, q)
+    perms = _class_perms(G, genc, q)
     t0 = time.perf_counter()
     stages["permutations_s"] = t0 - t1
-    n, m = G.order, perms.shape[1]
+    n, m = G.order * (2 if q > 2 else 1), G.order
     if m <= 3 * top_k + 1:
         T = np.zeros((m, m))
         for row in perms:

@@ -1,10 +1,11 @@
 import pathlib
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 import pytest
 
-from apollonian import expsums as es, orbit
+from apollonian import congruence as cg, expsums as es, orbit, spectral as sp
 from apollonian.cli import FrozenRegistry
 from apollonian.forms import ShiftedForm
 
@@ -33,6 +34,35 @@ def family_8():
 @pytest.fixture(scope="session")
 def family_32():
     return orbit.build_family(ROOT, 32, 32)
+
+
+@lru_cache(maxsize=None)
+def full_group(q: int, gens: tuple) -> cg.QuotientClosure:
+    """Every element of the group the generators generate mod q, encoded as
+    in spectral and sorted by bytes: the element closure that closure_sl2
+    ran before it closed the classes {g, -g}, kept as the oracle.  Cached:
+    callers must not write to the rows."""
+    genc = np.unique(sp._encode(gens, q), axis=0)
+    rows = cg._bfs_closure(sp._encode([sp.IDENTITY2], q),
+                           lambda f: np.concatenate([sp._gmul(f, g, q) for g in genc]),
+                           2 * sp.CLOSURE_CAP)
+    return cg.QuotientClosure(q, rows)
+
+
+def negate(w: tuple, q: int) -> tuple:
+    """-w mod q of an encoded element given as a tuple."""
+    return tuple(-x % q for x in w)
+
+
+def fold(rows, q: int) -> list:
+    """The classes {w, -w} of the encoded elements as their smaller member,
+    sorted: the rows closure_sl2 returns for a group that contains -I."""
+    return sorted({min(tuple(w), negate(tuple(w), q)) for w in rows})
+
+
+def unfold(rows, q: int) -> set:
+    """Both members w and -w of each class, as a set of tuples."""
+    return {v for w in rows for v in (tuple(w), negate(tuple(w), q))}
 
 
 # the shifted form of the root gasket, as in test_expsums and test_acceptance

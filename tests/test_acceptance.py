@@ -23,7 +23,7 @@ import pytest
 from apollonian import congruence as cg
 from apollonian import core, expsums as es, forms, orbit, spectral as sp
 from apollonian.forms import ShiftedForm
-from conftest import sf_table
+from conftest import fold, sf_table, unfold
 from test_congruence import so_f_order_pairs
 from test_expsums import l1_distance, s_avg
 from test_forms import coincidence_bruteforce, zero_pairs_bruteforce
@@ -190,12 +190,12 @@ def test_criterion_10_local_lemmata(family_8):
 def test_criterion_11_appendix_generators():
     assert sp.generator_correspondence_check()["all_match"]
     import itertools
-    h1 = sp.closure_sl2(4, sp.H1_GENS)
-    got = {tuple(int(x) for x in row) for row in h1.elements}
+    got = sp.closure_sl2(4, sp.H1_GENS).elements.tolist()
     want = {(a, 0, b, 0, c, 0, d, 0)
             for a, b, c, d in itertools.product(range(4), repeat=4)
             if (a * d - b * c) % 4 == 1 and b % 4 == 0}
-    assert got == want
+    assert list(map(tuple, got)) == fold(want, 4)
+    assert unfold(got, 4) == want
     for m in (8, 10, 12):
         assert sp.local_identity_check(2, m)["all_hold"]
     for m in (1, 2, 3):

@@ -558,6 +558,18 @@ def test_admissible_over_cap_exits_3():
     assert len(out.stderr.splitlines()) == 1
 
 
+def test_admissible_sum_over_cap_exits_3():
+    # 6,000,000 and 6,000,006 classes are each under the cap, but every
+    # listing is held until the report is written: about 1.6 GB together,
+    # refused by their sum before the first is listed
+    out = run_child("-m", "apollonian", "admissible", "--q", "24000000,24000024", timeout=60,
+                    preexec_fn=_limit_address_space)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.strip() == (f"12000006 admissible classes mod 24000000,24000024 are "
+                                  f"above the cap {congruence.ADMISSIBLE_CLASSES_CAP}"), out.stderr
+    assert len(out.stderr.splitlines()) == 1
+
+
 def _shipped_copy(tmp_path, monkeypatch):
     """A copy of the shipped frozen constants that verify reads in its place."""
     reg = tmp_path / "frozen.json"

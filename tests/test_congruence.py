@@ -7,6 +7,7 @@ from apollonian import congruence as cg
 from apollonian import core
 from apollonian import spectral as sp
 from apollonian.orbit import CapExceededError
+from conftest import fold, unfold
 
 ROOT = (-11, 21, 24, 28)
 GENS6 = core.GAMMA_GENERATORS + core.GAMMA_GENERATOR_INVERSES
@@ -92,8 +93,10 @@ def test_closure_sl2_matches_reference():
             def images(x):
                 return [encode(core.m2_mul(decode(x), g), q) for g in gens]
             ref = reference_closure((1 % q, 0, 0, 0, 0, 0, 1 % q, 0), images)
+            # closure_sl2 closes the classes {w, -w}, one row each
             got = sp.closure_sl2(q, gens).elements.tolist()
-            assert got == sorted(map(list, ref)), q
+            assert list(map(tuple, got)) == fold(ref, q), q
+            assert unfold(got, q) == ref, q
 
 
 def test_vector_orbit_matches_reference():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from apollonian import core, spectral as sp
+from conftest import fold, full_group, negate, unfold
 
 ROOT = (-11, 21, 24, 28)
 
@@ -42,7 +43,11 @@ def sl2_zi_full_order(q: int) -> int:
 
 
 def quotient_order_sl2(q: int) -> int:
-    return sp._closure_cached(q, sp.S_BAR).order
+    """|G mod q| from closure_sl2's classes {g, -g}, 2 elements each for
+    q > 2, checked against the element closure."""
+    order = sp._closure_cached(q, sp.S_BAR).order * (2 if q > 2 else 1)
+    assert order == full_group(q, sp.S_BAR).order, q
+    return order
 
 
 def test_closure_orders(registry):
@@ -69,13 +74,13 @@ def test_h1_characterization():
     # subgroup, reduced mod q
     import itertools
     for q in (4, 8, 12):
-        h1 = sp.closure_sl2(q, sp.H1_GENS)
-        got = {tuple(int(x) for x in row) for row in h1.elements}
+        got = sp.closure_sl2(q, sp.H1_GENS).elements.tolist()
         want = set()
         for a, b, c, d in itertools.product(range(q), repeat=4):
             if (a * d - b * c) % q == 1 and b % 4 == 0:
                 want.add((a, 0, b, 0, c, 0, d, 0))
-        assert got == want, q
+        assert list(map(tuple, got)) == fold(want, q), q
+        assert unfold(got, q) == want, q
 
 
 def test_alternation_length(registry):
@@ -96,10 +101,10 @@ def reference_alternation(q, k_max=64):
     through one |H| x |G| index table per subgroup: the set products
     alternation_length computed before it went through the generators,
     kept as the oracle.  Returns (k, sizes)."""
-    G = sp.closure_sl2(q)
+    G = full_group(q, sp.S_BAR)
     tables = []
     for gens in (sp.H1_GENS, sp.H2_GENS):
-        H = sp.closure_sl2(q, gens)
+        H = full_group(q, gens)
         tables.append(np.stack([G.index_of(sp._gmul(G.elements, h, q))
                                 for h in H.elements]))
     current = np.zeros(G.order, dtype=bool)
@@ -140,8 +145,10 @@ def test_gmul_exact_at_largest_modulus():
 
 
 def reference_left_mult_perms(q, s_mats):
-    """perms[k][i] = index of s_k g_i by a dict lookup of each product,
-    with the distinct generators mod q in the order of their encoded rows."""
+    """perms[k][c] = index of the class of s_k g_c by a dict lookup of
+    min(s_k g_c, -s_k g_c), for the classes {g, -g} of the element closure
+    and one s_k from each pair {s, -s} mod q, in the order of their encoded
+    rows.  Returns (the classes' smaller members, perms)."""
     def encode(m):
         return tuple(x % q for row in m for e in row for x in (e.re, e.im))
 
@@ -149,39 +156,35 @@ def reference_left_mult_perms(q, s_mats):
         e = [core.gi(t[k], t[k + 1]) for k in range(0, 8, 2)]
         return ((e[0], e[1]), (e[2], e[3]))
 
-    elements = sp.closure_sl2(q, s_mats).elements.tolist()
-    index = {tuple(row): i for i, row in enumerate(elements)}
-    gens = {encode(s): s for s in s_mats}
-    return np.array([[index[encode(core.m2_mul(gens[key], decode(g)))] for g in elements]
-                     for key in sorted(gens)])
+    reps = fold(full_group(q, s_mats).elements.tolist(), q)
+    index = {g: c for c, g in enumerate(reps)}
+    gens = {min(encode(s), negate(encode(s), q)): s for s in s_mats}
+    perms = []
+    for key in sorted(gens):
+        products = (encode(core.m2_mul(gens[key], decode(g))) for g in reps)
+        perms.append([index[min(w, negate(w, q))] for w in products])
+    return reps, np.array(perms)
 
 
 def full_walk_perms(q, s_mats):
     """perms[k][i] = index of s_k g_i over the whole of G, for each distinct s_k mod q."""
-    G = sp._closure_cached(q, s_mats)
+    G = full_group(q, s_mats)
     enc = np.unique(sp._encode(s_mats, q), axis=0)
     return np.stack([G.index_of(sp._gmul(s, G.elements, q)) for s in enc])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
 def test_left_mult_perms_match_reference(q):
-    # _class_perms is the left multiplication of G folded to the classes
-    # {g, -g}: cls names the pairs, and each row is the fold of the
-    # reference permutation of some s, one row for each pair {s, -s}
+    # _class_perms is the left multiplication of G on the classes {g, -g},
+    # one row for each pair {s, -s}, over the representatives closure_sl2
+    # returns
     for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
         G = sp.closure_sl2(q, gens)
-        genc = sp._walk_generators(gens, q)
-        perms, cls = sp._class_perms(G, genc, q)
-        full = reference_left_mult_perms(q, gens)
-        index = {tuple(row): i for i, row in enumerate(G.elements.tolist())}
-        neg = [index[tuple(-x % q for x in row)] for row in G.elements.tolist()]
-        pairs = {frozenset((i, neg[i])) for i in range(G.order)}
-        assert {frozenset(np.flatnonzero(cls == c).tolist())
-                for c in range(perms.shape[1])} == pairs
-        assert perms.dtype == np.int32 and genc.shape[0] == full.shape[0]
-        folded = {tuple(cls[row].tolist()) for row in full}
-        assert {tuple(row[cls].tolist()) for row in perms} == folded
-        assert perms.shape[0] == len(folded)
+        perms = sp._class_perms(G, sp._walk_generators(gens, q), q)
+        reps, want = reference_left_mult_perms(q, gens)
+        assert list(map(tuple, G.elements.tolist())) == reps
+        assert perms.dtype == np.int32
+        assert np.array_equal(perms, want)
 
 
 def test_local_identities():
@@ -309,11 +312,11 @@ def test_markov_vs_dense():
 ])
 def test_block_spectrum_matches_dense_with_multiplicity(q, gens):
     spec = sp.markov_spectrum(q, gens)
+    dense = dense_walk_eigenvalues(q, gens)
     # the walk runs on G/{+-I}: mod 4 that has 8 elements, few enough for
     # the dense branch; every other case runs the block iteration
-    assert spec.group_order > 3 * 3 + 1
+    assert spec.group_order == len(dense) > 3 * 3 + 1
     assert (spec.matvecs == 0) == ((q, gens) == (4, None))
-    dense = dense_walk_eigenvalues(q, gens)
     assert spec.eigenvalues == pytest.approx(tuple(dense[:4]), abs=1e-9)
 
 
@@ -322,7 +325,7 @@ def test_walk_annihilates_odd_functions(q):
     # S is closed under s -> -s, so f(s g) + f(-s g) = 0 for an odd f
     rng = np.random.default_rng(q)
     for gens in (sp.S_BAR, sp.H1_GENS, sp.H2_GENS):
-        G = sp._closure_cached(q, gens)
+        G = full_group(q, gens)
         perms = full_walk_perms(q, gens)
         neg = G.index_of(((-G.elements.astype(np.int64)) % q).astype(np.uint8))
         r = rng.standard_normal(G.order)
@@ -354,14 +357,17 @@ def test_folded_spectrum_matches_dense(q, gens, k):
     (sp.GAMMA1, core.m2_inv_det1(sp.GAMMA1), sp.GAMMA2, core.m2_inv_det1(sp.GAMMA2)),
 ])
 def test_markov_spectrum_rejects_unsymmetric_generators(gens):
-    # the walk on G/{+-I} needs S closed under s -> -s and s -> s^-1
+    # the walk on G/{+-I} needs S closed under s -> -s and s -> s^-1, and
+    # so does the closure of the classes {g, -g}, which needs -I in G
     with pytest.raises(ValueError, match="symmetric_set"):
         sp.markov_spectrum(3, gens)
+    with pytest.raises(ValueError, match="symmetric_set"):
+        sp.closure_sl2(3, gens)
 
 
 def test_markov_spectrum_rejects_before_the_closure(monkeypatch):
     # the check runs before closure_sl2, which at q = 11 would build and
-    # cache 1,771,440 elements (about 2 s and 150 MB) for nothing
+    # cache 885,720 classes (about 1.6 s and 135 MB) for nothing
     calls = []
     monkeypatch.setattr(sp, "closure_sl2", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match="symmetric_set"):
