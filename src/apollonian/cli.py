@@ -32,21 +32,22 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit on a 2-CPU machine: 10 s wall, 19 s CPU and
-# 150 MB with both CPUs, 16 s and 144 MB with --threads 1
-GASKET_DEFAULT_COST = ("about 10 s and 0.15 GB peak RSS on 2 CPUs "
-                       "(about 16 s with --threads 1)")
+# `gasket` at the default limit on a 2-CPU machine: 8.8-8.9 s wall, 15-16 s
+# CPU and 103-104 MB with both CPUs, 12 s and 96 MB with --threads 1
+GASKET_DEFAULT_COST = ("about 9 s and 0.10 GB peak RSS on 2 CPUs "
+                       "(about 12 s with --threads 1)")
 # the walk expands about one quadruple per circle of curvature at most N, a
 # count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
-# 4.90e8 at 1e8 and 2.06e9 at 3e8, at 35-50 ns of CPU each; the peak is the
-# N-byte mask, the walk's stack and one int32 mark buffer of at most 4 MB
-# per worker (80 MB, 150 MB and 367 MB on 2 CPUs)
-GASKET_GROWTH = ("time grows like N^1.31 and memory like N bytes plus the walk's "
-                 "stack: 3e8 took 55 s and 0.37 GB on 2 CPUs")
+# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 30-40 ns of CPU each; the peak is the
+# N/8-byte bitset, one int32 mark buffer of N/8 bytes per worker and the
+# walk's stack (58 MB, 104 MB and 305 MB on 2 CPUs)
+GASKET_GROWTH = ("time grows like N^1.31 and memory like N/8 bytes per CPU, plus "
+                 "N/8 and the walk's stack: 4e8 took 64 s and 0.31 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
-# the stack: 4e8 (3.00e9 quadruples) peaks at 479 MB and 8e8 (7.41e9) at
-# 913 MB on 2 CPUs, so a larger N exits 3 before the mask is allocated
-GASKET_LIMIT_CAP = 8 * 10**8
+# the stack: 8e8 (7.41e9 quadruples) peaks at 563 MB and 1e9 at 652 MB
+# on 2 CPUs, in 155 s and 194 s; no larger N was measured, so one exits 3
+# before the bitset is allocated
+GASKET_LIMIT_CAP = 10**9
 # `delta-fit` reports one (Y, count) row per point, about 580 bytes each
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU
 # machine, so more exit 3 before the radii are allocated
@@ -157,7 +158,7 @@ def emit_report(command: str, config: dict, results: dict, out=None,
     if fmt == "csv" and isinstance(results.get("table"), list):
         text = "\n".join(",".join(str(c) for c in row) for row in results["table"])
     else:
-        text = json.dumps(report, indent=1, sort_keys=True)
+        text = json.dumps(report, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -628,7 +629,7 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
-                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.9 GB) "
+                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.65 GB) "
                         f"exits 3")
     p.add_argument("--threads", type=int, default=None,
                    help="threads sharing the tree walk, at most the CPUs this "

@@ -252,11 +252,10 @@ def _orbit_mod_24_part(q: int, root):
 
 # Most classes admissible_classes lists, and `admissible` over all its
 # moduli, read at each call.  `admissible` holds each class as a Python int
-# in a set and a sorted list and then as JSON text, about 130 bytes a class:
-# 4,000,002 classes (q = 16,000,008) take 5.9 s and 568 MB, 9,000,000
-# (q = 36,000,000) 13.0 s and 1.20 GB, and 10,000,002 (q = 40,000,008, with
-# the cap lifted) 13.9 s and 1.33 GB on a 2-CPU machine, so more classes
-# than this raise before any is listed
+# in a set and a sorted list and then as JSON text (json's C encoder, no
+# indent), about 85 bytes a class: 4,000,002 classes (q = 16,000,008) take
+# 3.2 s and 408 MB and 9,000,000 (q = 36,000,000) 6.7 s and 775 MB on a
+# 2-CPU machine, so more classes than this raise before any is listed
 ADMISSIBLE_CLASSES_CAP = 10_000_000
 
 

@@ -9,9 +9,10 @@ so quadruples are kept as four sorted columns a <= b <= c <= d, and the
 children (b, c, d, 2(b+c+d) - a), (a, c, d, 2(a+c+d) - b) and
 (a, b, d, 2(a+b+d) - c) come out sorted: each fresh entry exceeds d, since
 a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
-along the walk and the pruning is exact.  The result is a bitset with set
-semantics, whatever the thread count or block size.  The census reads its
-counts off the packed bits.
+along the walk and the pruning is exact.  The walk marks the fresh entries
+straight into a packed bitset of N/8 bytes, one bit per integer, which is
+the result: it has set semantics, whatever the thread count or block size.
+The census reads its counts off the packed bits.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class CurvatureSet:
     bits: np.ndarray                    # packed little-endian uint8, bit k <-> curvature k+1
     witnesses: np.ndarray | None = None  # optional (N+1, 4), first sorted quadruple seen per curvature
     rows: int | None = None             # quadruples the walk expanded; None when loaded
-
-    @classmethod
-    def from_bool(cls, n_max, mask, witnesses=None, rows=None):
-        return cls(n_max, np.packbits(mask[1:n_max + 1], bitorder="little"), witnesses, rows)
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros(self.n_max + 1, dtype=bool)
@@ -111,23 +108,25 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     worker takes about WALK_BLOCK_ROWS rows off the top, gathers their fresh
     entries in a mark buffer of its own and pushes their children back,
     until the stack is empty and no worker holds rows; a full buffer, and
-    the buffer of a worker leaving the walk, is sorted and written into the
-    shared mask.  Besides the N-byte mask the walk holds its stack and one
-    buffer of at most N/8 bytes per worker.  The witness of a curvature is
-    the first sorted quadruple seen to hold it; it follows the traversal, so
-    it is fixed only at threads=1.  An exception in a worker stops the walk
-    and is raised here.  The result's rows counts the quadruples expanded.
+    the buffer of a worker leaving the walk, is sorted and ORed into the
+    shared bitset, which the result holds as it is.  Besides the N/8-byte
+    bitset the walk holds its stack and, per worker, one buffer of N/8
+    bytes (below N = 2^31) and one window of MARK_WINDOW bools.  The witness of a curvature
+    is the first sorted quadruple seen to hold it; it follows the traversal,
+    so it is fixed only at threads=1.  An exception in a worker stops the
+    walk and is raised here.  The result's rows counts the quadruples
+    expanded.
     """
     root = core.validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
-        return CurvatureSet.from_bool(max(n_max, 0), np.zeros(1, dtype=bool), rows=0)
+        return CurvatureSet(max(n_max, 0), np.zeros(0, dtype=np.uint8), rows=0)
     dtype = _column_dtype(root, n_max)
-    mask = np.zeros(n_max + 1, dtype=bool)
+    bits = np.zeros((n_max + 7) // 8, dtype=np.uint8)
     wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
-    seen = [x for x in root if 1 <= x <= n_max]
-    mask[seen] = True
+    seen = np.array([x for x in root if 1 <= x <= n_max], dtype=np.int64)
+    np.bitwise_or.at(bits, *_bit_at(seen))
     if wit is not None:
         wit[seen] = sorted(root)
     s = sum(root)
@@ -135,8 +134,8 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
-    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, mask,
-                       wit, dtype)
+    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, bits,
+                       wit)
     workers = []
     try:
         for _ in range(threads - 1):
@@ -152,7 +151,13 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
             w.join()
     if walk.errors:
         raise walk.errors[0]
-    return CurvatureSet.from_bool(n_max, mask, wit, walk.rows)
+    return CurvatureSet(n_max, bits, wit, walk.rows)
+
+
+def _bit_at(vals):
+    """Byte and bit of each curvature of vals in the packed bitset."""
+    k = vals - 1
+    return k >> 3, (1 << (k & 7)).astype(np.uint8)
 
 
 # rows a worker of enumerate_curvatures takes off the stack per step, read at
@@ -162,15 +167,15 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
 # peaked at 908 MB with 2^20 rows and 281 MB with 2^16 at the same speed;
 # 2^15 came with the sorted mark buffers (census at 3e7: 3.0 s, 81 MB)
 WALK_BLOCK_ROWS = 1 << 15
-# entries of a worker's mark buffer, at most; it also holds at most n_max/8
-# bytes, so a small walk pays no more for it than the packed bitset.  At
-# N = 3e7 a full buffer holds one value per 32 bytes of the mask: a random
-# write into the mask costs 25-38 ns a value, sorting the buffer about 4 ns
-# and writing it in order about 5 ns (2-CPU VM, numpy 2.4)
-MARK_BUFFER_ENTRIES = 1 << 20
-# values written into the mask per fancy-index call: its intp index
-# temporary is 512 KB, not the whole buffer
-MARK_CHUNK = 1 << 16
+# integers of [1, N] per entry of a worker's mark buffer, read at each call:
+# the buffer holds int32 values below 2^31, so it takes N/8 bytes, as much
+# as the bitset.  A flush then finds about one mark per 32 integers of each
+# window it packs, so packing costs little beside sorting the marks
+MARK_SPACING = 32
+# integers per window of a flush: the window's marks are set in a bool
+# scratch of this size, packed into MARK_WINDOW/8 bytes and ORed into the
+# bitset.  A multiple of 8, so each window starts on a byte of the bitset
+MARK_WINDOW = 1 << 20
 
 
 class _SharedWalk:
@@ -180,22 +185,23 @@ class _SharedWalk:
     owning its memory: the rest of a split entry goes back as a copy, so no
     expanded rows stay alive behind a view.  busy counts the workers holding
     rows taken off it: the walk is over when the stack is empty and busy is
-    0, or when a worker has failed.  Without witnesses each worker gathers the
-    fresh entries of its blocks in a buffer of its own and, when it is full
-    or the worker leaves, sorts it and writes it into the mask outside the
-    lock: setting True is idempotent and order-free.  With witnesses the
-    marks are immediate, and new bits and their witnesses are read and
-    written under the lock."""
+    0, or when a worker has failed.  bits is the packed bitset of the
+    result (bit k for curvature k + 1).  Without witnesses each worker
+    gathers the fresh entries of its blocks in a buffer of its own and,
+    when it is full or the worker leaves, sorts it and ORs it into bits
+    one window at a time, each OR under the lock: two threads ORing the
+    same bytes at once would lose bits.  With witnesses the marks are
+    immediate, and new bits and their witnesses are read and written under
+    the lock."""
 
-    def __init__(self, stack, n_max, block_size, mask, wit, dtype):
+    def __init__(self, stack, n_max, block_size, bits, wit):
         self.stack = stack
         self.n_max = n_max
         self.block_size = block_size
-        self.mask = mask
+        self.bits = bits
         self.wit = wit
-        self.dtype = np.dtype(dtype)
-        self.mark_entries = max(1, min(MARK_BUFFER_ENTRIES,
-                                       n_max // (8 * self.dtype.itemsize)))
+        self.mark_dtype = np.dtype(np.int32 if n_max < 2**31 else np.int64)
+        self.mark_entries = max(1, n_max // MARK_SPACING)
         self.cond = threading.Condition()
         self.busy = 0
         self.rows = 0
@@ -229,7 +235,7 @@ class _SharedWalk:
 
     def run(self):
         cond = self.cond
-        marks = np.empty(self.mark_entries, self.dtype) if self.wit is None else None
+        marks = np.empty(self.mark_entries, self.mark_dtype) if self.wit is None else None
         held = 0
         while True:
             with cond:
@@ -248,10 +254,11 @@ class _SharedWalk:
                     held = self._gather(marks, held, d)
                 else:
                     with cond:
-                        new = np.flatnonzero(~self.mask[d])
+                        at, bit = _bit_at(d)
+                        new = np.flatnonzero(self.bits[at] & bit == 0)
                         vals, first = np.unique(d[new], return_index=True)
                         self.wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
-                        self.mask[d] = True
+                        np.bitwise_or.at(self.bits, *_bit_at(vals))
                 kids = _children(*cols, self.n_max)
             except BaseException as e:  # handed to the caller of the walk
                 self.fail(e)
@@ -282,10 +289,25 @@ class _SharedWalk:
         return held
 
     def _flush(self, vals):
-        """Sort vals in place and set their bits in the mask, in chunks."""
+        """Sort vals in place and OR their bits into the bitset, one window
+        of MARK_WINDOW integers at a time: the window's values are set in a
+        bool scratch, packed little-endian and ORed in under the lock."""
         vals.sort()
-        for i in range(0, vals.size, MARK_CHUNK):
-            self.mask[vals[i:i + MARK_CHUNK]] = True
+        window = min(MARK_WINDOW, 8 * self.bits.size)
+        scratch = np.zeros(window, dtype=bool)
+        i = 0
+        while i < vals.size:
+            base = (int(vals[i]) - 1) // window * window  # bit of the window's first integer
+            # a key of vals' own dtype: a Python int would cast all of vals
+            end = vals.dtype.type(min(base + window, self.n_max))
+            j = int(vals.searchsorted(end, side="right"))
+            scratch[vals[i:j] - (base + 1)] = True
+            packed = np.packbits(scratch, bitorder="little")
+            scratch.fill(False)
+            with self.cond:
+                dst = self.bits[base >> 3:(base + window) >> 3]
+                dst |= packed[:dst.size]
+            i = j
 
 
 def _column_dtype(root, n_max):

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 import threading
+import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -135,10 +137,12 @@ def test_walk_matches_reference(root, n_max, monkeypatch):
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
                                   (-6, 11, 14, 15), ROOT])
 def test_mark_buffer_flushes(root, monkeypatch):
-    # a mark buffer of 5 entries, fewer than a block of 7 rows or of the
-    # default size, is flushed when it fills, often within one block, and
-    # when a worker leaves the walk holding fewer than 5 marks
-    monkeypatch.setattr(orbit, "MARK_BUFFER_ENTRIES", 5)
+    # a mark buffer of 5 entries (one per 1000 integers of [1, 5000]), fewer
+    # than a block of 7 rows or of the default size, is flushed when it
+    # fills, often within one block, and when a worker leaves the walk
+    # holding fewer than 5 marks; windows of 64 integers, or of the default
+    # size, split a flush across bytes of the bitset or hold all of it
+    monkeypatch.setattr(orbit, "MARK_SPACING", 1000)
     sizes = []
     flush = orbit._SharedWalk._flush
 
@@ -148,20 +152,76 @@ def test_mark_buffer_flushes(root, monkeypatch):
 
     monkeypatch.setattr(orbit._SharedWalk, "_flush", spy)
     want = reference_curvatures(root, 5000)
-    for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
-        monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
-        for threads in (1, 3):
-            cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
-            assert np.array_equal(cs.to_bool(), want), (blocks, threads)
+    for window in (64, orbit.MARK_WINDOW):
+        monkeypatch.setattr(orbit, "MARK_WINDOW", window)
+        for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
+            monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
+            for threads in (1, 3):
+                cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
+                assert np.array_equal(cs.to_bool(), want), (window, blocks, threads)
     assert max(sizes) == 5 and min(sizes) < 5
+
+
+class _SlowOr(np.ndarray):
+    """A bitset whose in-place OR reads, yields the interpreter, then writes:
+    numpy's own OR drops the GIL over more than a few hundred bytes, so two
+    threads ORing the same bytes at once lose bits."""
+
+    def __ior__(self, other):
+        view = self.view(np.ndarray)
+        new = view | other
+        time.sleep(0)
+        view[...] = new
+        return self
+
+
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT])
+def test_flushes_race_for_no_bit(root, monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows,
+    # each flushing a buffer of 8 marks in windows of 64 integers, so
+    # workers OR into the same bytes at once: an OR made outside the walk's
+    # lock loses bits here
+    n_max = 20000
+    init = orbit._SharedWalk.__init__
+
+    def slow_or(walk, stack, n_max, block_size, bits, wit):
+        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit)
+
+    monkeypatch.setattr(orbit._SharedWalk, "__init__", slow_or)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
+    monkeypatch.setattr(orbit, "MARK_SPACING", n_max // 8)
+    monkeypatch.setattr(orbit, "MARK_WINDOW", 64)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cs = orbit.enumerate_curvatures(root, n_max, threads=8)
+    finally:
+        sys.setswitchinterval(old)
+    assert type(cs.bits) is np.ndarray
+    assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
+
+
+def test_walk_holds_no_byte_per_integer():
+    # the walk's traced peak grows by about a quarter byte per integer of
+    # [1, N] (the bitset and one mark buffer, N/8 bytes each); a mask of one
+    # byte per integer alone would grow it by 4 MB here.  The walk's stack
+    # and blocks take about 7 MB at 4e6, so the bound is on the growth
+    peaks = []
+    for n_max in (4_000_000, 8_000_000):
+        tracemalloc.start()
+        try:
+            orbit.enumerate_curvatures(ROOT, n_max, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 4_000_000 / 2, peaks
 
 
 def test_split_entry_goes_back_as_a_copy():
     # the rest of a split entry must not keep the popped arrays, rows
     # already expanded included, alive behind a view
     cols = tuple(np.arange(40, dtype=np.int32) + k for k in range(4))
-    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 + 1, dtype=bool), None,
-                             np.int32)
+    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None)
     (taken,) = walk._take()
     (rest,) = walk.stack
     assert taken[0].size == 16 and rest[0].size == 24 and walk.rows == 16
