@@ -110,12 +110,12 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     until the stack is empty and no worker holds rows; a full buffer, and
     the buffer of a worker leaving the walk, is sorted and ORed into the
     shared bitset, which the result holds as it is.  Besides the N/8-byte
-    bitset the walk holds its stack and, per worker, one buffer of N/8
-    bytes (below N = 2^31) and one window of MARK_WINDOW bools.  The witness of a curvature
-    is the first sorted quadruple seen to hold it; it follows the traversal,
-    so it is fixed only at threads=1.  An exception in a worker stops the
-    walk and is raised here.  The result's rows counts the quadruples
-    expanded.
+    bitset the walk holds its stack, the mark buffers (N/8 bytes in all, or
+    4 MB a worker where that is more) and a scratch of MARK_WINDOW bools a
+    worker.  The witness of a curvature is the first sorted quadruple seen
+    to hold it; it follows the traversal, so it is fixed only at threads=1.
+    An exception in a worker stops the walk and is raised here.  The
+    result's rows counts the quadruples expanded.
     """
     root = core.validate_root(root)
     if threads < 1:
@@ -135,7 +135,7 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
     walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, bits,
-                       wit)
+                       wit, threads)
     workers = []
     try:
         for _ in range(threads - 1):
@@ -167,15 +167,26 @@ def _bit_at(vals):
 # peaked at 908 MB with 2^20 rows and 281 MB with 2^16 at the same speed;
 # 2^15 came with the sorted mark buffers (census at 3e7: 3.0 s, 81 MB)
 WALK_BLOCK_ROWS = 1 << 15
-# integers of [1, N] per entry of a worker's mark buffer, read at each call:
-# the buffer holds int32 values below 2^31, so it takes N/8 bytes, as much
-# as the bitset.  A flush then finds about one mark per 32 integers of each
-# window it packs, so packing costs little beside sorting the marks
+# integers of [1, N] per entry of the workers' mark buffers together, read
+# at each call: their int32 values (below N = 2^31) take N/8 bytes in all,
+# as much as the bitset, whatever the CPU count.  A worker's buffer holds
+# MARK_BUFFER_ENTRIES entries (4 MB) when that is more than its share, but
+# not past N/8 bytes, so up to N = 3.4e7, and to 6.7e7 on 2 CPUs, each
+# flush packs about one mark per 32 integers (census at 3e7)
 MARK_SPACING = 32
+MARK_BUFFER_ENTRIES = 1 << 20
 # integers per window of a flush: the window's marks are set in a bool
 # scratch of this size, packed into MARK_WINDOW/8 bytes and ORed into the
 # bitset.  A multiple of 8, so each window starts on a byte of the bitset
 MARK_WINDOW = 1 << 20
+# integers a mark, at most, over which a flush packs windows: packing costs
+# about 0.15-0.2 ns an integer of the window, whatever its marks, and ORing
+# a mark's bit into its byte about 22 ns, so the two meet near one mark per
+# 64-96 integers (2-CPU VM, numpy 2.4).  A sparser flush, as on more than 2
+# CPUs past N = 6.7e7, ORs its marks one by one, MARK_CHUNK marks per call,
+# whose intp index temporary is 512 KB
+MARK_SPARSE = 64
+MARK_CHUNK = 1 << 16
 
 
 class _SharedWalk:
@@ -189,20 +200,22 @@ class _SharedWalk:
     result (bit k for curvature k + 1).  Without witnesses each worker
     gathers the fresh entries of its blocks in a buffer of its own and,
     when it is full or the worker leaves, sorts it and ORs it into bits
-    one window at a time, each OR under the lock: two threads ORing the
-    same bytes at once would lose bits.  With witnesses the marks are
-    immediate, and new bits and their witnesses are read and written under
-    the lock."""
+    under bits_lock: two threads ORing the same bytes at once would lose
+    bits.  cond guards the stack only, so a flush holds up no take.  With
+    witnesses the marks are immediate, and new bits and their witnesses are
+    read and written under bits_lock."""
 
-    def __init__(self, stack, n_max, block_size, bits, wit):
+    def __init__(self, stack, n_max, block_size, bits, wit, threads):
         self.stack = stack
         self.n_max = n_max
         self.block_size = block_size
         self.bits = bits
         self.wit = wit
         self.mark_dtype = np.dtype(np.int32 if n_max < 2**31 else np.int64)
-        self.mark_entries = max(1, n_max // MARK_SPACING)
+        self.mark_entries = max(1, min(MARK_BUFFER_ENTRIES, n_max // MARK_SPACING),
+                                n_max // (MARK_SPACING * threads))
         self.cond = threading.Condition()
+        self.bits_lock = threading.Lock()
         self.busy = 0
         self.rows = 0
         self.errors = []
@@ -235,7 +248,11 @@ class _SharedWalk:
 
     def run(self):
         cond = self.cond
-        marks = np.empty(self.mark_entries, self.mark_dtype) if self.wit is None else None
+        if self.wit is None:
+            marks = np.empty(self.mark_entries, self.mark_dtype)
+            scratch = np.zeros(min(MARK_WINDOW, 8 * self.bits.size), dtype=bool)
+        else:
+            marks = None
         held = 0
         while True:
             with cond:
@@ -251,9 +268,9 @@ class _SharedWalk:
                     np.concatenate(x) for x in zip(*parts))
                 d = cols[3]
                 if marks is not None:
-                    held = self._gather(marks, held, d)
+                    held = self._gather(marks, held, d, scratch)
                 else:
-                    with cond:
+                    with self.bits_lock:
                         at, bit = _bit_at(d)
                         new = np.flatnonzero(self.bits[at] & bit == 0)
                         vals, first = np.unique(d[new], return_index=True)
@@ -270,11 +287,11 @@ class _SharedWalk:
                     cond.notify_all()
         if held and not self.errors:
             try:
-                self._flush(marks[:held])
+                self._flush(marks[:held], scratch)
             except BaseException as e:
                 self.fail(e)
 
-    def _gather(self, marks, held, d):
+    def _gather(self, marks, held, d, scratch):
         """Copy d into marks[held:], flushing marks whenever it fills;
         returns the entries it holds after."""
         start = 0
@@ -284,17 +301,25 @@ class _SharedWalk:
             held += n
             start += n
             if held == marks.size:
-                self._flush(marks)
+                self._flush(marks, scratch)
                 held = 0
         return held
 
-    def _flush(self, vals):
-        """Sort vals in place and OR their bits into the bitset, one window
-        of MARK_WINDOW integers at a time: the window's values are set in a
-        bool scratch, packed little-endian and ORed in under the lock."""
+    def _flush(self, vals, scratch):
+        """Sort vals in place and OR their bits into the bitset under
+        bits_lock.  Dense marks go one window of scratch.size integers at a
+        time: the window's values are set in scratch, the worker's own
+        reused bool array, which is packed little-endian, ORed in and
+        cleared.  Marks sparser than one per MARK_SPARSE integers are ORed
+        into their bytes one by one."""
         vals.sort()
-        window = min(MARK_WINDOW, 8 * self.bits.size)
-        scratch = np.zeros(window, dtype=bool)
+        if vals.size * MARK_SPARSE < int(vals[-1]) - int(vals[0]):
+            for i in range(0, vals.size, MARK_CHUNK):
+                at, bit = _bit_at(vals[i:i + MARK_CHUNK])
+                with self.bits_lock:
+                    np.bitwise_or.at(self.bits, at, bit)
+            return
+        window = scratch.size
         i = 0
         while i < vals.size:
             base = (int(vals[i]) - 1) // window * window  # bit of the window's first integer
@@ -303,8 +328,10 @@ class _SharedWalk:
             j = int(vals.searchsorted(end, side="right"))
             scratch[vals[i:j] - (base + 1)] = True
             packed = np.packbits(scratch, bitorder="little")
+            # a 1 MB memset: clearing only the marks set cost 12.2 ns a
+            # mark at 3e7, against 9.6 ns in all with the fill
             scratch.fill(False)
-            with self.cond:
+            with self.bits_lock:
                 dst = self.bits[base >> 3:(base + window) >> 3]
                 dst |= packed[:dst.size]
             i = j

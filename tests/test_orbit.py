@@ -137,35 +137,64 @@ def test_walk_matches_reference(root, n_max, monkeypatch):
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
                                   (-6, 11, 14, 15), ROOT])
 def test_mark_buffer_flushes(root, monkeypatch):
-    # a mark buffer of 5 entries (one per 1000 integers of [1, 5000]), fewer
-    # than a block of 7 rows or of the default size, is flushed when it
-    # fills, often within one block, and when a worker leaves the walk
-    # holding fewer than 5 marks; windows of 64 integers, or of the default
-    # size, split a flush across bytes of the bitset or hold all of it
+    # a mark buffer of 5 entries (one per 1000 integers of [1, 5000], fewer
+    # than MARK_BUFFER_ENTRIES), fewer than a block of 7 rows or of the
+    # default size, is flushed when it fills, often within one block, and
+    # when a worker leaves the walk holding fewer than 5 marks; packed in
+    # windows of 64 integers, which split a flush across bytes of the
+    # bitset, or of the default size, which hold all of it, or ORed in mark
+    # by mark
     monkeypatch.setattr(orbit, "MARK_SPACING", 1000)
     sizes = []
     flush = orbit._SharedWalk._flush
 
-    def spy(walk, vals):
+    def spy(walk, vals, scratch):
         sizes.append(vals.size)
-        return flush(walk, vals)
+        return flush(walk, vals, scratch)
 
     monkeypatch.setattr(orbit._SharedWalk, "_flush", spy)
     want = reference_curvatures(root, 5000)
-    for window in (64, orbit.MARK_WINDOW):
+    for window, sparse in ((64, 5000), (orbit.MARK_WINDOW, 5000), (orbit.MARK_WINDOW, 0)):
         monkeypatch.setattr(orbit, "MARK_WINDOW", window)
+        monkeypatch.setattr(orbit, "MARK_SPARSE", sparse)
         for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
             monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
             for threads in (1, 3):
                 cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
-                assert np.array_equal(cs.to_bool(), want), (window, blocks, threads)
+                assert np.array_equal(cs.to_bool(), want), (window, sparse, blocks, threads)
     assert max(sizes) == 5 and min(sizes) < 5
 
 
+@pytest.mark.parametrize("n_max", [10**4, 3 * 10**7, 10**8, 10**9])
+def test_mark_buffers_share_n_over_8_bytes(n_max):
+    # the workers' int32 buffers together hold N/8 bytes, or 4 MB a worker
+    # where that is more, but no one buffer more than N/8 bytes: 16 workers
+    # at N = 1e9 add 125 MB to the 125 MB bitset, not 2 GB
+    for threads in (1, 2, 3, 16):
+        walk = orbit._SharedWalk([], n_max, 16, None, None, threads)
+        total = 4 * walk.mark_entries * threads
+        assert 4 * walk.mark_entries <= max(n_max // 8, 4)
+        assert total <= max(n_max // 8, threads * 4 * orbit.MARK_BUFFER_ENTRIES)
+
+
+def test_worker_allocates_its_share():
+    # a worker allocates its buffer and one window's scratch, nothing of N
+    bits = np.zeros(10**9 // 8, dtype=np.uint8)
+    walk = orbit._SharedWalk([], 10**9, 16, bits, None, 16)
+    tracemalloc.start()
+    try:
+        walk.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**9 // 8 // 16 + orbit.MARK_WINDOW + 2**20, peak
+
+
 class _SlowOr(np.ndarray):
-    """A bitset whose in-place OR reads, yields the interpreter, then writes:
-    numpy's own OR drops the GIL over more than a few hundred bytes, so two
-    threads ORing the same bytes at once lose bits."""
+    """A bitset whose in-place OR, and whose ufunc.at, reads, yields the
+    interpreter, then writes: numpy's own OR drops the GIL over more than a
+    few hundred bytes, so two threads ORing the same bytes at once lose
+    bits."""
 
     def __ior__(self, other):
         view = self.view(np.ndarray)
@@ -174,23 +203,34 @@ class _SlowOr(np.ndarray):
         view[...] = new
         return self
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [x.view(np.ndarray) if isinstance(x, _SlowOr) else x for x in inputs]
+        if method != "at":
+            return getattr(ufunc, method)(*inputs, **kwargs)
+        new = inputs[0].copy()
+        ufunc.at(new, *inputs[1:])
+        time.sleep(0)
+        inputs[0][...] = new
 
+
+@pytest.mark.parametrize("sparse", [0, 20000], ids=["mark_by_mark", "windows"])
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT])
-def test_flushes_race_for_no_bit(root, monkeypatch):
+def test_flushes_race_for_no_bit(root, sparse, monkeypatch):
     # more threads than cores, switching as often as the interpreter allows,
-    # each flushing a buffer of 8 marks in windows of 64 integers, so
-    # workers OR into the same bytes at once: an OR made outside the walk's
-    # lock loses bits here
+    # each flushing a buffer of 8 marks mark by mark or in windows of 64
+    # integers, so workers OR into the same bytes at once: an OR made
+    # outside the walk's lock loses bits here
     n_max = 20000
     init = orbit._SharedWalk.__init__
 
-    def slow_or(walk, stack, n_max, block_size, bits, wit):
-        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit)
+    def slow_or(walk, stack, n_max, block_size, bits, wit, threads):
+        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit, threads)
 
     monkeypatch.setattr(orbit._SharedWalk, "__init__", slow_or)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
     monkeypatch.setattr(orbit, "MARK_SPACING", n_max // 8)
     monkeypatch.setattr(orbit, "MARK_WINDOW", 64)
+    monkeypatch.setattr(orbit, "MARK_SPARSE", sparse)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -203,7 +243,8 @@ def test_flushes_race_for_no_bit(root, monkeypatch):
 
 def test_walk_holds_no_byte_per_integer():
     # the walk's traced peak grows by about a quarter byte per integer of
-    # [1, N] (the bitset and one mark buffer, N/8 bytes each); a mask of one
+    # [1, N] (the bitset and one mark buffer, N/8 bytes each below N =
+    # 3.4e7); a mask of one
     # byte per integer alone would grow it by 4 MB here.  The walk's stack
     # and blocks take about 7 MB at 4e6, so the bound is on the growth
     peaks = []
@@ -221,7 +262,7 @@ def test_split_entry_goes_back_as_a_copy():
     # the rest of a split entry must not keep the popped arrays, rows
     # already expanded included, alive behind a view
     cols = tuple(np.arange(40, dtype=np.int32) + k for k in range(4))
-    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None)
+    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None, 1)
     (taken,) = walk._take()
     (rest,) = walk.stack
     assert taken[0].size == 16 and rest[0].size == 24 and walk.rows == 16
