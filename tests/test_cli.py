@@ -503,7 +503,7 @@ def test_render_over_cap_exits_3_before_building():
 
 def test_gasket_over_cap_exits_3_before_allocating():
     # the check comes before the walk allocates anything: at 4e9 the bitset
-    # alone takes 0.5 GB and each worker's mark buffer, int64 past 2^31, 1 GB
+    # alone takes 0.5 GB and the mark buffers, int64 past 2^31, 1 GB together
     out = run_child("-m", "apollonian", "gasket", "--limit", "4000000000", timeout=60,
                     preexec_fn=_limit_address_space)
     assert out.returncode == 3, out.stderr
