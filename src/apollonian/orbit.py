@@ -171,8 +171,8 @@ WALK_BLOCK_ROWS = 1 << 15
 # at each call: their int32 values (below N = 2^31) take N/8 bytes in all,
 # as much as the bitset, whatever the CPU count.  A worker's buffer holds
 # MARK_BUFFER_ENTRIES entries (4 MB) when that is more than its share, but
-# not past N/8 bytes, so up to N = 3.4e7, and to 6.7e7 on 2 CPUs, each
-# flush packs about one mark per 32 integers (census at 3e7)
+# not past N/8 bytes, so up to N = 3.4e7 a full flush holds one mark per 32
+# integers (census at 3e7), and past it one per at most 32 x CPUs
 MARK_SPACING = 32
 MARK_BUFFER_ENTRIES = 1 << 20
 # integers per window of a flush: the window's marks are set in a bool
@@ -182,7 +182,7 @@ MARK_WINDOW = 1 << 20
 # integers a mark, at most, over which a flush packs windows: packing costs
 # about 0.15-0.2 ns an integer of the window, whatever its marks, and ORing
 # a mark's bit into its byte about 22 ns, so the two meet near one mark per
-# 64-96 integers (2-CPU VM, numpy 2.4).  A sparser flush, as on more than 2
+# 64-96 integers (2-CPU VM, numpy 2.4).  A sparser flush, as on 3 or more
 # CPUs past N = 6.7e7, ORs its marks one by one, MARK_CHUNK marks per call,
 # whose intp index temporary is 512 KB
 MARK_SPARSE = 64
