@@ -32,24 +32,25 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit on a 2-CPU machine: 10.8-12.4 s wall,
-# 19-22 s CPU and 106 MB with both CPUs, 14-15 s and 96 MB with --threads 1
-GASKET_DEFAULT_COST = ("about 11 s and 0.11 GB peak RSS on 2 CPUs "
-                       "(about 14 s with --threads 1)")
+# `gasket` at the default limit on a 2-CPU machine: 7.6-8.0 s wall,
+# 12.8-12.9 s CPU and 61 MB with both CPUs, 10.1-11.1 s and 54-55 MB with
+# --threads 1 (two runs each, alternated)
+GASKET_DEFAULT_COST = ("about 8 s and 61 MB peak RSS on 2 CPUs "
+                       "(about 11 s with --threads 1)")
 # the walk expands about one quadruple per circle of curvature at most N, a
 # count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
-# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 35-46 ns of CPU each.  From 1e8 up
-# the census sets the peak, with about five N/8-byte arrays at once (58 MB,
-# 106 MB and 302 MB on 2 CPUs).  The walk holds the N/8-byte bitset, mark
-# buffers of N/8 bytes in all and about 9 MB a worker besides its stack:
-# alone at 1e8 it peaks at 63, 70, 85 and 124 MB with 1, 2, 4 and 8 threads
-GASKET_GROWTH = ("time grows like N^1.31 and memory like 5N/8 bytes: "
-                 "4e8 took 76 s and 0.30 GB on 2 CPUs")
+# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 24-42 ns of CPU each.  The N/8-byte
+# bitset is the only array of the walk and the census that grows with N;
+# the rest is the walk's stack and blocks, a few MB a worker, on about 40
+# MB of interpreter and modules: 50 MB at 3e7, 61 MB at 1e8 and 117 MB at
+# 4e8 on 2 CPUs.  Alone at 1e8 the walk peaks at 52 MB with one thread and
+# 71 MB with four
+GASKET_GROWTH = ("time grows like N^1.31 and memory like N/8 bytes plus the walk's "
+                 "stack: 4e8 took 70 s and 0.12 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
-# the stack: 8e8 (7.41e9 quadruples) peaks at 564 MB and 1e9 at 652 MB
-# on 2 CPUs, in 197 s and 287 s, and the walk alone at 1e9 with 8 threads
-# at 403 MB; no larger N was measured, so one exits 3 before the bitset is
-# allocated
+# the stack: 8e8 (7.41e9 quadruples) peaks at 168 MB and 1e9 at 193 MB on
+# 2 CPUs, in 148 s and 214 s (one run each); no larger N was measured, so
+# one exits 3 before the bitset is allocated
 GASKET_LIMIT_CAP = 10**9
 # `delta-fit` reports one (Y, count) row per point, about 580 bytes each
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU
@@ -632,7 +633,7 @@ def main(argv=None) -> int:
     _add_common(p, root=True)
     p.add_argument("--limit", type=int, default=GASKET_DEFAULT_LIMIT,
                    help=f"bound N (default 1e8: {GASKET_DEFAULT_COST}); "
-                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.65 GB on 2 CPUs) "
+                        f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.2 GB on 2 CPUs) "
                         f"exits 3")
     p.add_argument("--threads", type=int, default=None,
                    help="threads sharing the tree walk, at most the CPUs this "

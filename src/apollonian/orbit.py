@@ -12,7 +12,11 @@ a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
 along the walk and the pruning is exact.  The walk marks the fresh entries
 straight into a packed bitset of N/8 bytes, one bit per integer, which is
 the result: it has set semantics, whatever the thread count or block size.
-The census reads its counts off the packed bits.
+A block's entries are read against the bitset first and only those whose
+bits read clear are ORed in.  The census reads its counts off the packed
+bits one window at a time.  So the bitset is the only array of N/8 bytes
+that a walk and its census hold; the rest is the walk's stack, its blocks
+and the census's windows.
 """
 
 from __future__ import annotations
@@ -105,17 +109,18 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
     threads workers share one LIFO stack of sorted quadruple columns.  A
-    worker takes about WALK_BLOCK_ROWS rows off the top, gathers their fresh
-    entries in a mark buffer of its own and pushes their children back,
-    until the stack is empty and no worker holds rows; a full buffer, and
-    the buffer of a worker leaving the walk, is sorted and ORed into the
-    shared bitset, which the result holds as it is.  Besides the N/8-byte
-    bitset the walk holds its stack, the mark buffers (N/8 bytes in all, or
-    4 MB a worker where that is more) and a scratch of MARK_WINDOW bools a
-    worker.  The witness of a curvature is the first sorted quadruple seen
-    to hold it; it follows the traversal, so it is fixed only at threads=1.
-    An exception in a worker stops the walk and is raised here.  The
-    result's rows counts the quadruples expanded.
+    worker takes about WALK_BLOCK_ROWS rows off the top, ORs the bits of
+    their fresh entries into the shared bitset, which the result holds as it
+    is, and pushes their children back, until the stack is empty and no
+    worker holds rows.  Only the entries whose bits read clear are ORed: at
+    3e7 the walk expands 1.02e8 rows for 7.47e6 curvatures, and ORs about
+    7.5e6 marks.  Besides the N/8-byte bitset the walk holds its stack and
+    each worker's block, its children and a few temporaries of one byte to
+    eight bytes a row; nothing else grows with N.  The witness of a
+    curvature is the first sorted quadruple seen to hold it; it follows the
+    traversal, so it is fixed only at threads=1.  An exception in a worker
+    stops the walk and is raised here.  The result's rows counts the
+    quadruples expanded.
     """
     root = core.validate_root(root)
     if threads < 1:
@@ -135,7 +140,7 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                                for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                               dtype=dtype).reshape(-1, 4), axis=0)
     walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, bits,
-                       wit, threads)
+                       wit)
     workers = []
     try:
         for _ in range(threads - 1):
@@ -165,28 +170,10 @@ def _bit_at(vals):
 # 02) reaches it, and only tests change it.  It changes no bit and no row
 # count.  The stack holds about two blocks per tree level: at 1e8 the walk
 # peaked at 908 MB with 2^20 rows and 281 MB with 2^16 at the same speed;
-# 2^15 came with the sorted mark buffers (census at 3e7: 3.0 s, 81 MB)
+# at 3e7 on 2 CPUs 2^16 rows cut the two-thread walk's voluntary context
+# switches from 56-70K to 29-31K and its time by 13-23 %, but raise its peak
+# from 48 to 60 MB (three alternated runs each)
 WALK_BLOCK_ROWS = 1 << 15
-# integers of [1, N] per entry of the workers' mark buffers together, read
-# at each call: their int32 values (below N = 2^31) take N/8 bytes in all,
-# as much as the bitset, whatever the CPU count.  A worker's buffer holds
-# MARK_BUFFER_ENTRIES entries (4 MB) when that is more than its share, but
-# not past N/8 bytes, so up to N = 3.4e7 a full flush holds one mark per 32
-# integers (census at 3e7), and past it one per at most 32 x CPUs
-MARK_SPACING = 32
-MARK_BUFFER_ENTRIES = 1 << 20
-# integers per window of a flush: the window's marks are set in a bool
-# scratch of this size, packed into MARK_WINDOW/8 bytes and ORed into the
-# bitset.  A multiple of 8, so each window starts on a byte of the bitset
-MARK_WINDOW = 1 << 20
-# integers a mark, at most, over which a flush packs windows: packing costs
-# about 0.15-0.2 ns an integer of the window, whatever its marks, and ORing
-# a mark's bit into its byte about 22 ns, so the two meet near one mark per
-# 64-96 integers (2-CPU VM, numpy 2.4).  A sparser flush, as on 3 or more
-# CPUs past N = 6.7e7, ORs its marks one by one, MARK_CHUNK marks per call,
-# whose intp index temporary is 512 KB
-MARK_SPARSE = 64
-MARK_CHUNK = 1 << 16
 
 
 class _SharedWalk:
@@ -197,23 +184,21 @@ class _SharedWalk:
     expanded rows stay alive behind a view.  busy counts the workers holding
     rows taken off it: the walk is over when the stack is empty and busy is
     0, or when a worker has failed.  bits is the packed bitset of the
-    result (bit k for curvature k + 1).  Without witnesses each worker
-    gathers the fresh entries of its blocks in a buffer of its own and,
-    when it is full or the worker leaves, sorts it and ORs it into bits
-    under bits_lock: two threads ORing the same bytes at once would lose
-    bits.  cond guards the stack only, so a flush holds up no take.  With
-    witnesses the marks are immediate, and new bits and their witnesses are
-    read and written under bits_lock."""
+    result (bit k for curvature k + 1).  A worker reads the bits of its
+    block's fresh entries without a lock and ORs those that read clear
+    under bits_lock, at once: during the walk a bit only goes from 0 to 1,
+    so a stale read costs at most an OR that changes nothing, while two
+    threads ORing the same byte at once would lose bits.  cond guards the
+    stack only, so an OR holds up no take.  With witnesses the entries that
+    read clear are read again under bits_lock, and only those still clear
+    have their bits set and their witnesses written."""
 
-    def __init__(self, stack, n_max, block_size, bits, wit, threads):
+    def __init__(self, stack, n_max, block_size, bits, wit):
         self.stack = stack
         self.n_max = n_max
         self.block_size = block_size
         self.bits = bits
         self.wit = wit
-        self.mark_dtype = np.dtype(np.int32 if n_max < 2**31 else np.int64)
-        self.mark_entries = max(1, min(MARK_BUFFER_ENTRIES, n_max // MARK_SPACING),
-                                n_max // (MARK_SPACING * threads))
         self.cond = threading.Condition()
         self.bits_lock = threading.Lock()
         self.busy = 0
@@ -248,12 +233,6 @@ class _SharedWalk:
 
     def run(self):
         cond = self.cond
-        if self.wit is None:
-            marks = np.empty(self.mark_entries, self.mark_dtype)
-            scratch = np.zeros(min(MARK_WINDOW, 8 * self.bits.size), dtype=bool)
-        else:
-            marks = None
-        held = 0
         while True:
             with cond:
                 while not self.stack and self.busy and not self.errors:
@@ -266,16 +245,7 @@ class _SharedWalk:
             try:
                 cols = parts[0] if len(parts) == 1 else tuple(
                     np.concatenate(x) for x in zip(*parts))
-                d = cols[3]
-                if marks is not None:
-                    held = self._gather(marks, held, d, scratch)
-                else:
-                    with self.bits_lock:
-                        at, bit = _bit_at(d)
-                        new = np.flatnonzero(self.bits[at] & bit == 0)
-                        vals, first = np.unique(d[new], return_index=True)
-                        self.wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
-                        np.bitwise_or.at(self.bits, *_bit_at(vals))
+                self._mark(cols)
                 kids = _children(*cols, self.n_max)
             except BaseException as e:  # handed to the caller of the walk
                 self.fail(e)
@@ -285,56 +255,33 @@ class _SharedWalk:
                     if kids is not None and kids[0].size:
                         self.stack.append(kids)
                     cond.notify_all()
-        if held and not self.errors:
-            try:
-                self._flush(marks[:held], scratch)
-            except BaseException as e:
-                self.fail(e)
 
-    def _gather(self, marks, held, d, scratch):
-        """Copy d into marks[held:], flushing marks whenever it fills;
-        returns the entries it holds after."""
-        start = 0
-        while start < d.size:
-            n = min(marks.size - held, d.size - start)
-            marks[held:held + n] = d[start:start + n]
-            held += n
-            start += n
-            if held == marks.size:
-                self._flush(marks, scratch)
-                held = 0
-        return held
+    def _clear(self, d):
+        """Mask of the entries of d whose bits read clear: one take of their
+        bytes, shifted right by each entry's bit."""
+        k = d - 1
+        byte = self.bits.take(k >> 3)
+        shift = k.astype(np.uint8)
+        shift &= 7
+        byte >>= shift
+        byte &= 1
+        return byte == 0
 
-    def _flush(self, vals, scratch):
-        """Sort vals in place and OR their bits into the bitset under
-        bits_lock.  Dense marks go one window of scratch.size integers at a
-        time: the window's values are set in scratch, the worker's own
-        reused bool array, which is packed little-endian, ORed in and
-        cleared.  Marks sparser than one per MARK_SPARSE integers are ORed
-        into their bytes one by one."""
-        vals.sort()
-        if vals.size * MARK_SPARSE < int(vals[-1]) - int(vals[0]):
-            for i in range(0, vals.size, MARK_CHUNK):
-                at, bit = _bit_at(vals[i:i + MARK_CHUNK])
-                with self.bits_lock:
-                    np.bitwise_or.at(self.bits, at, bit)
-            return
-        window = scratch.size
-        i = 0
-        while i < vals.size:
-            base = (int(vals[i]) - 1) // window * window  # bit of the window's first integer
-            # a key of vals' own dtype: a Python int would cast all of vals
-            end = vals.dtype.type(min(base + window, self.n_max))
-            j = int(vals.searchsorted(end, side="right"))
-            scratch[vals[i:j] - (base + 1)] = True
-            packed = np.packbits(scratch, bitorder="little")
-            # a 1 MB memset: clearing only the marks set cost 12.2 ns a
-            # mark at 3e7, against 9.6 ns in all with the fill
-            scratch.fill(False)
+    def _mark(self, cols):
+        """Set the bits of the fresh entries cols[3], and with witnesses
+        write the first row holding each new curvature."""
+        d = cols[3]
+        if self.wit is None:
+            at, bit = _bit_at(np.compress(self._clear(d), d))
             with self.bits_lock:
-                dst = self.bits[base >> 3:(base + window) >> 3]
-                dst |= packed[:dst.size]
-            i = j
+                np.bitwise_or.at(self.bits, at, bit)
+            return
+        new = np.flatnonzero(self._clear(d))
+        with self.bits_lock:
+            new = new[self._clear(d[new])]
+            vals, first = np.unique(d[new], return_index=True)
+            self.wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
+            np.bitwise_or.at(self.bits, *_bit_at(vals))
 
 
 def _column_dtype(root, n_max):
@@ -384,42 +331,60 @@ class CensusReport:
     density: float
 
 
+# 3-byte rows of the bitset (24 integers each) census reads at a time, read
+# at each call; only tests change it.  A window's temporaries are a few
+# arrays of 3 x CENSUS_WINDOW_ROWS bytes, whatever N: at 3e7 the census's
+# traced peak is 1.7 MB (0.5 MB of it the exceptions) and it takes 0.03 s
+# with 2^16 rows, 2.1 MB with 2^17 and 1.3 MB with 2^15, at the same speed
+CENSUS_WINDOW_ROWS = 1 << 16
+
+
 def census(curvatures: CurvatureSet, admissible_classes) -> CensusReport:
     """Counts per residue class mod 24, admissible totals, and exception list.
 
-    The census reads the packed bits: bit j of the 3-byte row i is the
-    integer 24 i + j + 1, so each class mod 24 is one bit position of a
-    (-1, 3) byte view, and the admissible integers are one 3-byte pattern
-    tiled over the bitset.  No array of one byte per integer is formed."""
+    The census reads the packed bits one window of CENSUS_WINDOW_ROWS 3-byte
+    rows at a time: bit j of row i is the integer 24 i + j + 1, so each
+    class mod 24 is one bit position of a (-1, 3) byte view, and the
+    admissible integers are one 3-byte pattern tiled over the window.  The
+    counts are summed and the exceptions concatenated over the windows, so
+    besides the CurvatureSet nothing of N/8 bytes is allocated.  The empty
+    set (N = 0) has zero counts and density 0.0."""
     n = int(curvatures.n_max)
-    size = -(-n // 24) * 3
-    # packed bits 0 .. n-1, zero past n and padded to whole 3-byte rows
-    valid = np.zeros(size, dtype=np.uint8)
-    valid[:n >> 3] = 0xFF
-    if n & 7:
-        valid[n >> 3] = (1 << (n & 7)) - 1
-    bits = np.zeros(size, dtype=np.uint8)
-    bits[:curvatures.bits.size] = curvatures.bits
-    bits &= valid
-    rows = bits.reshape(-1, 3)
-    per_class = np.zeros(24, dtype=np.int64)
-    for j in range(24):
-        per_class[(j + 1) % 24] = np.count_nonzero(rows[:, j >> 3] & np.uint8(1 << (j & 7)))
-    residue_counts = {r: int(c) for r, c in enumerate(per_class) if c}
     pattern = np.packbits([(j + 1) % 24 in admissible_classes for j in range(24)],
                           bitorder="little")
-    adm = np.tile(pattern, size // 3)
-    adm &= valid
-    admissible_count = int(np.bitwise_count(adm).sum())
-    adm &= ~bits
-    at = np.flatnonzero(adm)
-    held = np.unpackbits(adm[at][:, None], axis=1, bitorder="little").view(bool)
-    exceptions = (8 * at[:, None] + np.arange(1, 9))[held]
+    per_class = np.zeros(24, dtype=np.int64)
+    admissible_count = 0
+    exceptions = [np.zeros(0, dtype=np.int64)]
+    rows = -(-n // 24)
+    step = CENSUS_WINDOW_ROWS
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        win = curvatures.bits[3 * r0:3 * r1]
+        adm = np.tile(pattern, r1 - r0)
+        if r1 == rows:  # the last window: padded to whole rows, zero past n
+            m = n - 24 * r0
+            valid = np.zeros(adm.size, dtype=np.uint8)
+            valid[:m >> 3] = 0xFF
+            if m & 7:
+                valid[m >> 3] = (1 << (m & 7)) - 1
+            adm &= valid
+            valid[:win.size] &= win
+            win = valid
+        by_row = win.reshape(-1, 3)
+        for j in range(24):
+            per_class[(j + 1) % 24] += np.count_nonzero(by_row[:, j >> 3] & np.uint8(1 << (j & 7)))
+        admissible_count += int(np.bitwise_count(adm).sum())
+        adm &= ~win
+        at = np.flatnonzero(adm)
+        held = np.unpackbits(adm[at][:, None], axis=1, bitorder="little").view(bool)
+        exceptions.append((8 * (at[:, None] + 3 * r0) + np.arange(1, 9))[held])
+    exceptions = np.concatenate(exceptions)
+    residue_counts = {r: int(c) for r, c in enumerate(per_class) if c}
     edges = np.minimum(1 << np.arange(n.bit_length() + 1), n + 1)
     counts = np.diff(np.searchsorted(exceptions, edges))
     dyadic = [(k, int(c), int(length))
               for k, (c, length) in enumerate(zip(counts, np.diff(edges)))]
-    curvature_count = int(np.bitwise_count(bits).sum())
+    curvature_count = int(per_class.sum())
     return CensusReport(
         n_max=n,
         residue_counts=residue_counts,
@@ -427,7 +392,7 @@ def census(curvatures: CurvatureSet, admissible_classes) -> CensusReport:
         admissible_count=admissible_count,
         exceptions=exceptions,
         dyadic_exceptions=dyadic,
-        density=curvature_count / n,
+        density=curvature_count / n if n else 0.0,
     )
 
 

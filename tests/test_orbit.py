@@ -136,75 +136,62 @@ def test_walk_matches_reference(root, n_max, monkeypatch):
 
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
                                   (-6, 11, 14, 15), ROOT])
-def test_mark_buffer_flushes(root, monkeypatch):
-    # a mark buffer of 5 entries (one per 1000 integers of [1, 5000], fewer
-    # than MARK_BUFFER_ENTRIES), fewer than a block of 7 rows or of the
-    # default size, is flushed when it fills, often within one block, and
-    # when a worker leaves the walk holding fewer than 5 marks; packed in
-    # windows of 64 integers, which split a flush across bytes of the
-    # bitset, or of the default size, which hold all of it, or ORed in mark
-    # by mark
-    monkeypatch.setattr(orbit, "MARK_SPACING", 1000)
-    sizes = []
-    flush = orbit._SharedWalk._flush
+def test_walk_ors_only_clear_bits(root, monkeypatch):
+    # a block's fresh entries whose bits read set are dropped before the OR:
+    # with one-row blocks and one thread each curvature is ORed exactly
+    # once, by the root or by the step that finds it; larger blocks may OR
+    # a curvature repeated within a block, but never one marked before it
+    ored = []
+    bit_at = orbit._bit_at
 
-    def spy(walk, vals, scratch):
-        sizes.append(vals.size)
-        return flush(walk, vals, scratch)
+    def spy(vals):
+        ored.append(vals.size)
+        return bit_at(vals)
 
-    monkeypatch.setattr(orbit._SharedWalk, "_flush", spy)
+    monkeypatch.setattr(orbit, "_bit_at", spy)
     want = reference_curvatures(root, 5000)
-    for window, sparse in ((64, 5000), (orbit.MARK_WINDOW, 5000), (orbit.MARK_WINDOW, 0)):
-        monkeypatch.setattr(orbit, "MARK_WINDOW", window)
-        monkeypatch.setattr(orbit, "MARK_SPARSE", sparse)
-        for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
-            monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
-            for threads in (1, 3):
-                cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
-                assert np.array_equal(cs.to_bool(), want), (window, sparse, blocks, threads)
-    assert max(sizes) == 5 and min(sizes) < 5
+    for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
+        monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
+        for threads in (1, 3):
+            ored[:] = []
+            cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
+            assert np.array_equal(cs.to_bool(), want), (blocks, threads)
+            assert sum(ored) < cs.rows, (blocks, threads)
+            if (blocks, threads) == (1, 1):
+                # the root's equal entries are ORed once each
+                pos = [x for x in root if x > 0]
+                assert sum(ored) == cs.count() + len(pos) - len(set(pos))
 
 
-@pytest.mark.parametrize("n_max", [10**4, 3 * 10**7, 10**8, 10**9])
-def test_mark_buffers_share_n_over_8_bytes(n_max):
-    # the workers' int32 buffers together hold N/8 bytes, or 4 MB a worker
-    # where that is more, but no one buffer more than N/8 bytes: 16 workers
-    # at N = 1e9 add 125 MB to the 125 MB bitset, not 2 GB
-    for threads in (1, 2, 3, 16):
-        walk = orbit._SharedWalk([], n_max, 16, None, None, threads)
-        total = 4 * walk.mark_entries * threads
-        assert 4 * walk.mark_entries <= max(n_max // 8, 4)
-        assert total <= max(n_max // 8, threads * 4 * orbit.MARK_BUFFER_ENTRIES)
-
-
-def test_worker_allocates_its_share():
-    # a worker allocates its buffer and one window's scratch, nothing of N
+def test_worker_allocates_nothing_of_n():
+    # a worker that finds the stack empty leaves at once, allocating
+    # nothing that grows with N: at N = 1e9 the walk's only N-sized array
+    # is the caller's 125 MB bitset
     bits = np.zeros(10**9 // 8, dtype=np.uint8)
-    walk = orbit._SharedWalk([], 10**9, 16, bits, None, 16)
+    walk = orbit._SharedWalk([], 10**9, 16, bits, None)
     tracemalloc.start()
     try:
         walk.run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**9 // 8 // 16 + orbit.MARK_WINDOW + 2**20, peak
+    assert peak < 2**16, peak
 
 
 class _SlowOr(np.ndarray):
-    """A bitset whose in-place OR, and whose ufunc.at, reads, yields the
-    interpreter, then writes: numpy's own OR drops the GIL over more than a
-    few hundred bytes, so two threads ORing the same bytes at once lose
-    bits."""
+    """A bitset whose ufunc.at reads, yields the interpreter, then writes:
+    numpy's own OR drops the GIL over more than a few hundred bytes, so two
+    threads ORing the same bytes at once lose bits.  Every other ufunc,
+    the in-place shift of a take of the bitset included, runs on plain
+    arrays, its out= too."""
 
-    def __ior__(self, other):
-        view = self.view(np.ndarray)
-        new = view | other
-        time.sleep(0)
-        view[...] = new
-        return self
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _SlowOr) else x for x in xs)
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = [x.view(np.ndarray) if isinstance(x, _SlowOr) else x for x in inputs]
+        inputs = plain(inputs)
+        if out is not None:
+            kwargs["out"] = plain(out)
         if method != "at":
             return getattr(ufunc, method)(*inputs, **kwargs)
         new = inputs[0].copy()
@@ -213,28 +200,25 @@ class _SlowOr(np.ndarray):
         inputs[0][...] = new
 
 
-@pytest.mark.parametrize("sparse", [0, 20000], ids=["mark_by_mark", "windows"])
+@pytest.mark.parametrize("record_witnesses", [False, True], ids=["bits", "witnesses"])
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT])
-def test_flushes_race_for_no_bit(root, sparse, monkeypatch):
+def test_flushes_race_for_no_bit(root, record_witnesses, monkeypatch):
     # more threads than cores, switching as often as the interpreter allows,
-    # each flushing a buffer of 8 marks mark by mark or in windows of 64
-    # integers, so workers OR into the same bytes at once: an OR made
-    # outside the walk's lock loses bits here
+    # each ORing the clear bits of a block of 16 rows while the others read
+    # and OR the same bytes: an OR made outside the walk's lock loses bits here
     n_max = 20000
     init = orbit._SharedWalk.__init__
 
-    def slow_or(walk, stack, n_max, block_size, bits, wit, threads):
-        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit, threads)
+    def slow_or(walk, stack, n_max, block_size, bits, wit):
+        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit)
 
     monkeypatch.setattr(orbit._SharedWalk, "__init__", slow_or)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
-    monkeypatch.setattr(orbit, "MARK_SPACING", n_max // 8)
-    monkeypatch.setattr(orbit, "MARK_WINDOW", 64)
-    monkeypatch.setattr(orbit, "MARK_SPARSE", sparse)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        cs = orbit.enumerate_curvatures(root, n_max, threads=8)
+        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=record_witnesses,
+                                        threads=8)
     finally:
         sys.setswitchinterval(old)
     assert type(cs.bits) is np.ndarray
@@ -242,10 +226,9 @@ def test_flushes_race_for_no_bit(root, sparse, monkeypatch):
 
 
 def test_walk_holds_no_byte_per_integer():
-    # the walk's traced peak grows by about a quarter byte per integer of
-    # [1, N] (the bitset and one mark buffer, N/8 bytes each below N =
-    # 3.4e7); a mask of one
-    # byte per integer alone would grow it by 4 MB here.  The walk's stack
+    # the walk's traced peak grows by about an eighth of a byte per integer
+    # of [1, N] (the bitset); a mask of one byte per integer alone would
+    # grow it by 4 MB here.  The walk's stack
     # and blocks take about 7 MB at 4e6, so the bound is on the growth
     peaks = []
     for n_max in (4_000_000, 8_000_000):
@@ -262,7 +245,7 @@ def test_split_entry_goes_back_as_a_copy():
     # the rest of a split entry must not keep the popped arrays, rows
     # already expanded included, alive behind a view
     cols = tuple(np.arange(40, dtype=np.int32) + k for k in range(4))
-    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None, 1)
+    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None)
     (taken,) = walk._take()
     (rest,) = walk.stack
     assert taken[0].size == 16 and rest[0].size == 24 and walk.rows == 16
@@ -479,7 +462,7 @@ def reference_census(cs, admissible_classes):
     return orbit.CensusReport(
         n_max=n_max, residue_counts=residue_counts, curvature_count=int(vals.size),
         admissible_count=int(adm_mask.sum()), exceptions=exceptions,
-        dyadic_exceptions=dyadic, density=float(vals.size) / n_max)
+        dyadic_exceptions=dyadic, density=float(vals.size) / n_max if n_max else 0.0)
 
 
 def assert_same_census(got, want):
@@ -493,15 +476,23 @@ def assert_same_census(got, want):
     assert got.density == want.density
 
 
-@pytest.mark.parametrize("n_max", [1, 23, 24, 25, 1023, 1024, 1025, 10**5])
-def test_census_matches_reference(n_max):
+# census windows of 1 and 5 rows split the bitset at many byte and mod-24
+# boundaries; the default holds every case below in one window
+CENSUS_WINDOWS = (1, 5, orbit.CENSUS_WINDOW_ROWS)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 23, 24, 25, 1023, 1024, 1025, 10**5])
+def test_census_matches_reference(n_max, monkeypatch):
     cs = orbit.enumerate_curvatures(ROOT, n_max)
     for adm in ({0, 4, 12, 13, 16, 21}, {1, 5}, set(), set(range(24))):
-        assert_same_census(orbit.census(cs, adm), reference_census(cs, adm))
+        want = reference_census(cs, adm)
+        for window in CENSUS_WINDOWS:
+            monkeypatch.setattr(orbit, "CENSUS_WINDOW_ROWS", window)
+            assert_same_census(orbit.census(cs, adm), want)
 
 
-@pytest.mark.parametrize("n_max", [1, 7, 8, 23, 24, 25, 1023, 1025, 100_007])
-def test_packed_census_on_random_bits(n_max):
+@pytest.mark.parametrize("n_max", [0, 1, 7, 8, 23, 24, 25, 1023, 1025, 100_007])
+def test_packed_census_on_random_bits(n_max, monkeypatch):
     # random bytes, with the padding bits past n_max set as often as not
     rng = np.random.default_rng(n_max)
     for density in (0.0, 0.3, 1.0):
@@ -509,7 +500,28 @@ def test_packed_census_on_random_bits(n_max):
         cs = orbit.CurvatureSet(n_max, bits)
         assert cs.count() == int(cs.to_bool().sum())
         for adm in ({0, 4, 12, 13, 16, 21}, {1, 5, 23}, set(), set(range(24))):
-            assert_same_census(orbit.census(cs, adm), reference_census(cs, adm))
+            want = reference_census(cs, adm)
+            for window in CENSUS_WINDOWS:
+                monkeypatch.setattr(orbit, "CENSUS_WINDOW_ROWS", window)
+                assert_same_census(orbit.census(cs, adm), want)
+
+
+def test_census_memory_is_one_window():
+    # the census's traced peak grows by no more than one window's 3-byte
+    # rows from N = 4e6 to 8e6: the windows' temporaries do not grow with N,
+    # and the exceptions (about 20,000 int64 here) grow little.  Reading the
+    # whole bitset at once grew it by about five times N/8 bytes, 2.5 MB
+    adm = {0, 4, 12, 13, 16, 21}
+    peaks = []
+    for n_max in (4_000_000, 8_000_000):
+        cs = orbit.enumerate_curvatures(ROOT, n_max)
+        tracemalloc.start()
+        try:
+            orbit.census(cs, adm)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 3 * orbit.CENSUS_WINDOW_ROWS, peaks
 
 
 def test_census(curvatures_1e6):
