@@ -158,7 +158,7 @@ def test_walk_ors_only_clear_bits(root, monkeypatch):
             assert np.array_equal(cs.to_bool(), want), (blocks, threads)
             assert sum(ored) < cs.rows, (blocks, threads)
             if (blocks, threads) == (1, 1):
-                # the root's equal entries are ORed once each
+                # the root's entries are ORed before the walk, both of an equal pair
                 pos = [x for x in root if x > 0]
                 assert sum(ored) == cs.count() + len(pos) - len(set(pos))
 
