@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 invariant failure, 2 invalid input, 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -32,21 +33,21 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit on a 2-CPU machine: 7.6-8.0 s wall,
-# 12.8-12.9 s CPU and 61 MB with both CPUs, 10.1-11.1 s and 54-55 MB with
-# --threads 1 (two runs each, alternated)
-GASKET_DEFAULT_COST = ("about 8 s and 61 MB peak RSS on 2 CPUs "
+# `gasket` at the default limit on a 2-CPU machine: 6.0-7.5 s wall,
+# 11.5-14.3 s CPU and 57 MB with two worker processes, 10.6-11.8 s and
+# 53 MB with --threads 1 (two runs each, alternated)
+GASKET_DEFAULT_COST = ("about 7 s and 57 MB peak RSS on 2 CPUs "
                        "(about 11 s with --threads 1)")
 # the walk expands about one quadruple per circle of curvature at most N, a
 # count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
-# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 24-42 ns of CPU each.  The N/8-byte
-# bitset is the only array of the walk and the census that grows with N;
-# the rest is the walk's stack and blocks, a few MB a worker, on about 40
-# MB of interpreter and modules: 50 MB at 3e7, 61 MB at 1e8 and 117 MB at
-# 4e8 on 2 CPUs.  Alone at 1e8 the walk peaks at 52 MB with one thread and
-# 71 MB with four
+# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 20-34 ns of CPU each.  The N/8-byte
+# bitset, shared by the workers, is the only array of the walk and the
+# census that grows with N; the rest is each worker's stack and blocks, a
+# few MB, on about 40 MB of interpreter and modules: 47 MB at 3e7, 57 MB
+# at 1e8 and 107 MB at 4e8 on 2 CPUs.  Alone at 1e8 the walk peaks at 52
+# MB with one worker and 55-56 MB with 2, 4 or 8
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N/8 bytes plus the walk's "
-                 "stack: 4e8 took 70 s and 0.12 GB on 2 CPUs")
+                 "stack: 4e8 took 51 s and 0.11 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
 # the stack: 8e8 (7.41e9 quadruples) peaks at 168 MB and 1e9 at 193 MB on
 # 2 CPUs, in 148 s and 214 s (one run each); no larger N was measured, so
@@ -145,9 +146,9 @@ def emit_report(command: str, config: dict, results: dict, out=None,
     """stages, when given, holds the run's timings: a StageRecorder's
     stages, or for spectral the seconds of each step per modulus.  It sits
     beside elapsed_s, outside results, because it changes from run to run,
-    so two runs of one command give equal results.  cpu_s is the CPU
-    seconds the process has spent so far, in every thread, interpreter
-    start-up and imports included."""
+    so two runs of one command give equal results.  cpu_s is `_cpu_s()`,
+    the CPU seconds spent so far by the process and its reaped children
+    (the walk's workers), interpreter start-up and imports included."""
     config = {k: v for k, v in config.items() if not callable(v)}
     report = {
         "command": command,
@@ -155,7 +156,7 @@ def emit_report(command: str, config: dict, results: dict, out=None,
         "results": _jsonable(results),
         "version": __version__,
         "elapsed_s": round(time.time() - t0, 3) if t0 else None,
-        "cpu_s": round(time.process_time(), 3),
+        "cpu_s": round(_cpu_s(), 3),
     }
     if stages is not None:
         report["stages"] = stages
@@ -200,30 +201,41 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _cpu_s():
+    """User and system CPU seconds of this process, every thread, and of its
+    reaped children (os.times, to the clock tick): the walk reaps its forked
+    workers before it returns, so their CPU counts in the stage that ran them."""
+    t = os.times()
+    return time.process_time() + t.children_user + t.children_system
+
+
 def _peak_rss_mb():
-    """Peak resident memory of this process in MB, or None where the
-    platform has no getrusage.  ru_maxrss is in KB, but in bytes on macOS."""
+    """Peak resident memory in MB of this process or of the largest of its
+    reaped children, or None where the platform has no getrusage.
+    ru_maxrss is in KB, but in bytes on macOS."""
     try:
         import resource
     except ImportError:
         return None
     unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, 1)
+    return round(max(resource.getrusage(who).ru_maxrss for who in
+                     (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / unit, 1)
 
 
 class StageRecorder:
     """The stages block of a report.  Each call records the stage that ran
     since the previous call (or since the recorder was made): its seconds,
-    the CPU seconds of the whole process over it (every thread, user and
-    system), the items it processed and the peak RSS after it."""
+    its CPU seconds (`_cpu_s`: the process, every thread, user and system,
+    and the workers it reaped), the items it processed and the peak RSS
+    after it (`_peak_rss_mb`)."""
 
     def __init__(self):
         self.stages = {}
         self._start = time.time()
-        self._cpu_start = time.process_time()
+        self._cpu_start = _cpu_s()
 
     def __call__(self, name: str, items: int) -> None:
-        end, cpu_end = time.time(), time.process_time()
+        end, cpu_end = time.time(), _cpu_s()
         self.stages[name] = {"s": round(end - self._start, 3),
                              "cpu_s": round(cpu_end - self._cpu_start, 3),
                              "items": int(items), "peak_rss_mb": _peak_rss_mb()}
@@ -636,7 +648,7 @@ def main(argv=None) -> int:
                         f"{GASKET_GROWTH}; above {GASKET_LIMIT_CAP:,} (about 0.2 GB on 2 CPUs) "
                         f"exits 3")
     p.add_argument("--threads", type=int, default=None,
-                   help="threads sharing the tree walk, at most the CPUs this "
+                   help="worker processes sharing the tree walk, at most the CPUs this "
                         "process may run on (os.sched_getaffinity, else "
                         "os.cpu_count); default: all of them")
     p.add_argument("--snapshot", default=None, help="write the bitset file")
@@ -752,6 +764,11 @@ def main(argv=None) -> int:
     except spectral.EigensolverError as e:
         print(e, file=sys.stderr)
         return EXIT_INVARIANT
+    except (MemoryError, OSError) as e:  # a worker's MemoryError included
+        if isinstance(e, OSError) and e.errno != errno.ENOMEM:
+            raise
+        print(f"out of memory: {str(e) or type(e).__name__}", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValueError as e:  # any other ValueError is a fault of the program
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -11,18 +11,21 @@ children (b, c, d, 2(b+c+d) - a), (a, c, d, 2(a+c+d) - b) and
 a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
 along the walk and the pruning is exact.  The walk marks the fresh entries
 straight into a packed bitset of N/8 bytes, one bit per integer, which is
-the result: it has set semantics, whatever the thread count or block size.
-A block's entries are read against the bitset first and only those whose
-bits read clear are ORed in.  The census reads its counts off the packed
-bits one window at a time.  So the bitset is the only array of N/8 bytes
-that a walk and its census hold; the rest is the walk's stack, its blocks
-and the census's windows.
+the result: it has set semantics, whatever the worker count or block size.
+Several workers are forked processes sharing the bitset in one anonymous
+mapping.  A block's entries are read against the bitset first and only
+those whose bits read clear are ORed in.  The census reads its counts off
+the packed bits one window at a time.  So the bitset is the only array of
+N/8 bytes that a walk and its census hold; the rest is each worker's stack
+and blocks and the census's windows.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
 import struct
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,19 +111,17 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                          threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    threads workers share one LIFO stack of sorted quadruple columns.  A
-    worker takes about WALK_BLOCK_ROWS rows off the top, ORs the bits of
-    their fresh entries into the shared bitset, which the result holds as it
-    is, and pushes their children back, until the stack is empty and no
-    worker holds rows.  Only the entries whose bits read clear are ORed: at
-    3e7 the walk expands 1.02e8 rows for 7.47e6 curvatures, and ORs about
-    7.5e6 marks.  Besides the N/8-byte bitset the walk holds its stack and
-    each worker's block, its children and a few temporaries of one byte to
+    threads=1 runs one depth-first `_walk` here from the root's children,
+    threads=k > 1 runs it in k processes over one shared bitset
+    (`_forked_walk`; in this process alone where os.fork is missing).  The
+    walk ORs into the bitset, which the result holds as it is, only the
+    fresh entries whose bits read clear: at 3e7 it expands 1.02e8 rows for
+    7.47e6 curvatures, and ORs about 7.5e6 marks.  Besides the N/8-byte
+    bitset each worker holds its stack, its block and its children at one to
     eight bytes a row; nothing else grows with N.  The witness of a
-    curvature is the first sorted quadruple seen to hold it; it follows the
-    traversal, so it is fixed only at threads=1.  An exception in a worker
-    stops the walk and is raised here.  The result's rows counts the
-    quadruples expanded.
+    curvature is the first sorted quadruple seen to hold it, so it is fixed
+    only at threads=1.  An exception in any worker stops the walk and is
+    raised here.  The result's rows counts the quadruples expanded.
     """
     root = core.validate_root(root)
     if threads < 1:
@@ -128,35 +129,30 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     if n_max <= 0:
         return CurvatureSet(max(n_max, 0), np.zeros(0, dtype=np.uint8), rows=0)
     dtype = _column_dtype(root, n_max)
-    bits = np.zeros((n_max + 7) // 8, dtype=np.uint8)
-    wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
+    nbytes, ctl = (n_max + 7) // 8, None
+    if threads > 1 and hasattr(os, "fork"):
+        import mmap
+        # zero-filled, MAP_SHARED: deal counter and stop flag, bits, witnesses
+        at = 64 + -(-nbytes // 64) * 64
+        shared = mmap.mmap(-1, at + 4 * (n_max + 1) * np.dtype(dtype).itemsize * record_witnesses)
+        ctl, bits = np.frombuffer(shared, np.int64, 2), np.frombuffer(shared, np.uint8, nbytes, 64)
+        wit = np.frombuffer(shared, dtype, 4 * n_max + 4, at).reshape(-1, 4) \
+            if record_witnesses else None
+    else:
+        bits = np.zeros(nbytes, dtype=np.uint8)
+        wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
     seen = np.array([x for x in root if 1 <= x <= n_max], dtype=np.int64)
     np.bitwise_or.at(bits, *_bit_at(seen))
     if wit is not None:
         wit[seen] = sorted(root)
     s = sum(root)
     # a root with two equal entries has two equal children: walk one of them
-    kids = np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
-                               for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
-                              dtype=dtype).reshape(-1, 4), axis=0)
-    walk = _SharedWalk([tuple(kids.T)] if kids.size else [], n_max, WALK_BLOCK_ROWS, bits,
-                       wit)
-    workers = []
-    try:
-        for _ in range(threads - 1):
-            w = threading.Thread(target=walk.run, daemon=True)
-            w.start()
-            workers.append(w)
-        walk.run()
-    except BaseException as e:  # a failed start or an interrupt: stop the workers too
-        walk.fail(e)
-        raise
-    finally:
-        for w in workers:
-            w.join()
-    if walk.errors:
-        raise walk.errors[0]
-    return CurvatureSet(n_max, bits, wit, walk.rows)
+    kids = tuple(np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
+                                     for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
+                                    dtype=dtype).reshape(-1, 4), axis=0).T)
+    rows = _walk([kids] if kids[0].size else [], n_max, bits, wit, contextlib.nullcontext()) \
+        if ctl is None else _forked_walk(kids, n_max, bits, wit, ctl, threads)
+    return CurvatureSet(n_max, bits, wit, rows)
 
 
 def _bit_at(vals):
@@ -165,123 +161,157 @@ def _bit_at(vals):
     return k >> 3, (1 << (k & 7)).astype(np.uint8)
 
 
-# rows a worker of enumerate_curvatures takes off the stack per step, read at
-# each call; every command and demo that walks the tree (gasket, verify, demo
-# 02) reaches it, and only tests change it.  It changes no bit and no row
-# count.  The stack holds about two blocks per tree level: at 1e8 the walk
-# peaked at 908 MB with 2^20 rows and 281 MB with 2^16 at the same speed;
-# at 3e7 on 2 CPUs 2^16 rows cut the two-thread walk's voluntary context
-# switches from 56-70K to 29-31K and its time by 13-23 %, but raise its peak
-# from 48 to 60 MB (three alternated runs each)
+# rows a worker of enumerate_curvatures takes off its stack per step, read at
+# each call by gasket, verify and demo 02, and changed only by tests; no bit
+# or row count depends on it.  A forked walk deals a 32nd of a block at a time
+# off a frontier of two blocks or more.  The stack holds about two blocks a
+# level: at 3e7 on 2 CPUs 2^16 rows walk in 1.3-1.4 s, not 1.5 s, but peak at 58 MB, not 45
 WALK_BLOCK_ROWS = 1 << 15
 
 
-class _SharedWalk:
-    """Depth-first walk of the quadruple tree by any number of threads.
+def _take(stack, block_size):
+    """Pop stack entries until block_size rows are held, as one tuple of
+    columns.  A split entry is taken from its tail, the a-children of
+    `_children`, whose fresh entries are the largest, so their subtrees the
+    smallest: the stack then peaks at 5 MB at N = 3e7, against 25 MB head
+    first.  The head goes back as a copy, keeping no expanded rows alive."""
+    parts, held = [], 0
+    while stack and held < block_size:
+        cols = stack.pop()
+        room = block_size - held
+        if cols[0].size > room:
+            cut = cols[0].size - room
+            stack.append(tuple(x[:cut].copy() for x in cols))
+            cols = tuple(x[cut:] for x in cols)
+        parts.append(cols)
+        held += cols[0].size
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(x) for x in zip(*parts))
 
-    stack holds column tuples of sorted quadruples not yet expanded, each
-    owning its memory: the rest of a split entry goes back as a copy, so no
-    expanded rows stay alive behind a view.  busy counts the workers holding
-    rows taken off it: the walk is over when the stack is empty and busy is
-    0, or when a worker has failed.  bits is the packed bitset of the
-    result (bit k for curvature k + 1).  A worker reads the bits of its
-    block's fresh entries without a lock and ORs those that read clear
-    under bits_lock, at once: during the walk a bit only goes from 0 to 1,
-    so a stale read costs at most an OR that changes nothing, while two
-    threads ORing the same byte at once would lose bits.  cond guards the
-    stack only, so an OR holds up no take.  With witnesses the entries that
-    read clear are read again under bits_lock, and only those still clear
-    have their bits set and their witnesses written."""
 
-    def __init__(self, stack, n_max, block_size, bits, wit):
-        self.stack = stack
-        self.n_max = n_max
-        self.block_size = block_size
-        self.bits = bits
-        self.wit = wit
-        self.cond = threading.Condition()
-        self.bits_lock = threading.Lock()
-        self.busy = 0
-        self.rows = 0
-        self.errors = []
+def _stopped(ctl, parent):
+    """A forked worker stops once ctl[1] is set or its parent pid is gone."""
+    return ctl is not None and bool(ctl[1]) or parent is not None and os.getppid() != parent
 
-    def _take(self):
-        """Pop stack entries, under the lock, until block_size rows are held.
-        A split entry is taken from its tail, where `_children` puts the
-        a-children: each has the largest fresh entry of its parent's children,
-        so the smallest subtree.  The head goes back on the stack as a copy.
-        Finishing the small subtrees first keeps the stack small: at N = 3e7
-        it peaks at 5 MB, where taking the head first peaks at 25 MB."""
-        parts, held = [], 0
-        while self.stack and held < self.block_size:
-            cols = self.stack.pop()
-            room = self.block_size - held
-            if cols[0].size > room:
-                cut = cols[0].size - room
-                self.stack.append(tuple(x[:cut].copy() for x in cols))
-                cols = tuple(x[cut:] for x in cols)
-            parts.append(cols)
-            held += cols[0].size
-        self.rows += held
-        return parts
 
-    def fail(self, e):
-        """Record e, which stops every worker at its next take."""
-        with self.cond:
-            self.errors.append(e)
-            self.cond.notify_all()
+def _walk(stack, n_max, bits, wit, lock, ctl=None, parent=None):
+    """Depth-first walk of the column tuples on stack; each step, unless
+    `_stopped`, marks a block's fresh entries and pushes its children.
+    Returns the rows expanded."""
+    rows = 0
+    while stack and not _stopped(ctl, parent):
+        cols = _take(stack, WALK_BLOCK_ROWS)
+        rows += cols[0].size
+        _mark(cols, bits, wit, lock)
+        kids = _children(*cols, n_max)
+        if kids[0].size:
+            stack.append(kids)
+    return rows
 
-    def run(self):
-        cond = self.cond
-        while True:
-            with cond:
-                while not self.stack and self.busy and not self.errors:
-                    cond.wait()
-                if self.errors or not self.stack:
-                    break
-                parts = self._take()
-                self.busy += 1
-            kids = None
-            try:
-                cols = parts[0] if len(parts) == 1 else tuple(
-                    np.concatenate(x) for x in zip(*parts))
-                self._mark(cols)
-                kids = _children(*cols, self.n_max)
-            except BaseException as e:  # handed to the caller of the walk
-                self.fail(e)
-            finally:
-                with cond:
-                    self.busy -= 1
-                    if kids is not None and kids[0].size:
-                        self.stack.append(kids)
-                    cond.notify_all()
 
-    def _clear(self, d):
-        """Mask of the entries of d whose bits read clear: one take of their
-        bytes, shifted right by each entry's bit."""
-        k = d - 1
-        byte = self.bits.take(k >> 3)
-        shift = k.astype(np.uint8)
-        shift &= 7
-        byte >>= shift
-        byte &= 1
-        return byte == 0
+def _work(frontier, n_max, bits, wit, lock, ctl, parent=None):
+    """A worker of a forked walk: it walks the next WALK_BLOCK_ROWS // 32
+    frontier rows, dealt off the counter ctl[0], until none is left."""
+    step, rows = max(1, WALK_BLOCK_ROWS >> 5), 0
+    while not _stopped(ctl, parent):
+        with lock:
+            start, ctl[0] = int(ctl[0]), ctl[0] + step
+        if start >= frontier[0].size:
+            break
+        rows += _walk([tuple(x[start:start + step] for x in frontier)], n_max, bits, wit,
+                      lock, ctl, parent)
+    return rows
 
-    def _mark(self, cols):
-        """Set the bits of the fresh entries cols[3], and with witnesses
-        write the first row holding each new curvature."""
-        d = cols[3]
-        if self.wit is None:
-            at, bit = _bit_at(np.compress(self._clear(d), d))
-            with self.bits_lock:
-                np.bitwise_or.at(self.bits, at, bit)
-            return
-        new = np.flatnonzero(self._clear(d))
-        with self.bits_lock:
-            new = new[self._clear(d[new])]
-            vals, first = np.unique(d[new], return_index=True)
-            self.wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
-            np.bitwise_or.at(self.bits, *_bit_at(vals))
+
+def _forked_walk(level, n_max, bits, wit, ctl, workers):
+    """The walk by `workers` processes over bits, wit and ctl in shared memory.
+    The tree is expanded here by levels from the root's children until one
+    holds 2 WALK_BLOCK_ROWS rows; this process and workers - 1 forked ones
+    walk that frontier, large subtrees (small fresh entries) first.  A child
+    pipes back its rows or its exception and leaves by os._exit, flushing no
+    stdio.  A failure sets ctl[1]; all children are reaped before the first
+    error, this process's or else the first child's, is raised."""
+    from multiprocessing import get_context
+
+    lock, rows, pids, errors, me = get_context("fork").Lock(), 0, {}, [], os.getpid()
+    while 0 < level[0].size < 2 * WALK_BLOCK_ROWS:
+        rows += level[0].size
+        _mark(level, bits, wit, lock)
+        level = _children(*level, n_max)
+    order = np.argsort(level[3], kind="stable")
+    frontier = tuple(x[order] for x in level)
+    try:
+        for _ in range(workers - 1 if frontier[0].size else 0):
+            r, w = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    try:
+                        out = (True, _work(frontier, n_max, bits, wit, lock, ctl, me))
+                    except BaseException as e:
+                        ctl[1], out = 1, (False, e)
+                    try:  # an error that does not survive the round trip goes as its repr
+                        pickle.loads(msg := pickle.dumps(out))
+                    except BaseException:
+                        msg = pickle.dumps((False, RuntimeError(f"walk worker: {out[1]!r}")))
+                    with w:
+                        w.write(msg)
+                finally:
+                    os._exit(0)
+            w.close()
+            pids[pid] = r
+        rows += _work(frontier, n_max, bits, wit, lock, ctl)
+    except BaseException:
+        ctl[1] = 1
+        raise
+    finally:
+        for pid, r in pids.items():
+            with r:
+                msg = r.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not msg:  # killed, by a signal (-code) or by exit code
+                import signal
+                how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
+                msg = pickle.dumps((False, RuntimeError(f"walk worker gave no result: {how}")))
+            ok, value = pickle.loads(msg)
+            rows += value if ok else 0
+            errors += [] if ok else [value]
+    if errors:
+        raise errors[0]
+    return rows
+
+
+def _clear(d, bits):
+    """Mask of the entries of d whose bits read clear: one take of their
+    bytes, shifted right by each entry's bit."""
+    k = d - 1
+    byte = bits.take(k >> 3)
+    shift = k.astype(np.uint8)
+    shift &= 7
+    byte >>= shift
+    byte &= 1
+    return byte == 0
+
+
+def _mark(cols, bits, wit, lock):
+    """Set the bits of the fresh entries cols[3], and with witnesses write
+    the first row holding each new curvature.  The bytes are read unlocked:
+    a bit only goes from 0 to 1, and all workers share one copy of each byte,
+    so a stale read costs at most an OR that changes nothing.  An OR rewrites
+    whole bytes, and two processes ORing one byte at once lose bits, so the
+    entries that read clear are ORed at once under the lock; with witnesses
+    they are read again under it, and only those still clear are written."""
+    d = cols[3]
+    if wit is None:
+        at, bit = _bit_at(np.compress(_clear(d, bits), d))
+        with lock:
+            np.bitwise_or.at(bits, at, bit)
+        return
+    new = np.flatnonzero(_clear(d, bits))
+    with lock:
+        new = new[_clear(d[new], bits)]
+        vals, first = np.unique(d[new], return_index=True)
+        wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
+        np.bitwise_or.at(bits, *_bit_at(vals))
 
 
 def _column_dtype(root, n_max):

@@ -510,6 +510,66 @@ def test_gasket_over_cap_exits_3_before_allocating():
     assert out.stderr.strip() == f"--limit 4000000000 is above the cap {cli.GASKET_LIMIT_CAP}"
 
 
+two_cpus = pytest.mark.skipif(cli._available_cpus() < 2, reason="--threads 2 needs 2 CPUs")
+
+
+@pytest.mark.parametrize("threads", [1, pytest.param(2, marks=two_cpus)])
+def test_gasket_out_of_memory_exits_3(threads):
+    # 1e9 is under the cap, but its 125 MB bitset (an np.zeros with one
+    # worker, a shared mapping with two) does not fit in an address space
+    # held to the size it had after the import plus 64 MB
+    code = ("import re, resource, sys\n"
+            "from apollonian import cli\n"
+            "vm = int(re.search(r'VmSize:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+            "limit = (vm << 10) + (64 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    out = run_child("-c", code, "gasket", "--limit", "1000000000", "--threads", str(threads),
+                    timeout=60)
+    assert out.returncode == 3, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("out of memory: "), out.stderr
+    assert lines[0].startswith("warning: --limit 1000000000 is above the default")
+
+
+def test_worker_memory_error_exits_3(monkeypatch, capsys):
+    # a MemoryError raised in a forked worker is shipped back and exits 3
+    caller = os.getpid()
+    children = orbit._children
+
+    def failing(*cols):
+        if os.getpid() != caller:
+            raise MemoryError("a worker ran out")
+        return children(*cols)
+
+    monkeypatch.setattr(orbit, "_children", failing)
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+    assert run(["gasket", "--limit", "1000000", "--threads", "2"]) == 3
+    assert capsys.readouterr().err == "out of memory: a worker ran out\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_gasket_cpu_counts_the_workers():
+    # the report's cpu_s counts the forked workers: within 10 % of the CPU
+    # that os.wait4 reads for the whole command, workers included.  The
+    # interpreter's exit after the report takes 0.03-0.05 s, a tenth of
+    # the command's CPU at 3e6, so the walk runs to 1e7 (about 1 s of CPU)
+    threads = min(2, cli._available_cpus())
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen([sys.executable, "-m", "apollonian", "gasket", "--limit", "10000000",
+                             "--threads", str(threads)], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    rep = json.loads(proc.stdout.read())
+    proc.stdout.close()
+    _, status, ru = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    cpu = ru.ru_utime + ru.ru_stime
+    assert abs(rep["cpu_s"] - cpu) <= 0.1 * cpu, (rep["cpu_s"], cpu)
+    assert rep["stages"]["walk"]["cpu_s"] <= rep["cpu_s"]
+
+
 def test_delta_fit_over_cap_exits_3_before_allocating():
     # 1e9 radii would take about 580 GB through the report's table
     out = run_child("-m", "apollonian", "delta-fit", "--points", "1000000000", timeout=60,

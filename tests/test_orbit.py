@@ -1,10 +1,14 @@
+import contextlib
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from multiprocessing import resource_tracker
 from pathlib import Path
 from unittest import mock
 
@@ -134,18 +138,36 @@ def test_walk_matches_reference(root, n_max, monkeypatch):
             assert np.array_equal(cs.to_bool(), want), (block_size, threads)
 
 
+def shared_count():
+    """A counter that the forked workers of a walk all add to."""
+    return multiprocessing.get_context("fork").Value("q", 0)
+
+
+def add(counter, n):
+    with counter.get_lock():
+        counter.value += n
+        return counter.value
+
+
+def assert_no_child_left():
+    # every worker was reaped, and no multiprocessing resource tracker runs
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert resource_tracker._resource_tracker._pid is None
+
+
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
                                   (-6, 11, 14, 15), ROOT])
 def test_walk_ors_only_clear_bits(root, monkeypatch):
     # a block's fresh entries whose bits read set are dropped before the OR:
-    # with one-row blocks and one thread each curvature is ORed exactly
+    # with one-row blocks and one worker each curvature is ORed exactly
     # once, by the root or by the step that finds it; larger blocks may OR
     # a curvature repeated within a block, but never one marked before it
-    ored = []
+    ored = shared_count()
     bit_at = orbit._bit_at
 
     def spy(vals):
-        ored.append(vals.size)
+        add(ored, vals.size)
         return bit_at(vals)
 
     monkeypatch.setattr(orbit, "_bit_at", spy)
@@ -153,37 +175,37 @@ def test_walk_ors_only_clear_bits(root, monkeypatch):
     for blocks in (1, 7, orbit.WALK_BLOCK_ROWS):
         monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", blocks)
         for threads in (1, 3):
-            ored[:] = []
+            ored.value = 0
             cs = orbit.enumerate_curvatures(root, 5000, threads=threads)
             assert np.array_equal(cs.to_bool(), want), (blocks, threads)
-            assert sum(ored) < cs.rows, (blocks, threads)
+            assert ored.value < cs.rows, (blocks, threads)
             if (blocks, threads) == (1, 1):
                 # the root's entries are ORed before the walk, both of an equal pair
                 pos = [x for x in root if x > 0]
-                assert sum(ored) == cs.count() + len(pos) - len(set(pos))
+                assert ored.value == cs.count() + len(pos) - len(set(pos))
 
 
 def test_worker_allocates_nothing_of_n():
-    # a worker that finds the stack empty leaves at once, allocating
+    # a worker that finds the frontier dealt out leaves at once, allocating
     # nothing that grows with N: at N = 1e9 the walk's only N-sized array
-    # is the caller's 125 MB bitset
+    # is the shared 125 MB bitset
     bits = np.zeros(10**9 // 8, dtype=np.uint8)
-    walk = orbit._SharedWalk([], 10**9, 16, bits, None)
+    frontier = tuple(np.zeros(0, dtype=np.int64) for _ in range(4))
+    ctl = np.zeros(2, dtype=np.int64)
     tracemalloc.start()
     try:
-        walk.run()
+        rows = orbit._work(frontier, 10**9, bits, None, contextlib.nullcontext(), ctl)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**16, peak
+    assert rows == 0 and peak < 2**16, peak
 
 
 class _SlowOr(np.ndarray):
-    """A bitset whose ufunc.at reads, yields the interpreter, then writes:
-    numpy's own OR drops the GIL over more than a few hundred bytes, so two
-    threads ORing the same bytes at once lose bits.  Every other ufunc,
-    the in-place shift of a take of the bitset included, runs on plain
-    arrays, its out= too."""
+    """A bitset whose ufunc.at reads, sleeps, then writes all its bytes back:
+    two workers ORing at once overwrite each other's bits.  Every other
+    ufunc, the in-place shift of a take of the bitset included, runs on
+    plain arrays, its out= too."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
         def plain(xs):
@@ -196,31 +218,26 @@ class _SlowOr(np.ndarray):
             return getattr(ufunc, method)(*inputs, **kwargs)
         new = inputs[0].copy()
         ufunc.at(new, *inputs[1:])
-        time.sleep(0)
+        time.sleep(1e-4)
         inputs[0][...] = new
 
 
 @pytest.mark.parametrize("record_witnesses", [False, True], ids=["bits", "witnesses"])
 @pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT])
 def test_flushes_race_for_no_bit(root, record_witnesses, monkeypatch):
-    # more threads than cores, switching as often as the interpreter allows,
-    # each ORing the clear bits of a block of 16 rows while the others read
-    # and OR the same bytes: an OR made outside the walk's lock loses bits here
+    # more workers than cores, each ORing the clear bits of a block of 16
+    # rows while the others read and OR the same bytes: an OR made outside
+    # the walk's lock loses bits here
     n_max = 20000
-    init = orbit._SharedWalk.__init__
+    mark = orbit._mark
 
-    def slow_or(walk, stack, n_max, block_size, bits, wit):
-        init(walk, stack, n_max, block_size, bits.view(_SlowOr), wit)
+    def slow_or(cols, bits, wit, lock):
+        mark(cols, bits.view(_SlowOr), wit, lock)
 
-    monkeypatch.setattr(orbit._SharedWalk, "__init__", slow_or)
+    monkeypatch.setattr(orbit, "_mark", slow_or)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=record_witnesses,
-                                        threads=8)
-    finally:
-        sys.setswitchinterval(old)
+    cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=record_witnesses,
+                                    threads=8)
     assert type(cs.bits) is np.ndarray
     assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
 
@@ -245,10 +262,10 @@ def test_split_entry_goes_back_as_a_copy():
     # the rest of a split entry must not keep the popped arrays, rows
     # already expanded included, alive behind a view
     cols = tuple(np.arange(40, dtype=np.int32) + k for k in range(4))
-    walk = orbit._SharedWalk([cols], 10**4, 16, np.zeros(10**4 // 8, dtype=np.uint8), None)
-    (taken,) = walk._take()
-    (rest,) = walk.stack
-    assert taken[0].size == 16 and rest[0].size == 24 and walk.rows == 16
+    stack = [cols]
+    taken = orbit._take(stack, 16)
+    (rest,) = stack
+    assert taken[0].size == 16 and rest[0].size == 24
     assert not any(np.shares_memory(r, x) for r in rest for x in cols)
     for x, r, t in zip(cols, rest, taken):
         assert np.array_equal(np.sort(np.concatenate((r, t))), x)
@@ -279,32 +296,37 @@ def test_rows_independent_of_blocks_and_threads(monkeypatch):
             m.setattr(orbit, "WALK_BLOCK_ROWS", block_size)
             cs = orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
         assert cs.rows == ref.rows, (block_size, threads)
-    # rows counts exactly the quadruples handed to _children
-    rows = []
+    # rows counts exactly the quadruples handed to _children, in every
+    # worker, and the forked workers expand some of them
+    rows, forked = shared_count(), shared_count()
     children = orbit._children
+    caller = os.getpid()
 
     def spy(a, b, c, d, n_max):
-        rows.append(a.size)
+        add(rows, a.size)
+        add(forked, a.size if os.getpid() != caller else 0)
         return children(a, b, c, d, n_max)
 
     monkeypatch.setattr(orbit, "_children", spy)
-    assert orbit.enumerate_curvatures(ROOT, 10**5, threads=3).rows == sum(rows) > 0
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    assert orbit.enumerate_curvatures(ROOT, 10**5, threads=3).rows == rows.value > 0
+    assert forked.value > 0
     assert orbit.enumerate_curvatures(ROOT, 0).rows == 0
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-@pytest.mark.parametrize("fail_on", [1, 5])
+@pytest.mark.parametrize("fail_on", [1, 5, "child"])
 def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
     # a failing step must stop every worker and reach the caller; the walk
     # runs in a thread of its own, so a deadlock fails the join below.  The
-    # first step holds the root's children alone, so the other workers are
-    # waiting on an empty stack when it fails.
-    calls = []
+    # first step expands the root's children, before any fork; the fifth
+    # runs in some worker, and "child" fails every step of a forked worker
+    calls = shared_count()
     children = orbit._children
+    caller = os.getpid()
 
     def failing(*cols):
-        calls.append(1)
-        if len(calls) == fail_on:
+        if add(calls, 1) == fail_on or fail_on == "child" and os.getpid() != caller:
             raise RuntimeError("the step fails")
         return children(*cols)
 
@@ -322,78 +344,148 @@ def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
     t.start()
     t.join(timeout=60)
     assert not t.is_alive(), "the walk hung after a worker failed"
-    assert [str(e) for e in raised] == ["the step fails"]
+    assert [str(e) for e in raised] == ([] if fail_on == "child" and threads == 1
+                                        else ["the step fails"])
+    assert_no_child_left()
+
+
+class Interrupt(BaseException):
+    pass
 
 
 def test_interrupted_caller_stops_the_workers(monkeypatch):
-    # an exception in the calling thread, here raised where the caller would
-    # wait on the stack, must stop the other workers within their current
-    # step rather than leave them walking the whole tree in the background
-    class Interrupt(BaseException):
-        pass
+    # an exception in the calling process, here raised where the caller
+    # would start its own share of the walk, must stop the forked workers
+    # within their current step rather than leave them walking the whole
+    # tree, and reap them
+    caller = os.getpid()
+    work = orbit._work
 
-    caller = threading.get_ident()
-    run = orbit._SharedWalk.run
-
-    def interrupted(walk):
-        if threading.get_ident() == caller:
+    def interrupted(*args):
+        if os.getpid() == caller:
             raise Interrupt
-        return run(walk)
+        return work(*args)
 
-    full = []
+    full = shared_count()
     children = orbit._children
 
     def spy(*cols):
-        full.append(1)
+        add(full, 1)
         return children(*cols)
 
     monkeypatch.setattr(orbit, "_children", spy)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     orbit.enumerate_curvatures(ROOT, 10**6)
-    steps, full[:] = len(full), []
-    monkeypatch.setattr(orbit._SharedWalk, "run", interrupted)
-    before = threading.active_count()
+    steps, full.value = full.value, 0
+    monkeypatch.setattr(orbit, "_work", interrupted)
     with pytest.raises(Interrupt):
         orbit.enumerate_curvatures(ROOT, 10**6, threads=3)
-    assert threading.active_count() == before
-    assert len(full) < steps // 10, (len(full), steps)
+    assert full.value < steps // 10, (full.value, steps)
+    assert_no_child_left()
 
 
-def test_failed_thread_start_stops_the_workers(monkeypatch):
-    # the second start fails: the error reaches the caller, and the worker
-    # already started stops and is joined instead of walking on alone
-    class StartFailed(RuntimeError):
-        pass
+def test_worker_killed_by_a_signal_is_raised(monkeypatch):
+    # a worker that dies with no message, here by SIGKILL at its first
+    # step, becomes a RuntimeError that names the signal, and is reaped
+    caller = os.getpid()
+    children = orbit._children
 
-    starts = []
-    start = threading.Thread.start
+    def killed(*cols):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return children(*cols)
 
-    def failing_start(thread):
-        starts.append(1)
-        if len(starts) == 2:
-            raise StartFailed("can't start new thread")
-        return start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    monkeypatch.setattr(orbit, "_children", killed)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
-    before = threading.active_count()
-    with pytest.raises(StartFailed):
+    with pytest.raises(RuntimeError, match="SIGKILL"):
+        orbit.enumerate_curvatures(ROOT, 10**5, threads=2)
+    assert_no_child_left()
+
+
+def test_walk_leaves_no_child():
+    # after a success; the failure and interrupt cases check it above
+    orbit.enumerate_curvatures(ROOT, 10**5, threads=3)
+    assert_no_child_left()
+
+
+def test_failed_fork_stops_the_workers(monkeypatch):
+    # the second fork fails: the error reaches the caller, and the worker
+    # already forked stops and is reaped instead of walking on alone
+    forks = []
+    fork = os.fork
+
+    def failing_fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    with pytest.raises(BlockingIOError):
         orbit.enumerate_curvatures(ROOT, 10**6, threads=4)
-    assert len(starts) == 2
-    assert threading.active_count() == before
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
-def test_shared_witnesses_under_thread_switching(monkeypatch):
-    # more threads than cores, switching as often as the interpreter allows:
-    # a witness row torn between two threads would leave the Descartes cone
+def test_worker_stops_once_its_parent_is_gone(monkeypatch):
+    # a forked worker reads os.getppid() before each block: once the
+    # process that forked it is gone it expands no further block
+    steps = []
+    children = orbit._children
+
+    def spy(*cols):
+        steps.append(cols[0].size)
+        return children(*cols)
+
+    ppid = os.getppid()
+    monkeypatch.setattr(orbit, "_children", spy)
+    monkeypatch.setattr(os, "getppid", lambda: 1 if steps else ppid)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    frontier = tuple(np.array([[21, 24, 28, 157]] * 1000).T)  # the root's child
+    bits = np.zeros(10**6 // 8, dtype=np.uint8)
+    rows = orbit._work(frontier, 10**6, bits, None, contextlib.nullcontext(),
+                       np.zeros(2, dtype=np.int64), ppid)
+    assert steps == [rows] == [2]
+
+
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
+                    reason="no /proc children list to find the workers")
+def test_workers_of_a_killed_parent_exit():
+    # a walk's parent killed by SIGKILL reaps no one and sets no stop flag:
+    # its worker sees os.getppid() change and leaves within one block
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from apollonian import orbit\n"
+            "orbit.enumerate_curvatures((-11, 21, 24, 28), 10**9, threads=2)")
+    proc = subprocess.Popen([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(src)))
+    listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.time() + 60
+        while not listing.read_text().split() and time.time() < deadline:
+            time.sleep(0.05)
+        (worker,) = [int(x) for x in listing.read_text().split()]
+    finally:
+        proc.kill()
+        proc.wait()
+    def running():  # neither reaped by its new parent nor a zombie
+        try:
+            return Path(f"/proc/{worker}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.time() + 10
+    while running():
+        assert time.time() < deadline, "the worker outlived its parent"
+        time.sleep(0.05)
+
+
+def test_shared_witnesses_across_workers(monkeypatch):
+    # more workers than cores on 16-row blocks: a witness row torn between
+    # two workers would leave the Descartes cone
     root, n_max = (-1, 2, 2, 3), 20000
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True, threads=8)
-    finally:
-        sys.setswitchinterval(old)
+    cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True, threads=8)
     assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
     vals = cs.values()
     w = cs.witnesses[vals].astype(np.int64)
