@@ -49,9 +49,9 @@ GASKET_DEFAULT_COST = ("about 7 s and 57 MB peak RSS on 2 CPUs "
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N/8 bytes plus the walk's "
                  "stack: 4e8 took 51 s and 0.11 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
-# the stack: 8e8 (7.41e9 quadruples) peaks at 168 MB and 1e9 at 193 MB on
-# 2 CPUs, in 148 s and 214 s (one run each); no larger N was measured, so
-# one exits 3 before the bitset is allocated
+# the stack: 8e8 (7.41e9 quadruples) peaks at 157 MB and 1e9 (9.91e9) at
+# 180 MB on 2 CPUs, in 169 s and 198 s (one run each); no larger N was
+# measured, so one exits 3 before the bitset is allocated
 GASKET_LIMIT_CAP = 10**9
 # `delta-fit` reports one (Y, count) row per point, about 580 bytes each
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU

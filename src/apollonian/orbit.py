@@ -12,12 +12,11 @@ a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
 along the walk and the pruning is exact.  The walk marks the fresh entries
 straight into a packed bitset of N/8 bytes, one bit per integer, which is
 the result: it has set semantics, whatever the worker count or block size.
-Several workers are forked processes sharing the bitset in one anonymous
-mapping.  A block's entries are read against the bitset first and only
-those whose bits read clear are ORed in.  The census reads its counts off
-the packed bits one window at a time.  So the bitset is the only array of
-N/8 bytes that a walk and its census hold; the rest is each worker's stack
-and blocks and the census's windows.
+A block's entries are read against the bitset first and only those whose
+bits read clear are ORed in.  The census reads its counts off the packed
+bits one window at a time.  So the bitset, which forked workers share, is
+the only array of N/8 bytes that a walk and its census hold; the rest is
+each worker's stack and blocks and the census's windows.
 """
 
 from __future__ import annotations
@@ -114,14 +113,13 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     threads=1 runs one depth-first `_walk` here from the root's children,
     threads=k > 1 runs it in k processes over one shared bitset
     (`_forked_walk`; in this process alone where os.fork is missing).  The
-    walk ORs into the bitset, which the result holds as it is, only the
-    fresh entries whose bits read clear: at 3e7 it expands 1.02e8 rows for
-    7.47e6 curvatures, and ORs about 7.5e6 marks.  Besides the N/8-byte
-    bitset each worker holds its stack, its block and its children at one to
-    eight bytes a row; nothing else grows with N.  The witness of a
-    curvature is the first sorted quadruple seen to hold it, so it is fixed
-    only at threads=1.  An exception in any worker stops the walk and is
-    raised here.  The result's rows counts the quadruples expanded.
+    walk ORs into the bitset, which the result holds as it is, only the fresh
+    entries whose bits read clear: at 3e7 it expands 1.02e8 rows (the
+    result's rows) for 7.47e6 curvatures, and ORs about 7.5e6 marks.  Besides
+    the bitset each worker holds its stack, block and children at one to
+    eight bytes a row.  The witness of a curvature is the first sorted
+    quadruple seen to hold it, so it is fixed only at threads=1.  An
+    exception in any worker stops the walk and is raised here.
     """
     root = core.validate_root(root)
     if threads < 1:
@@ -194,9 +192,9 @@ def _stopped(ctl, parent):
 
 
 def _walk(stack, n_max, bits, wit, lock, ctl=None, parent=None):
-    """Depth-first walk of the column tuples on stack; each step, unless
-    `_stopped`, marks a block's fresh entries and pushes its children.
-    Returns the rows expanded."""
+    """Depth-first walk of the column tuples on stack, in any worker; each
+    step, unless `_stopped`, marks a block's fresh entries (`_mark`: read
+    unlocked, ORed under lock) and pushes its children.  Returns the rows."""
     rows = 0
     while stack and not _stopped(ctl, parent):
         cols = _take(stack, WALK_BLOCK_ROWS)
@@ -223,13 +221,11 @@ def _work(frontier, n_max, bits, wit, lock, ctl, parent=None):
 
 
 def _forked_walk(level, n_max, bits, wit, ctl, workers):
-    """The walk by `workers` processes over bits, wit and ctl in shared memory.
-    The tree is expanded here by levels from the root's children until one
-    holds 2 WALK_BLOCK_ROWS rows; this process and workers - 1 forked ones
-    walk that frontier, large subtrees (small fresh entries) first.  A child
-    pipes back its rows or its exception and leaves by os._exit, flushing no
-    stdio.  A failure sets ctl[1]; all children are reaped before the first
-    error, this process's or else the first child's, is raised."""
+    """The walk by `workers` processes over bits, wit and ctl in shared memory:
+    the tree is expanded here by levels until one holds 2 WALK_BLOCK_ROWS rows,
+    which this process and workers - 1 forked ones walk, large subtrees first.
+    A child pipes back its rows or its error and leaves by os._exit, flushing
+    no stdio.  A failure sets ctl[1]; all children are reaped before an error is raised."""
     from multiprocessing import get_context
 
     lock, rows, pids, errors, me = get_context("fork").Lock(), 0, {}, [], os.getpid()
@@ -242,7 +238,11 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
     try:
         for _ in range(workers - 1 if frontier[0].size else 0):
             r, w = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                r.close(), w.close()
+                raise
             if pid == 0:
                 try:
                     try:
@@ -251,7 +251,7 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
                         ctl[1], out = 1, (False, e)
                     try:  # an error that does not survive the round trip goes as its repr
                         pickle.loads(msg := pickle.dumps(out))
-                    except BaseException:
+                    except Exception:
                         msg = pickle.dumps((False, RuntimeError(f"walk worker: {out[1]!r}")))
                     with w:
                         w.write(msg)

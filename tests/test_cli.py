@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -560,9 +561,14 @@ def test_gasket_cpu_counts_the_workers():
     proc = subprocess.Popen([sys.executable, "-m", "apollonian", "gasket", "--limit", "10000000",
                              "--threads", str(threads)], stdout=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=str(src)))
-    rep = json.loads(proc.stdout.read())
-    proc.stdout.close()
-    _, status, ru = os.wait4(proc.pid, 0)
+    timer = threading.Timer(120, proc.kill)  # a hung walk fails the test below
+    timer.start()
+    try:
+        rep = json.loads(proc.stdout.read() or "null")
+        proc.stdout.close()
+        _, status, ru = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
     proc.returncode = os.waitstatus_to_exitcode(status)
     assert proc.returncode == 0
     cpu = ru.ru_utime + ru.ru_stime
