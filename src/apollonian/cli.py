@@ -33,25 +33,27 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 GASKET_DEFAULT_LIMIT = 10**8
-# `gasket` at the default limit on a 2-CPU machine: 6.0-7.5 s wall,
-# 11.5-14.3 s CPU and 57 MB with two worker processes, 10.6-11.8 s and
-# 53 MB with --threads 1 (two runs each, alternated)
-GASKET_DEFAULT_COST = ("about 7 s and 57 MB peak RSS on 2 CPUs "
-                       "(about 11 s with --threads 1)")
-# the walk expands about one quadruple per circle of curvature at most N, a
+# `gasket` at the default limit on a 2-CPU machine: 7.0-7.3 s wall,
+# 13.0-13.6 s CPU and 56 MB with two worker processes, 12.0-12.6 s and
+# 54 MB with --threads 1 (two runs each, alternated with the previous walk,
+# which read 8.9-9.3 s and 14.6-16.6 s on the same machine)
+GASKET_DEFAULT_COST = ("about 7 s and 56 MB peak RSS on 2 CPUs "
+                       "(about 12 s with --threads 1)")
+# the walk marks about one quadruple per circle of curvature at most N, a
 # count that grows like N^delta, delta = 1.3057 (McMullen): 1.02e8 at 3e7,
-# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 20-34 ns of CPU each.  The N/8-byte
-# bitset, shared by the workers, is the only array of the walk and the
-# census that grows with N; the rest is each worker's stack and blocks, a
-# few MB, on about 40 MB of interpreter and modules: 47 MB at 3e7, 57 MB
-# at 1e8 and 107 MB at 4e8 on 2 CPUs.  Alone at 1e8 the walk peaks at 52
-# MB with one worker and 55-56 MB with 2, 4 or 8
+# 4.90e8 at 1e8 and 3.00e9 at 4e8, at 23-28 ns of CPU each (41 ns at 4e8,
+# whose columns are int64).  The N/8-byte bitset, shared by the workers, is
+# the only array of the walk and the census that grows with N; the rest is
+# each worker's stack and blocks, a few MB, on about 40 MB of interpreter
+# and modules: 46 MB at 3e7, 56 MB at 1e8 and 104 MB at 4e8 on 2 CPUs
 GASKET_GROWTH = ("time grows like N^1.31 and memory like N/8 bytes plus the walk's "
-                 "stack: 4e8 took 51 s and 0.11 GB on 2 CPUs")
+                 "stack: 4e8 took 65 s and 0.10 GB on 2 CPUs")
 # past N = 3.58e8 the columns are int64 (orbit._column_dtype), which doubles
 # the stack: 8e8 (7.41e9 quadruples) peaks at 157 MB and 1e9 (9.91e9) at
-# 180 MB on 2 CPUs, in 169 s and 198 s (one run each); no larger N was
-# measured, so one exits 3 before the bitset is allocated
+# 180 MB on 2 CPUs, in 169 s and 198 s (one run each, with the walk before
+# leaves were marked in their parent's block, which read 108 MB to this
+# walk's 104 MB at 4e8); no larger N was measured, so one exits 3 before the
+# bitset is allocated
 GASKET_LIMIT_CAP = 10**9
 # `delta-fit` reports one (Y, count) row per point, about 580 bytes each
 # through the report: 1e6 points take about 10 s and 0.61 GB on a 2-CPU

@@ -9,10 +9,14 @@ so quadruples are kept as four sorted columns a <= b <= c <= d, and the
 children (b, c, d, 2(b+c+d) - a), (a, c, d, 2(a+c+d) - b) and
 (a, b, d, 2(a+b+d) - c) come out sorted: each fresh entry exceeds d, since
 a - d <= 0 < b + c, a + c > 0 and a + b > 0.  So the fresh entry grows
-along the walk and the pruning is exact.  The walk marks the fresh entries
-straight into a packed bitset of N/8 bytes, one bit per integer, which is
-the result: it has set semantics, whatever the worker count or block size.
-A block's entries are read against the bitset first and only those whose
+along the walk and the pruning is exact.  A step of the walk takes a
+block of quadruples that all have a child and marks the fresh entries of
+all their children, leaves included, straight into a packed bitset of N/8
+bytes, one bit per integer, which is the result: it has set semantics,
+whatever the worker count or block size.  Only the children that have
+children of their own go on the stack, so about half of all quadruples,
+the leaves, are marked in their parent's block and never taken again.  A
+block's entries are read against the bitset first and only those whose
 bits read clear are ORed in.  The census reads its counts off the packed
 bits one window at a time.  So the bitset, which forked workers share, is
 the only array of N/8 bytes that a walk and its census hold; the rest is
@@ -110,16 +114,20 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
                          threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
-    threads=1 runs one depth-first `_walk` here from the root's children,
-    threads=k > 1 runs it in k processes over one shared bitset
-    (`_forked_walk`; in this process alone where os.fork is missing).  The
-    walk ORs into the bitset, which the result holds as it is, only the fresh
-    entries whose bits read clear: at 3e7 it expands 1.02e8 rows (the
-    result's rows) for 7.47e6 curvatures, and ORs about 7.5e6 marks.  Besides
-    the bitset each worker holds its stack, block and children at one to
-    eight bytes a row.  The witness of a curvature is the first sorted
-    quadruple seen to hold it, so it is fixed only at threads=1.  An
-    exception in any worker stops the walk and is raised here.
+    The root's children are marked here; threads=1 runs one depth-first
+    `_walk` here from those that have children, threads=k > 1 runs it in k
+    processes over one shared bitset (`_forked_walk`; in this process alone
+    where os.fork is missing).  The result's rows counts the quadruples
+    marked, once each quadruple below the root whose fresh entry is at most
+    n_max, when its parent is expanded: 1.02e8 at 3e7, of which 5.3e7 have
+    children and are taken in blocks, for 7.47e6 curvatures.  The walk ORs
+    into the bitset, which the result holds as it is, only the fresh entries
+    whose bits read clear, about 7.5e6 at 3e7.  Besides the bitset each
+    worker holds its stack, block and children at one to eight bytes a row.
+    The witness of a curvature is the first sorted quadruple seen to hold
+    it, among the children marked in one step, so it is fixed only at
+    threads=1.  An exception in any worker, or a worker's death, stops the
+    walk and is raised here.
     """
     root = core.validate_root(root)
     if threads < 1:
@@ -148,7 +156,11 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     kids = tuple(np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
                                      for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
                                     dtype=dtype).reshape(-1, 4), axis=0).T)
-    rows = _walk([kids] if kids[0].size else [], n_max, bits, wit, contextlib.nullcontext()) \
+    _mark(kids[3], kids, bits, wit, contextlib.nullcontext())
+    rows, (u, v, w, f) = kids[0].size, kids
+    keep = f <= (n_max + w) // 2 - (u + v)  # those with a c-child, as in `_step`
+    kids = tuple(x[keep] for x in kids)
+    rows += _walk([kids] if kids[0].size else [], n_max, bits, wit, contextlib.nullcontext()) \
         if ctl is None else _forked_walk(kids, n_max, bits, wit, ctl, threads)
     return CurvatureSet(n_max, bits, wit, rows)
 
@@ -162,17 +174,18 @@ def _bit_at(vals):
 # rows a worker of enumerate_curvatures takes off its stack per step, read at
 # each call by gasket, verify and demo 02, and changed only by tests; no bit
 # or row count depends on it.  A forked walk deals a 32nd of a block at a time
-# off a frontier of two blocks or more.  The stack holds about two blocks a
-# level: at 3e7 on 2 CPUs 2^16 rows walk in 1.3-1.4 s, not 1.5 s, but peak at 58 MB, not 45
+# off a frontier of two blocks or more.  At 3e7 on 2 CPUs 2^16 rows walk in
+# 1.40-1.47 s against 1.44-1.88 s, but the caller peaks at 55 MB, not 44, and
+# each worker at 45 MB, not 36
 WALK_BLOCK_ROWS = 1 << 15
 
 
 def _take(stack, block_size):
     """Pop stack entries until block_size rows are held, as one tuple of
     columns.  A split entry is taken from its tail, the a-children of
-    `_children`, whose fresh entries are the largest, so their subtrees the
-    smallest: the stack then peaks at 5 MB at N = 3e7, against 25 MB head
-    first.  The head goes back as a copy, keeping no expanded rows alive."""
+    `_step`, whose fresh entries are the largest, so their subtrees the
+    smallest: the stack then peaks at 4.3 MB at N = 3e7, against 16 MB head
+    first.  The head goes back as a copy, keeping no taken rows alive."""
     parts, held = [], 0
     while stack and held < block_size:
         cols = stack.pop()
@@ -191,33 +204,66 @@ def _stopped(ctl, parent):
     return ctl is not None and bool(ctl[1]) or parent is not None and os.getppid() != parent
 
 
-def _walk(stack, n_max, bits, wit, lock, ctl=None, parent=None):
+def _walk(stack, n_max, bits, wit, lock, deal=None, ctl=None, parent=None):
     """Depth-first walk of the column tuples on stack, in any worker; each
-    step, unless `_stopped`, marks a block's fresh entries (`_mark`: read
-    unlocked, ORed under lock) and pushes its children.  Returns the rows."""
+    step, unless `_stopped`, takes a block off the stack and marks its rows'
+    children (`_step`), pushing those that have children of their own.
+    Before a block, while the stack holds fewer than WALK_BLOCK_ROWS rows,
+    deal() puts one more chunk of rows under the stack, until it returns
+    None.  Returns the rows marked."""
     rows = 0
-    while stack and not _stopped(ctl, parent):
-        cols = _take(stack, WALK_BLOCK_ROWS)
-        rows += cols[0].size
-        _mark(cols, bits, wit, lock)
-        kids = _children(*cols, n_max)
+    while not _stopped(ctl, parent):
+        if deal is not None and sum(x[0].size for x in stack) < WALK_BLOCK_ROWS:
+            chunk = deal()
+            if chunk is None:
+                deal = None
+            else:
+                stack.insert(0, chunk)
+        if not stack:
+            break
+        marked, kids = _step(_take(stack, WALK_BLOCK_ROWS), n_max, bits, wit, lock)
+        rows += marked
         if kids[0].size:
             stack.append(kids)
     return rows
 
 
 def _work(frontier, n_max, bits, wit, lock, ctl, parent=None):
-    """A worker of a forked walk: it walks the next WALK_BLOCK_ROWS // 32
-    frontier rows, dealt off the counter ctl[0], until none is left."""
-    step, rows = max(1, WALK_BLOCK_ROWS >> 5), 0
-    while not _stopped(ctl, parent):
+    """A worker of a forked walk: one `_walk` whose stack, whenever it holds
+    fewer than WALK_BLOCK_ROWS rows before a block, takes the next
+    WALK_BLOCK_ROWS // 32 frontier rows, dealt off the counter ctl[0], until
+    none is left.  A chunk's narrow end so shares its blocks with the next
+    chunk; dealing one chunk a block, not a block's worth, keeps the large
+    subtrees at the head of the frontier spread over the workers."""
+    step = max(1, WALK_BLOCK_ROWS >> 5)
+
+    def deal():
         with lock:
             start, ctl[0] = int(ctl[0]), ctl[0] + step
-        if start >= frontier[0].size:
-            break
-        rows += _walk([tuple(x[start:start + step] for x in frontier)], n_max, bits, wit,
-                      lock, ctl, parent)
-    return rows
+        return tuple(x[start:start + step] for x in frontier) if start < frontier[0].size else None
+
+    return _walk([], n_max, bits, wit, lock, deal, ctl, parent)
+
+
+class _Stopped(Exception):
+    """A forked worker waiting for the walk's lock finds the walk stopping."""
+
+
+class _Locked:
+    """The forked walk's process-shared lock, taken with a timeout: each half
+    second a process waits for it, watch() runs and raises once the walk is
+    to stop.  So a worker killed while it holds the lock leaves no one
+    waiting for ever: the caller's watch finds it dead and raises."""
+
+    def __init__(self, lock, watch):
+        self.lock, self.watch = lock, watch
+
+    def __enter__(self):
+        while not self.lock.acquire(True, 0.5):
+            self.watch()
+
+    def __exit__(self, *exc):
+        self.lock.release()
 
 
 def _forked_walk(level, n_max, bits, wit, ctl, workers):
@@ -225,16 +271,48 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
     the tree is expanded here by levels until one holds 2 WALK_BLOCK_ROWS rows,
     which this process and workers - 1 forked ones walk, large subtrees first.
     A child pipes back its rows or its error and leaves by os._exit, flushing
-    no stdio.  A failure sets ctl[1]; all children are reaped before an error is raised."""
+    no stdio.  The caller reaps each child whose pipe is ready, its message
+    or the end of file of one that died, while it waits for the lock and,
+    all together, at the end; a failure sets ctl[1], and every child is
+    reaped before an error is raised."""
+    import select
     from multiprocessing import get_context
 
-    lock, rows, pids, errors, me = get_context("fork").Lock(), 0, {}, [], os.getpid()
+    lock, rows, pipes, errors, me = get_context("fork").Lock(), 0, {}, [], os.getpid()
+
+    def reap(timeout):
+        nonlocal rows
+        for r in select.select(list(pipes), [], [], timeout)[0]:
+            pid = pipes.pop(r)
+            with r:
+                msg = r.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not msg:  # killed, by a signal (-code) or by exit code
+                import signal
+                how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
+                msg = pickle.dumps((False, RuntimeError(f"walk worker gave no result: {how}")))
+            ok, value = pickle.loads(msg)
+            if ok:
+                rows += value
+            else:
+                ctl[1] = 1
+                errors.append(value)
+
+    def watch():  # the caller, waiting for the lock
+        reap(0)
+        if errors:
+            raise errors[0]
+
+    def stop():  # a forked worker, waiting for the lock
+        if _stopped(ctl, me):
+            raise _Stopped
+
     while 0 < level[0].size < 2 * WALK_BLOCK_ROWS:
-        rows += level[0].size
-        _mark(level, bits, wit, lock)
-        level = _children(*level, n_max)
+        marked, level = _step(level, n_max, bits, wit, lock)
+        rows += marked
     order = np.argsort(level[3], kind="stable")
     frontier = tuple(x[order] for x in level)
+    del level, order  # the walk reads the sorted copy only
     try:
         for _ in range(workers - 1 if frontier[0].size else 0):
             r, w = (open(fd, mode) for fd, mode in zip(os.pipe(), ("rb", "wb")))
@@ -246,7 +324,10 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
             if pid == 0:
                 try:
                     try:
-                        out = (True, _work(frontier, n_max, bits, wit, lock, ctl, me))
+                        out = (True, _work(frontier, n_max, bits, wit, _Locked(lock, stop),
+                                           ctl, me))
+                    except _Stopped:
+                        out = (True, 0)
                     except BaseException as e:
                         ctl[1], out = 1, (False, e)
                     try:  # an error that does not survive the round trip goes as its repr
@@ -258,23 +339,14 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
                 finally:
                     os._exit(0)
             w.close()
-            pids[pid] = r
-        rows += _work(frontier, n_max, bits, wit, lock, ctl)
+            pipes[r] = pid
+        rows += _work(frontier, n_max, bits, wit, _Locked(lock, watch), ctl)
     except BaseException:
         ctl[1] = 1
         raise
     finally:
-        for pid, r in pids.items():
-            with r:
-                msg = r.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if not msg:  # killed, by a signal (-code) or by exit code
-                import signal
-                how = f"exit code {code}" if code >= 0 else signal.Signals(-code).name
-                msg = pickle.dumps((False, RuntimeError(f"walk worker gave no result: {how}")))
-            ok, value = pickle.loads(msg)
-            rows += value if ok else 0
-            errors += [] if ok else [value]
+        while pipes:
+            reap(None)
     if errors:
         raise errors[0]
     return rows
@@ -292,15 +364,67 @@ def _clear(d, bits):
     return byte == 0
 
 
-def _mark(cols, bits, wit, lock):
-    """Set the bits of the fresh entries cols[3], and with witnesses write
-    the first row holding each new curvature.  The bytes are read unlocked:
-    a bit only goes from 0 to 1, and all workers share one copy of each byte,
+def _step(cols, n_max, bits, wit, lock):
+    """One step of the walk over a block of sorted quadruples a <= b <= c <= d
+    with fresh entry d, each of which has a c-child: marks all its children
+    whose fresh entry is at most n_max (`_mark`) and returns how many, with
+    the sorted columns of those that have a c-child of their own, the only
+    rows the walk pushes, so a leaf is never taken.  The fresh entries obey
+    na >= nb >= nc, with nb - nc = 3(c - b) and na - nb = 3(b - a): the
+    b-child equals the c-child when b == c, and the a-child the b-child
+    when a == b, so each is kept only when the entries differ.  A child
+    (u, v, w, f) has a c-child when 2(u + v + f) - w <= n_max, that is when
+    f <= (n_max + w) // 2 - (u + v), a form in which no value leaves
+    `_column_dtype`'s range, not even for a child whose f is past n_max.
+    Rows are selected by gathers at the indices kept, which cost about a
+    quarter of the time of boolean masks over the same rows."""
+    a, b, c, d = cols
+    ab, ac, bc = a + b, a + c, b + c
+    nc = ab + d
+    nc *= 2
+    nc -= c
+    nb = ac + d
+    nb *= 2
+    nb -= b
+    na = bc + d
+    na *= 2
+    na -= a
+    b_ne_c, a_ne_b = b != c, a != b
+    kb = np.flatnonzero((nb <= n_max) & b_ne_c)
+    ka = np.flatnonzero((na <= n_max) & a_ne_b)
+    fresh = np.concatenate((nc, nb.take(kb), na.take(ka)))
+    kids = None if wit is None else (
+        *(np.concatenate(x) for x in ((a, a.take(kb), b.take(ka)), (b, c.take(kb), c.take(ka)),
+                                      (d, d.take(kb), d.take(ka)))), fresh)
+    _mark(fresh, kids, bits, wit, lock)
+    # each of ab, ac, bc becomes (n_max + d) // 2 - (u + v) for its children
+    half = d + n_max
+    half >>= 1
+    for uv in (ab, ac, bc):
+        np.subtract(half, uv, out=uv)
+    fc = np.flatnonzero(nc <= ab)
+    fb = np.flatnonzero((nb <= ac) & b_ne_c)
+    fa = np.flatnonzero((na <= bc) & a_ne_b)
+    i, j = fc.size, fc.size + fb.size
+    # gathered straight into one array: the indices are in range, and
+    # mode="clip" skips the copy through a buffer that take makes with out=
+    out = np.empty((4, j + fa.size), dtype=a.dtype)
+    for col, (x, y, z) in zip(out, ((a, a, b), (b, c, c), (d, d, d), (nc, nb, na))):
+        x.take(fc, out=col[:i], mode="clip")
+        y.take(fb, out=col[i:j], mode="clip")
+        z.take(fa, out=col[j:], mode="clip")
+    return fresh.size, tuple(out)
+
+
+def _mark(d, kids, bits, wit, lock):
+    """Set the bits of the fresh entries d and, with witnesses, write for
+    each new curvature the first row of kids, the columns of the quadruples
+    whose fresh entries are d, that holds it.  The bytes are read unlocked: a
+    bit only goes from 0 to 1, and all workers share one copy of each byte,
     so a stale read costs at most an OR that changes nothing.  An OR rewrites
     whole bytes, and two processes ORing one byte at once lose bits, so the
     entries that read clear are ORed at once under the lock; with witnesses
     they are read again under it, and only those still clear are written."""
-    d = cols[3]
     if wit is None:
         at, bit = _bit_at(np.compress(_clear(d, bits), d))
         with lock:
@@ -310,44 +434,16 @@ def _mark(cols, bits, wit, lock):
     with lock:
         new = new[_clear(d[new], bits)]
         vals, first = np.unique(d[new], return_index=True)
-        wit[vals] = np.stack([x[new[first]] for x in cols], axis=1)
+        wit[vals] = np.stack([x[new[first]] for x in kids], axis=1)
         np.bitwise_or.at(bits, *_bit_at(vals))
 
 
 def _column_dtype(root, n_max):
-    """int32 when every value `_children` forms fits, else int64: entries are
+    """int32 when every value the walk forms fits, else int64: entries are
     at most n_max and only the root's outer circle can be negative, so the
-    largest value formed is 2*(b + c + d) - a <= 6*n_max + |min(root)|."""
+    largest value `_step` forms is 2*(b + c + d) - a <= 6*n_max + |min(root)|;
+    its test for grandchildren adds no fresh entry to anything."""
     return np.int32 if 6 * n_max + abs(min(root)) < 2**31 else np.int64
-
-
-def _children(a, b, c, d, n_max):
-    """Sorted columns of the children of sorted quadruples with fresh entry d
-    whose fresh entry is at most n_max; the fresh entries obey na >= nb >= nc.
-    The b-child equals the c-child when b == c, and the a-child the b-child
-    when a == b, so each is kept only when the entries differ.  Rows are
-    selected by gathers at the indices kept, which cost about half the
-    time of boolean masks over the same rows."""
-    nc = a + b
-    nc += d
-    nc *= 2
-    nc -= c
-    keep = np.flatnonzero(nc <= n_max)
-    a, b, c, d, nc = a.take(keep), b.take(keep), c.take(keep), d.take(keep), nc.take(keep)
-    nb = a + c
-    nb += d
-    nb *= 2
-    nb -= b
-    na = b + c
-    na += d
-    na *= 2
-    na -= a
-    kb = np.flatnonzero((nb <= n_max) & (b != c))
-    ka = np.flatnonzero((na <= n_max) & (a != b))
-    return (np.concatenate((a, a.take(kb), b.take(ka))),
-            np.concatenate((b, c.take(kb), c.take(ka))),
-            np.concatenate((d, d.take(kb), d.take(ka))),
-            np.concatenate((nc, nb.take(kb), na.take(ka))))
 
 
 @dataclass

@@ -536,14 +536,14 @@ def test_gasket_out_of_memory_exits_3(threads):
 def test_worker_memory_error_exits_3(monkeypatch, capsys):
     # a MemoryError raised in a forked worker is shipped back and exits 3
     caller = os.getpid()
-    children = orbit._children
+    step = orbit._step
 
-    def failing(*cols):
+    def failing(*args):
         if os.getpid() != caller:
             raise MemoryError("a worker ran out")
-        return children(*cols)
+        return step(*args)
 
-    monkeypatch.setattr(orbit, "_children", failing)
+    monkeypatch.setattr(orbit, "_step", failing)
     monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
     assert run(["gasket", "--limit", "1000000", "--threads", "2"]) == 3
     assert capsys.readouterr().err == "out of memory: a worker ran out\n"

@@ -231,8 +231,8 @@ def test_flushes_race_for_no_bit(root, record_witnesses, monkeypatch):
     n_max = 20000
     mark = orbit._mark
 
-    def slow_or(cols, bits, wit, lock):
-        mark(cols, bits.view(_SlowOr), wit, lock)
+    def slow_or(d, kids, bits, wit, lock):
+        mark(d, kids, bits.view(_SlowOr), wit, lock)
 
     monkeypatch.setattr(orbit, "_mark", slow_or)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
@@ -275,18 +275,26 @@ def test_split_entry_goes_back_as_a_copy():
                                   (-6, 11, 14, 15), ROOT])
 def test_walk_expands_each_quadruple_once(root, monkeypatch):
     # equal root children and the equal b-/c- and a-/b-children below the
-    # root would walk one subtree twice
-    rows = []
-    children = orbit._children
+    # root would walk one subtree twice.  Every quadruple, leaf or not, is
+    # marked in its parent's step: with witnesses `_mark` sees the rows, and
+    # without them the same fresh entries, as often
+    rows, fresh = [], []
+    mark = orbit._mark
 
-    def spy(a, b, c, d, n_max):
-        rows.append(np.stack([a, b, c, d], axis=1))
-        return children(a, b, c, d, n_max)
+    def spy(d, kids, bits, wit, lock):
+        fresh.append(d.copy())
+        if kids is not None:
+            rows.append(np.stack(kids, axis=1))
+        return mark(d, kids, bits, wit, lock)
 
-    monkeypatch.setattr(orbit, "_children", spy)
-    orbit.enumerate_curvatures(root, 10**5)
-    rows = np.concatenate(rows)
-    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    monkeypatch.setattr(orbit, "_mark", spy)
+    cs = orbit.enumerate_curvatures(root, 10**5, record_witnesses=True)
+    quads = np.concatenate(rows)
+    assert np.unique(quads, axis=0).shape[0] == quads.shape[0] == cs.rows
+    marked = np.sort(np.concatenate(fresh))
+    fresh.clear()
+    assert orbit.enumerate_curvatures(root, 10**5).rows == cs.rows
+    assert np.array_equal(np.sort(np.concatenate(fresh)), marked)
 
 
 def test_rows_independent_of_blocks_and_threads(monkeypatch):
@@ -296,18 +304,18 @@ def test_rows_independent_of_blocks_and_threads(monkeypatch):
             m.setattr(orbit, "WALK_BLOCK_ROWS", block_size)
             cs = orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
         assert cs.rows == ref.rows, (block_size, threads)
-    # rows counts exactly the quadruples handed to _children, in every
-    # worker, and the forked workers expand some of them
+    # rows counts exactly the quadruples marked, in every worker, and the
+    # forked workers mark some of them
     rows, forked = shared_count(), shared_count()
-    children = orbit._children
+    mark = orbit._mark
     caller = os.getpid()
 
-    def spy(a, b, c, d, n_max):
-        add(rows, a.size)
-        add(forked, a.size if os.getpid() != caller else 0)
-        return children(a, b, c, d, n_max)
+    def spy(d, kids, bits, wit, lock):
+        add(rows, d.size)
+        add(forked, d.size if os.getpid() != caller else 0)
+        return mark(d, kids, bits, wit, lock)
 
-    monkeypatch.setattr(orbit, "_children", spy)
+    monkeypatch.setattr(orbit, "_mark", spy)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     assert orbit.enumerate_curvatures(ROOT, 10**5, threads=3).rows == rows.value > 0
     assert forked.value > 0
@@ -322,15 +330,15 @@ def test_worker_failure_is_raised(threads, fail_on, monkeypatch):
     # first step expands the root's children, before any fork; the fifth
     # runs in some worker, and "child" fails every step of a forked worker
     calls = shared_count()
-    children = orbit._children
+    step = orbit._step
     caller = os.getpid()
 
-    def failing(*cols):
+    def failing(*args):
         if add(calls, 1) == fail_on or fail_on == "child" and os.getpid() != caller:
             raise RuntimeError("the step fails")
-        return children(*cols)
+        return step(*args)
 
-    monkeypatch.setattr(orbit, "_children", failing)
+    monkeypatch.setattr(orbit, "_step", failing)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
     raised = []
 
@@ -367,13 +375,13 @@ def test_interrupted_caller_stops_the_workers(monkeypatch):
         return work(*args)
 
     full = shared_count()
-    children = orbit._children
+    step = orbit._step
 
-    def spy(*cols):
+    def spy(*args):
         add(full, 1)
-        return children(*cols)
+        return step(*args)
 
-    monkeypatch.setattr(orbit, "_children", spy)
+    monkeypatch.setattr(orbit, "_step", spy)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     orbit.enumerate_curvatures(ROOT, 10**6)
     steps, full.value = full.value, 0
@@ -388,18 +396,84 @@ def test_worker_killed_by_a_signal_is_raised(monkeypatch):
     # a worker that dies with no message, here by SIGKILL at its first
     # step, becomes a RuntimeError that names the signal, and is reaped
     caller = os.getpid()
-    children = orbit._children
+    step = orbit._step
 
-    def killed(*cols):
+    def killed(*args):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return children(*cols)
+        return step(*args)
 
-    monkeypatch.setattr(orbit, "_children", killed)
+    monkeypatch.setattr(orbit, "_step", killed)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     with pytest.raises(RuntimeError, match="SIGKILL"):
         orbit.enumerate_curvatures(ROOT, 10**5, threads=2)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_worker_killed_inside_the_lock_is_raised(threads, monkeypatch):
+    # a worker SIGKILLed while it holds the walk's lock leaves the lock held:
+    # the caller, waiting for it or for the workers, finds the dead worker,
+    # stops the others (one may wait for the lock too) and raises its signal
+    caller = os.getpid()
+    mark = orbit._mark
+
+    def killed(*args):
+        if os.getpid() != caller:
+            with args[-1]:  # the lock
+                os.kill(os.getpid(), signal.SIGKILL)
+        return mark(*args)
+
+    monkeypatch.setattr(orbit, "_mark", killed)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
+    raised = []
+
+    def walk():
+        try:
+            orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
+        except RuntimeError as e:
+            raised.append(e)
+
+    t = threading.Thread(target=walk, daemon=True)
+    start = time.monotonic()
+    t.start()
+    t.join(timeout=30)
+    assert not t.is_alive(), "the walk hung on the lock of a killed worker"
+    assert time.monotonic() - start < 10
+    assert len(raised) == 1 and "SIGKILL" in str(raised[0])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_blocks_are_full_while_the_frontier_lasts(threads, monkeypatch):
+    # before each block a forked worker whose stack holds fewer than
+    # WALK_BLOCK_ROWS rows puts one more chunk of the frontier under it, so
+    # a chunk's narrow end shares its blocks with the next chunk: while rows
+    # remain undealt, no block is shorter than a chunk.  (A worker's first
+    # block is its first chunk: one chunk is dealt a block, not a block's
+    # worth, which would hand one worker all the large subtrees.)
+    block, state = 64, {}
+    checked, short = shared_count(), shared_count()
+    take, work = orbit._take, orbit._work
+
+    def spy_work(frontier, n_max, bits, wit, lock, ctl, parent=None):
+        state.update(size=frontier[0].size, ctl=ctl)
+        return work(frontier, n_max, bits, wit, lock, ctl, parent)
+
+    def spy_take(stack, block_size):
+        cols = take(stack, block_size)
+        if state and state["ctl"][0] < state["size"]:  # rows remain undealt
+            add(checked, 1)
+            add(short, cols[0].size < block_size >> 5)
+        return cols
+
+    monkeypatch.setattr(orbit, "_work", spy_work)
+    monkeypatch.setattr(orbit, "_take", spy_take)
+    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", block)
+    want = orbit.enumerate_curvatures(ROOT, 10**5)
+    cs = orbit.enumerate_curvatures(ROOT, 10**5, threads=threads)
+    assert np.array_equal(cs.bits, want.bits) and cs.rows == want.rows
+    assert checked.value > 0 and short.value == 0, (checked.value, short.value)
 
 
 def test_walk_leaves_no_child():
@@ -432,21 +506,23 @@ def test_worker_stops_once_its_parent_is_gone(monkeypatch):
     # a forked worker reads os.getppid() before each block: once the
     # process that forked it is gone it expands no further block
     steps = []
-    children = orbit._children
+    step = orbit._step
 
-    def spy(*cols):
+    def spy(cols, *args):
         steps.append(cols[0].size)
-        return children(*cols)
+        return step(cols, *args)
 
     ppid = os.getppid()
-    monkeypatch.setattr(orbit, "_children", spy)
+    monkeypatch.setattr(orbit, "_step", spy)
     monkeypatch.setattr(os, "getppid", lambda: 1 if steps else ppid)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     frontier = tuple(np.array([[21, 24, 28, 157]] * 1000).T)  # the root's child
     bits = np.zeros(10**6 // 8, dtype=np.uint8)
     rows = orbit._work(frontier, 10**6, bits, None, contextlib.nullcontext(),
                        np.zeros(2, dtype=np.int64), ppid)
-    assert steps == [rows] == [2]
+    # one block, the first chunk of two rows, whose children (376, 388 and
+    # 397 each) are marked
+    assert steps == [2] and rows == 6
 
 
 @pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").exists(),
@@ -494,24 +570,41 @@ def test_shared_witnesses_across_workers(monkeypatch):
 
 
 @pytest.mark.parametrize("root_min", [0, -11])
-def test_children_at_the_int32_bound(root_min):
-    # the largest bound with int32 columns; rows whose entries sit at it,
-    # where every child is pruned, and rows spread below it, where some are kept
+def test_step_at_the_int32_bound(root_min):
+    # the largest bound with int32 columns: a step over rows spread below
+    # it, each with a c-child, whose b- and a-children and grandchildren
+    # fall on both sides of it, marks and keeps what the same step over
+    # int64 columns does
     n_max = (2**31 - 1 - abs(root_min)) // 6
     assert orbit._column_dtype((root_min, 1, 1, 1), n_max) == np.int32
     assert orbit._column_dtype((root_min, 1, 1, 1), n_max + 1) == np.int64
     rng = np.random.default_rng(0)
+    near = rng.integers(n_max // 4, n_max - 5000, 4000)  # small a, b and c close to d
     rows = np.sort(np.concatenate([
-        rng.integers(n_max - 1000, n_max, (1000, 4), endpoint=True),
-        rng.integers(abs(root_min) + 1, n_max, (1000, 4), endpoint=True),
-        rng.integers(abs(root_min) + 1, n_max // 3, (1000, 4), endpoint=True)]), axis=1)
+        np.stack([rng.integers(1, 1000, (2, 4000)), near - rng.integers(0, 1000, (2, 4000))]
+                 ).reshape(4, -1).T,
+        rng.integers(abs(root_min) + 1, n_max // 3, (4000, 4), endpoint=True),
+        rng.integers(abs(root_min) + 1, n_max // 50, (4000, 4), endpoint=True)]), axis=1)
     rows[::2, 0] = root_min
-    rows[:500, 1:] = n_max
-    want = orbit._children(*rows.T, n_max)
-    got = orbit._children(*rows.astype(np.int32).T, n_max)
-    assert got[3].dtype == np.int32 and got[3].size > 0
-    for g, w in zip(got, want):
-        assert np.array_equal(g.astype(np.int64), w)
+    a, b, c, d = rows.T
+    rows = rows[2 * (a + b + d) - c <= n_max]
+    a, b, c, d = rows.T
+    nb, na = 2 * (a + c + d) - b, 2 * (b + c + d) - a
+    assert (nb > n_max).any() and (nb <= n_max).any() and (na > 3 * n_max).any()
+    out = []
+    for dtype in (np.int64, np.int32):
+        bits = np.zeros((n_max + 7) // 8, dtype=np.uint8)
+        marked, kids = orbit._step(tuple(rows.astype(dtype).T), n_max, bits, None,
+                                   contextlib.nullcontext())
+        assert kids[3].dtype == dtype
+        out.append((marked, tuple(x.astype(np.int64) for x in kids), bits))
+        del bits
+    (want_marked, want, want_bits), (got_marked, got, got_bits) = out
+    assert got_marked == want_marked > want[0].size > 0
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert np.array_equal(got_bits, want_bits)
+    u, v, w, f = want
+    assert (2 * (u + v + f) - w <= n_max).all()
 
 
 def test_witness_words(curvatures_1e6):
