@@ -17,7 +17,7 @@ adm = congruence.admissible_classes(24, root)
 print("admissible classes mod 24:", sorted(adm))
 
 n_max = 10**6
-cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True)
+cs = orbit.enumerate_curvatures(root, n_max)
 rep = orbit.census(cs, adm)
 print(f"N = {n_max}: {rep.curvature_count} curvatures "
       f"of {rep.admissible_count} admissible integers "
@@ -27,7 +27,8 @@ print("exception density per dyadic block:")
 for k, c, length in rep.dyadic_exceptions:
     print(f"  [2^{k:2d}, 2^{k+1:2d}): {c:5d}  ({c / length:.4f})")
 
-# every set bit is certified by a word of reflections from the root
+# every set bit is certified by a word of reflections from the root, found
+# on demand by a walk that stops once it reaches a quadruple holding n
 n = int(cs.values()[len(cs.values()) // 2])
-word, quad = cs.witness_word(n)
-print(f"witness for {n}: word {word} reaches {quad}")
+word, quad = orbit.witness_words(root, [n])[n]
+print(f"witness for {n}: {len(word)} reflections {word} take {root} to {quad}")

@@ -153,9 +153,9 @@ class NegativeSheetError(ValueError):
 
 
 # sum-decreasing steps reduce_to_root takes before it gives up, read at each
-# call: gamma_word (verify's spin check), CurvatureSet.witness_word and demos
-# 01 and 07 reach it, and only tests change it.  It only bounds the loop; the
-# value is not measured
+# call: gamma_word (verify's spin check), orbit.witness_words (demo 02) and
+# demos 01 and 07 reach it, and only tests change it.  It only bounds the
+# loop; the value is not measured
 REDUCTION_MAX_STEPS = 10**6
 
 

@@ -26,6 +26,7 @@ each worker's stack and blocks and the census's windows.
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
 import pickle
 import struct
@@ -48,9 +49,8 @@ class CurvatureSet:
     """Bitset over [1, N]: bit n set means n occurs as a curvature."""
 
     n_max: int
-    bits: np.ndarray                    # packed little-endian uint8, bit k <-> curvature k+1
-    witnesses: np.ndarray | None = None  # optional (N+1, 4), first sorted quadruple seen per curvature
-    rows: int | None = None             # quadruples the walk expanded; None when loaded
+    bits: np.ndarray        # packed little-endian uint8, bit k <-> curvature k+1
+    rows: int | None = None  # quadruples the walk marked; None when loaded
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros(self.n_max + 1, dtype=bool)
@@ -72,24 +72,6 @@ class CurvatureSet:
     def values(self) -> np.ndarray:
         return np.flatnonzero(self.to_bool())
 
-    def witness_quadruple(self, n: int):
-        if self.witnesses is None:
-            raise ValueError("witnesses were not recorded")
-        if not self.contains(n):
-            raise KeyError(n)
-        return tuple(int(x) for x in self.witnesses[n])
-
-    def witness_word(self, n: int):
-        """Reflection word from the sorted root and the quadruple it reaches, holding n:
-        the letters and the sorted witness's slots are relabelled by the argsort
-        of the witness reduced to the root."""
-        quad = self.witness_quadruple(n)
-        _, word = core.reduce_to_root(quad)
-        order = np.argsort(core.apply_word(word, quad), kind="stable")
-        slot = np.argsort(order)
-        return ([int(slot[i - 1]) + 1 for i in reversed(word)],
-                tuple(quad[k] for k in order))
-
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(BITSET_MAGIC)
@@ -99,19 +81,19 @@ class CurvatureSet:
     @classmethod
     def load(cls, path) -> "CurvatureSet":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != BITSET_MAGIC:
+            head = fh.read(12)
+            if head[:4] != BITSET_MAGIC:
                 raise ValueError("bad magic in bitset snapshot")
-            (n_max,) = struct.unpack("<Q", fh.read(8))
+            if len(head) < 12:
+                raise ValueError("truncated bitset snapshot")
+            (n_max,) = struct.unpack("<Q", head[4:])
             bits = np.frombuffer(fh.read(), dtype=np.uint8).copy()
-        expected = (n_max + 7) // 8
-        if bits.size != expected:
+        if bits.size != (n_max + 7) // 8:
             raise ValueError("truncated bitset snapshot")
         return cls(int(n_max), bits)
 
 
-def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
-                         threads: int = 1) -> CurvatureSet:
+def enumerate_curvatures(root, n_max: int, threads: int = 1) -> CurvatureSet:
     """Exact set of integers in [1, n_max] occurring as curvatures of the gasket.
 
     The root's children are marked here; threads=1 runs one depth-first
@@ -124,45 +106,78 @@ def enumerate_curvatures(root, n_max: int, record_witnesses: bool = False,
     into the bitset, which the result holds as it is, only the fresh entries
     whose bits read clear, about 7.5e6 at 3e7.  Besides the bitset each
     worker holds its stack, block and children at one to eight bytes a row.
-    The witness of a curvature is the first sorted quadruple seen to hold
-    it, among the children marked in one step, so it is fixed only at
-    threads=1.  An exception in any worker, or a worker's death, stops the
-    walk and is raised here.
-    """
+    An exception in any worker, or a worker's death, stops the walk and is
+    raised here."""
     root = core.validate_root(root)
     if threads < 1:
         raise core.InputError(f"threads must be at least 1, got {threads}")
     if n_max <= 0:
         return CurvatureSet(max(n_max, 0), np.zeros(0, dtype=np.uint8), rows=0)
-    dtype = _column_dtype(root, n_max)
     nbytes, ctl = (n_max + 7) // 8, None
     if threads > 1 and hasattr(os, "fork"):
         import mmap
-        # zero-filled, MAP_SHARED: deal counter and stop flag, bits, witnesses
-        at = 64 + -(-nbytes // 64) * 64
-        shared = mmap.mmap(-1, at + 4 * (n_max + 1) * np.dtype(dtype).itemsize * record_witnesses)
+        shared = mmap.mmap(-1, 64 + nbytes)  # zero-filled, MAP_SHARED: ctl, then the bits
         ctl, bits = np.frombuffer(shared, np.int64, 2), np.frombuffer(shared, np.uint8, nbytes, 64)
-        wit = np.frombuffer(shared, dtype, 4 * n_max + 4, at).reshape(-1, 4) \
-            if record_witnesses else None
     else:
         bits = np.zeros(nbytes, dtype=np.uint8)
-        wit = np.zeros((n_max + 1, 4), dtype=dtype) if record_witnesses else None
-    seen = np.array([x for x in root if 1 <= x <= n_max], dtype=np.int64)
-    np.bitwise_or.at(bits, *_bit_at(seen))
-    if wit is not None:
-        wit[seen] = sorted(root)
-    s = sum(root)
-    # a root with two equal entries has two equal children: walk one of them
-    kids = tuple(np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
-                                     for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
-                                    dtype=dtype).reshape(-1, 4), axis=0).T)
-    _mark(kids[3], kids, bits, wit, contextlib.nullcontext())
+    np.bitwise_or.at(bits, *_bit_at(np.fromiter((x for x in root if 1 <= x <= n_max), np.int64)))
+    kids = _root_children(root, n_max, _column_dtype(root, n_max))
+    _mark(kids[3], bits, contextlib.nullcontext())
     rows, (u, v, w, f) = kids[0].size, kids
     keep = f <= (n_max + w) // 2 - (u + v)  # those with a c-child, as in `_step`
     kids = tuple(x[keep] for x in kids)
-    rows += _walk([kids] if kids[0].size else [], n_max, bits, wit, contextlib.nullcontext()) \
-        if ctl is None else _forked_walk(kids, n_max, bits, wit, ctl, threads)
-    return CurvatureSet(n_max, bits, wit, rows)
+    rows += _walk([kids] if kids[0].size else [], n_max, bits, contextlib.nullcontext()) \
+        if ctl is None else _forked_walk(kids, n_max, bits, ctl, threads)
+    return CurvatureSet(n_max, bits, rows)
+
+
+def witness_words(root, ns) -> dict:
+    """{n: (word, quadruple)} for each n of ns, certifying that n is a
+    curvature: core.apply_word(word, sorted(root)) is the quadruple, which
+    holds n.  The tree is walked in this process over sorted int64 rows, as
+    `enumerate_curvatures` walks it but marking nothing, up to max(ns), until
+    every n is found.  The first row found holding n is reduced to the root;
+    the reduction's letters, reversed, and the row's slots are relabelled by
+    the argsort of the row reduced.  A KeyError names an n that is not a
+    curvature, a TypeError one that is not an integer."""
+    root = core.validate_root(root)
+    want = np.unique(np.array([operator.index(n) for n in ns], dtype=np.int64))
+    base = tuple(sorted(root))
+    left = ~np.isin(want, base)  # the n not found yet
+    quads = {int(n): base for n in want[~left]}
+    n_max = int(want[-1]) if want.size else 0
+    stack = [_root_children(root, n_max, np.int64)]
+    while left.any() and stack:
+        a, b, c, d = cols = _take(stack, WALK_BLOCK_ROWS)
+        at = np.searchsorted(want, d).clip(max=want.size - 1)
+        hit = np.flatnonzero((want[at] == d) & left[at])
+        new, first = np.unique(at[hit], return_index=True)
+        left[new] = False
+        quads.update((int(want[i]), tuple(int(x[r]) for x in cols))
+                     for i, r in zip(new, hit[first]))
+        nc, nb, na = 2 * (a + b + d) - c, 2 * (a + c + d) - b, 2 * (b + c + d) - a
+        keep = (nc <= n_max, (nb <= n_max) & (b != c), (na <= n_max) & (a != b))
+        kids = tuple(np.concatenate([x[k] for x, k in zip(xs, keep)])
+                     for xs in ((a, a, b), (b, c, c), (d, d, d), (nc, nb, na)))
+        if kids[0].size:
+            stack.append(kids)
+    if left.any():
+        raise KeyError(int(want[left][0]))
+    for n, quad in quads.items():
+        _, word = core.reduce_to_root(quad)
+        order = np.argsort(core.apply_word(word, quad), kind="stable")
+        slot = np.argsort(order)
+        quads[n] = ([int(slot[i - 1]) + 1 for i in reversed(word)], tuple(quad[k] for k in order))
+    return quads
+
+
+def _root_children(root, n_max, dtype):
+    """The sorted columns of the root's children with fresh entry at most
+    n_max; two equal children, of a root with two equal entries, are one."""
+    s = sum(root)
+    return tuple(np.unique(np.array([sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:])
+                                     for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max],
+                                    dtype=dtype).reshape(-1, 4), axis=0).T)
 
 
 def _bit_at(vals):
@@ -171,12 +186,12 @@ def _bit_at(vals):
     return k >> 3, (1 << (k & 7)).astype(np.uint8)
 
 
-# rows a worker of enumerate_curvatures takes off its stack per step, read at
-# each call by gasket, verify and demo 02, and changed only by tests; no bit
-# or row count depends on it.  A forked walk deals a 32nd of a block at a time
-# off a frontier of two blocks or more.  At 3e7 on 2 CPUs 2^16 rows walk in
-# 1.40-1.47 s against 1.44-1.88 s, but the caller peaks at 55 MB, not 44, and
-# each worker at 45 MB, not 36
+# rows a walk of enumerate_curvatures or witness_words takes off its stack per
+# step, read at each call by gasket, verify and demo 02, changed only by tests;
+# no bit or row count depends on it.  A forked walk deals a 32nd of a block at
+# a time off a frontier of two blocks or more.  At 3e7 on 2 CPUs 2^16 rows walk
+# in 1.40-1.47 s against 1.44-1.88 s, but the caller peaks at 55 MB, not 44,
+# and each worker at 45 MB, not 36
 WALK_BLOCK_ROWS = 1 << 15
 
 
@@ -204,7 +219,7 @@ def _stopped(ctl, parent):
     return ctl is not None and bool(ctl[1]) or parent is not None and os.getppid() != parent
 
 
-def _walk(stack, n_max, bits, wit, lock, deal=None, ctl=None, parent=None):
+def _walk(stack, n_max, bits, lock, deal=None, ctl=None, parent=None):
     """Depth-first walk of the column tuples on stack, in any worker; each
     step, unless `_stopped`, takes a block off the stack and marks its rows'
     children (`_step`), pushing those that have children of their own.
@@ -221,14 +236,14 @@ def _walk(stack, n_max, bits, wit, lock, deal=None, ctl=None, parent=None):
                 stack.insert(0, chunk)
         if not stack:
             break
-        marked, kids = _step(_take(stack, WALK_BLOCK_ROWS), n_max, bits, wit, lock)
+        marked, kids = _step(_take(stack, WALK_BLOCK_ROWS), n_max, bits, lock)
         rows += marked
         if kids[0].size:
             stack.append(kids)
     return rows
 
 
-def _work(frontier, n_max, bits, wit, lock, ctl, parent=None):
+def _work(frontier, n_max, bits, lock, ctl, parent=None):
     """A worker of a forked walk: one `_walk` whose stack, whenever it holds
     fewer than WALK_BLOCK_ROWS rows before a block, takes the next
     WALK_BLOCK_ROWS // 32 frontier rows, dealt off the counter ctl[0], until
@@ -242,7 +257,7 @@ def _work(frontier, n_max, bits, wit, lock, ctl, parent=None):
             start, ctl[0] = int(ctl[0]), ctl[0] + step
         return tuple(x[start:start + step] for x in frontier) if start < frontier[0].size else None
 
-    return _walk([], n_max, bits, wit, lock, deal, ctl, parent)
+    return _walk([], n_max, bits, lock, deal, ctl, parent)
 
 
 class _Stopped(Exception):
@@ -266,8 +281,8 @@ class _Locked:
         self.lock.release()
 
 
-def _forked_walk(level, n_max, bits, wit, ctl, workers):
-    """The walk by `workers` processes over bits, wit and ctl in shared memory:
+def _forked_walk(level, n_max, bits, ctl, workers):
+    """The walk by `workers` processes over bits and ctl in shared memory:
     the tree is expanded here by levels until one holds 2 WALK_BLOCK_ROWS rows,
     which this process and workers - 1 forked ones walk, large subtrees first.
     A child pipes back its rows or its error and leaves by os._exit, flushing
@@ -308,7 +323,7 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
             raise _Stopped
 
     while 0 < level[0].size < 2 * WALK_BLOCK_ROWS:
-        marked, level = _step(level, n_max, bits, wit, lock)
+        marked, level = _step(level, n_max, bits, lock)
         rows += marked
     order = np.argsort(level[3], kind="stable")
     frontier = tuple(x[order] for x in level)
@@ -324,8 +339,7 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
             if pid == 0:
                 try:
                     try:
-                        out = (True, _work(frontier, n_max, bits, wit, _Locked(lock, stop),
-                                           ctl, me))
+                        out = (True, _work(frontier, n_max, bits, _Locked(lock, stop), ctl, me))
                     except _Stopped:
                         out = (True, 0)
                     except BaseException as e:
@@ -340,7 +354,7 @@ def _forked_walk(level, n_max, bits, wit, ctl, workers):
                     os._exit(0)
             w.close()
             pipes[r] = pid
-        rows += _work(frontier, n_max, bits, wit, _Locked(lock, watch), ctl)
+        rows += _work(frontier, n_max, bits, _Locked(lock, watch), ctl)
     except BaseException:
         ctl[1] = 1
         raise
@@ -364,7 +378,7 @@ def _clear(d, bits):
     return byte == 0
 
 
-def _step(cols, n_max, bits, wit, lock):
+def _step(cols, n_max, bits, lock):
     """One step of the walk over a block of sorted quadruples a <= b <= c <= d
     with fresh entry d, each of which has a c-child: marks all its children
     whose fresh entry is at most n_max (`_mark`) and returns how many, with
@@ -393,10 +407,7 @@ def _step(cols, n_max, bits, wit, lock):
     kb = np.flatnonzero((nb <= n_max) & b_ne_c)
     ka = np.flatnonzero((na <= n_max) & a_ne_b)
     fresh = np.concatenate((nc, nb.take(kb), na.take(ka)))
-    kids = None if wit is None else (
-        *(np.concatenate(x) for x in ((a, a.take(kb), b.take(ka)), (b, c.take(kb), c.take(ka)),
-                                      (d, d.take(kb), d.take(ka)))), fresh)
-    _mark(fresh, kids, bits, wit, lock)
+    _mark(fresh, bits, lock)
     # each of ab, ac, bc becomes (n_max + d) // 2 - (u + v) for its children
     half = d + n_max
     half >>= 1
@@ -416,26 +427,15 @@ def _step(cols, n_max, bits, wit, lock):
     return fresh.size, tuple(out)
 
 
-def _mark(d, kids, bits, wit, lock):
-    """Set the bits of the fresh entries d and, with witnesses, write for
-    each new curvature the first row of kids, the columns of the quadruples
-    whose fresh entries are d, that holds it.  The bytes are read unlocked: a
+def _mark(d, bits, lock):
+    """Set the bits of the fresh entries d.  The bytes are read unlocked: a
     bit only goes from 0 to 1, and all workers share one copy of each byte,
     so a stale read costs at most an OR that changes nothing.  An OR rewrites
     whole bytes, and two processes ORing one byte at once lose bits, so the
-    entries that read clear are ORed at once under the lock; with witnesses
-    they are read again under it, and only those still clear are written."""
-    if wit is None:
-        at, bit = _bit_at(np.compress(_clear(d, bits), d))
-        with lock:
-            np.bitwise_or.at(bits, at, bit)
-        return
-    new = np.flatnonzero(_clear(d, bits))
+    entries that read clear are ORed at once under the lock."""
+    at, bit = _bit_at(np.compress(_clear(d, bits), d))
     with lock:
-        new = new[_clear(d[new], bits)]
-        vals, first = np.unique(d[new], return_index=True)
-        wit[vals] = np.stack([x[new[first]] for x in kids], axis=1)
-        np.bitwise_or.at(bits, *_bit_at(vals))
+        np.bitwise_or.at(bits, at, bit)
 
 
 def _column_dtype(root, n_max):

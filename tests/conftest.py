@@ -23,7 +23,7 @@ def registry():
 
 @pytest.fixture(scope="session")
 def curvatures_1e6():
-    return orbit.enumerate_curvatures(ROOT, 10**6, record_witnesses=True)
+    return orbit.enumerate_curvatures(ROOT, 10**6)
 
 
 @pytest.fixture(scope="session")

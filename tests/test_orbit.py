@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apollonian import core, orbit
+from apollonian import congruence as cg, core, orbit
 
 ROOT = (-11, 21, 24, 28)
 
@@ -87,13 +87,9 @@ def test_walk_independent_of_blocks_and_threads(n_max, block_size, threads):
     # a function-scoped monkeypatch fixture fails Hypothesis's health check
     ref = orbit.enumerate_curvatures(ROOT, n_max)
     with mock.patch.object(orbit, "WALK_BLOCK_ROWS", block_size):
-        cs = orbit.enumerate_curvatures(ROOT, n_max, record_witnesses=True,
-                                        threads=threads)
+        cs = orbit.enumerate_curvatures(ROOT, n_max, threads=threads)
     assert np.array_equal(cs.bits, ref.bits)
-    vals = cs.values()
-    assert (cs.witnesses[vals] == vals[:, None]).any(axis=1).all()
-    w = cs.witnesses[vals].astype(np.int64)
-    assert (w.sum(axis=1) ** 2 == 2 * (w * w).sum(axis=1)).all()
+    assert cs.rows == ref.rows
 
 
 def reference_curvatures(root, n_max):
@@ -194,7 +190,7 @@ def test_worker_allocates_nothing_of_n():
     ctl = np.zeros(2, dtype=np.int64)
     tracemalloc.start()
     try:
-        rows = orbit._work(frontier, 10**9, bits, None, contextlib.nullcontext(), ctl)
+        rows = orbit._work(frontier, 10**9, bits, contextlib.nullcontext(), ctl)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -222,22 +218,21 @@ class _SlowOr(np.ndarray):
         inputs[0][...] = new
 
 
-@pytest.mark.parametrize("record_witnesses", [False, True], ids=["bits", "witnesses"])
-@pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT])
-def test_flushes_race_for_no_bit(root, record_witnesses, monkeypatch):
+# the ids name the array the workers race on, the bits
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), ROOT], ids=["root0-bits", "root1-bits"])
+def test_flushes_race_for_no_bit(root, monkeypatch):
     # more workers than cores, each ORing the clear bits of a block of 16
     # rows while the others read and OR the same bytes: an OR made outside
     # the walk's lock loses bits here
     n_max = 20000
     mark = orbit._mark
 
-    def slow_or(d, kids, bits, wit, lock):
-        mark(d, kids, bits.view(_SlowOr), wit, lock)
+    def slow_or(d, bits, lock):
+        mark(d, bits.view(_SlowOr), lock)
 
     monkeypatch.setattr(orbit, "_mark", slow_or)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
-    cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=record_witnesses,
-                                    threads=8)
+    cs = orbit.enumerate_curvatures(root, n_max, threads=8)
     assert type(cs.bits) is np.ndarray
     assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
 
@@ -276,25 +271,33 @@ def test_split_entry_goes_back_as_a_copy():
 def test_walk_expands_each_quadruple_once(root, monkeypatch):
     # equal root children and the equal b-/c- and a-/b-children below the
     # root would walk one subtree twice.  Every quadruple, leaf or not, is
-    # marked in its parent's step: with witnesses `_mark` sees the rows, and
-    # without them the same fresh entries, as often
-    rows, fresh = [], []
-    mark = orbit._mark
+    # marked in its parent's step: the children of the rows of `_step`'s
+    # blocks, formed here as a set a row, and the root's are each one
+    # quadruple, as many as rows, and their fresh entries are what `_mark`
+    # marks, as often
+    n_max, blocks, fresh = 10**5, [], []
+    step, mark = orbit._step, orbit._mark
 
-    def spy(d, kids, bits, wit, lock):
+    def spy_step(cols, *args):
+        blocks.append(np.stack(cols, axis=1).astype(np.int64))
+        return step(cols, *args)
+
+    def spy_mark(d, *args):
         fresh.append(d.copy())
-        if kids is not None:
-            rows.append(np.stack(kids, axis=1))
-        return mark(d, kids, bits, wit, lock)
+        return mark(d, *args)
 
-    monkeypatch.setattr(orbit, "_mark", spy)
-    cs = orbit.enumerate_curvatures(root, 10**5, record_witnesses=True)
-    quads = np.concatenate(rows)
+    monkeypatch.setattr(orbit, "_step", spy_step)
+    monkeypatch.setattr(orbit, "_mark", spy_mark)
+    cs = orbit.enumerate_curvatures(root, n_max)
+    s = sum(root)
+    quads = list({tuple(sorted(root[:i] + (2 * s - 3 * x,) + root[i + 1:]))
+                  for i, x in enumerate(root) if x < 2 * s - 3 * x <= n_max})
+    for a, b, c, d in np.concatenate(blocks).tolist():
+        quads += {q for q in ((a, b, d, 2 * (a + b + d) - c), (a, c, d, 2 * (a + c + d) - b),
+                              (b, c, d, 2 * (b + c + d) - a)) if q[3] <= n_max}
+    quads = np.array(quads)
     assert np.unique(quads, axis=0).shape[0] == quads.shape[0] == cs.rows
-    marked = np.sort(np.concatenate(fresh))
-    fresh.clear()
-    assert orbit.enumerate_curvatures(root, 10**5).rows == cs.rows
-    assert np.array_equal(np.sort(np.concatenate(fresh)), marked)
+    assert np.array_equal(np.sort(np.concatenate(fresh)), np.sort(quads[:, 3]))
 
 
 def test_rows_independent_of_blocks_and_threads(monkeypatch):
@@ -310,10 +313,10 @@ def test_rows_independent_of_blocks_and_threads(monkeypatch):
     mark = orbit._mark
     caller = os.getpid()
 
-    def spy(d, kids, bits, wit, lock):
+    def spy(d, bits, lock):
         add(rows, d.size)
         add(forked, d.size if os.getpid() != caller else 0)
-        return mark(d, kids, bits, wit, lock)
+        return mark(d, bits, lock)
 
     monkeypatch.setattr(orbit, "_mark", spy)
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
@@ -456,9 +459,9 @@ def test_blocks_are_full_while_the_frontier_lasts(threads, monkeypatch):
     checked, short = shared_count(), shared_count()
     take, work = orbit._take, orbit._work
 
-    def spy_work(frontier, n_max, bits, wit, lock, ctl, parent=None):
+    def spy_work(frontier, n_max, bits, lock, ctl, parent=None):
         state.update(size=frontier[0].size, ctl=ctl)
-        return work(frontier, n_max, bits, wit, lock, ctl, parent)
+        return work(frontier, n_max, bits, lock, ctl, parent)
 
     def spy_take(stack, block_size):
         cols = take(stack, block_size)
@@ -518,7 +521,7 @@ def test_worker_stops_once_its_parent_is_gone(monkeypatch):
     monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 64)
     frontier = tuple(np.array([[21, 24, 28, 157]] * 1000).T)  # the root's child
     bits = np.zeros(10**6 // 8, dtype=np.uint8)
-    rows = orbit._work(frontier, 10**6, bits, None, contextlib.nullcontext(),
+    rows = orbit._work(frontier, 10**6, bits, contextlib.nullcontext(),
                        np.zeros(2, dtype=np.int64), ppid)
     # one block, the first chunk of two rows, whose children (376, 388 and
     # 397 each) are marked
@@ -556,19 +559,6 @@ def test_workers_of_a_killed_parent_exit():
         time.sleep(0.05)
 
 
-def test_shared_witnesses_across_workers(monkeypatch):
-    # more workers than cores on 16-row blocks: a witness row torn between
-    # two workers would leave the Descartes cone
-    root, n_max = (-1, 2, 2, 3), 20000
-    monkeypatch.setattr(orbit, "WALK_BLOCK_ROWS", 16)
-    cs = orbit.enumerate_curvatures(root, n_max, record_witnesses=True, threads=8)
-    assert np.array_equal(cs.to_bool(), reference_curvatures(root, n_max))
-    vals = cs.values()
-    w = cs.witnesses[vals].astype(np.int64)
-    assert (w == vals[:, None]).any(axis=1).all()
-    assert (w.sum(axis=1) ** 2 == 2 * (w * w).sum(axis=1)).all()
-
-
 @pytest.mark.parametrize("root_min", [0, -11])
 def test_step_at_the_int32_bound(root_min):
     # the largest bound with int32 columns: a step over rows spread below
@@ -594,7 +584,7 @@ def test_step_at_the_int32_bound(root_min):
     out = []
     for dtype in (np.int64, np.int32):
         bits = np.zeros((n_max + 7) // 8, dtype=np.uint8)
-        marked, kids = orbit._step(tuple(rows.astype(dtype).T), n_max, bits, None,
+        marked, kids = orbit._step(tuple(rows.astype(dtype).T), n_max, bits,
                                    contextlib.nullcontext())
         assert kids[3].dtype == dtype
         out.append((marked, tuple(x.astype(np.int64) for x in kids), bits))
@@ -608,14 +598,45 @@ def test_step_at_the_int32_bound(root_min):
 
 
 def test_witness_words(curvatures_1e6):
-    cs = curvatures_1e6
     rng = random.Random(0)
-    sample = rng.sample(cs.values().tolist(), 50)
+    sample = rng.sample(curvatures_1e6.values().tolist(), 50)
+    words = orbit.witness_words(ROOT, sample)
+    assert sorted(words) == sorted(sample)
     for n in sample:
-        word, quad = cs.witness_word(n)
+        word, quad = words[n]
         v = core.apply_word(word, ROOT)
         assert v == quad
         assert n in v
+    assert orbit.witness_words(ROOT, np.array([96])) == orbit.witness_words(ROOT, [96])
+    with pytest.raises(TypeError):
+        orbit.witness_words(ROOT, [96.5])
+
+
+@pytest.mark.parametrize("root", [(-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 5, 8, 8),
+                                  (-6, 11, 14, 15), ROOT])
+def test_witness_words_match_reference(root):
+    # every curvature up to 2e4 gets a word from the root to a quadruple
+    # holding it, each root entry the root and the empty word; an integer
+    # that is not a curvature, admissible or not, is a KeyError
+    n_max = 20000
+    want = np.flatnonzero(reference_curvatures(root, n_max)).tolist()
+    words = orbit.witness_words(root, want)
+    assert sorted(words) == want
+    for n, (word, quad) in words.items():
+        assert core.apply_word(word, root) == quad
+        assert n in quad
+    for n in root:
+        if n > 0:
+            assert words[n] == ([], root)
+    assert orbit.witness_words(root, []) == {}
+    adm = cg.admissible_classes(24, root)
+    exceptions = orbit.census(orbit.enumerate_curvatures(root, n_max), adm).exceptions
+    assert exceptions.size
+    missing = [next(n for n in range(1, n_max) if n % 24 not in adm), int(exceptions[-1])]
+    for n in missing:
+        with pytest.raises(KeyError) as e:
+            orbit.witness_words(root, [want[-1], n])
+        assert e.value.args == (n,)
 
 
 def test_tangency_parabola_all_present(curvatures_1e6):
@@ -733,10 +754,12 @@ def test_snapshot_roundtrip(tmp_path, curvatures_1e6):
     raw = path.read_bytes()
     assert raw[:4] == b"APBS"
     assert int.from_bytes(raw[4:12], "little") == 10**6
-    with pytest.raises(ValueError):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"XXXX" + raw[4:])
-        orbit.CurvatureSet.load(bad)
+    bad = tmp_path / "bad.bin"
+    for data, why in ((b"XXXX" + raw[4:], "bad magic"), (raw[:-1], "truncated"),
+                      (raw[:9], "truncated")):
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=why):
+            orbit.CurvatureSet.load(bad)
 
 
 def reference_gamma(norm_cap_sq, keep_window=None):
