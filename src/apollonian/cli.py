@@ -63,13 +63,21 @@ DELTA_FIT_POINTS_CAP = 10**6
 # = 10,007 takes 1.9 s, 20,011 8.1 s and 30,000 18 s, each near 0.16 GB on a
 # 2-CPU machine, so a larger q0 exits 3 before the tally
 EXPSUM_Q0_CAP = 20_000
-# `circle` keeps about 100 bytes per grid point (the bump, the folded weights
-# and their transforms) on top of the family and its representation numbers:
-# at 2^22 points it takes 4 s and 0.47 GB on a 2-CPU machine with the T = 8
-# family at X = 8, 6.5 s and 0.85 GB with T = 32 at X = 160 (16.3M pairs)
-# and 6.6 s and 1.05 GB with T1 = 632, T2 = 1024 at X = 5 (the largest
-# family, 11.0M pairs); 2^23 would add about 0.4 GB to each
+# `circle` keeps about 55 bytes per grid point (the bump, the folded weights,
+# their half spectrum and the real M and E) on top of the family and its
+# representation numbers: at 2^22 points it takes 1.0 s and 0.26 GB on a
+# 2-CPU machine with the T = 8 family at X = 8, 2.2 s and 0.50 GB with
+# T = 32 at X = 160 (16.3M pairs) and 4.2 s and 1.04 GB with T1 = 632,
+# T2 = 1540 at X = 4 (the largest family, 14.5M pairs); 2^23 would add
+# about 0.23 GB to each, past 1.2 GB at the last
 CIRCLE_GRID_CAP = 1 << 22
+# `circle` sums a tent over r/q - m for each of the 5 shifts m and the
+# phi(1) + ... + phi(q0cap - 1) fractions r/q in lowest terms below q0cap
+# (79,596 at 512), so building the bump takes time near q0cap^2: --q0cap 512
+# takes 3.5 s at the default grid and 6.5-10.7 s at 2^22 points on a 2-CPU
+# machine, and 800 takes 12 s at the default grid, so a larger one exits 3
+# before the bump is built
+CIRCLE_Q0_CAP = 512
 # `render` holds two levels of the reflection tree, 4 * 3^(depth - 1) nodes at
 # the last, as float arrays and writes the circles as it goes, so time, memory
 # and the file grow about 3x per level: depth 11 takes about 1.2 s and 105 MB,
@@ -414,6 +422,8 @@ def cmd_circle(args) -> int:
     # about 1.4 ms at T1 = T2 = 32
     if args.grid > CIRCLE_GRID_CAP:
         raise orbit.CapExceededError(f"--grid {args.grid} is above the cap {CIRCLE_GRID_CAP}")
+    if args.q0cap > CIRCLE_Q0_CAP:
+        raise orbit.CapExceededError(f"--q0cap {args.q0cap} is above the cap {CIRCLE_Q0_CAP}")
     expsums.box_axes(args.x)
     for flag, t, shell in zip(("--t1", "--t2"), (args.t1, args.t2),
                               orbit.norm_shells(args.t1, args.t2)):
@@ -431,7 +441,9 @@ def cmd_circle(args) -> int:
     rep = expsums.representation_number(fam, args.x, args.u if args.u else None)
     stage("representation", rep.pairs)
     dec = expsums.major_arc_decomposition(rep, bump)
-    resid = float(np.abs(dec.major + dec.error - dec.folded).max())
+    resid = dec.major + dec.error
+    resid -= dec.folded
+    resid = float(np.abs(resid, out=resid).max())
     stage("decomposition", dec.grid)
     minor_grid = min(args.grid, 1 << 12)
     minor = expsums.minor_arc_report(rep, n_scale, args.q0cap, args.k0,
@@ -718,23 +730,27 @@ def main(argv=None) -> int:
                    help=f"norm shell of gamma1; above {orbit.SHELL_T_CAP:,} (for "
                         f"--t1 or --t2), or with --t2 more than "
                         f"{orbit.FAMILY_PAIR_CAP:,} shell pairs (the family alone about "
-                        f"0.33 GB), exit 3; an empty shell or family exits 2")
+                        f"0.64 GB), exit 3; an empty shell or family exits 2")
     p.add_argument("--t2", type=int, default=8)
     p.add_argument("--x", type=int, default=32,
                    help=f"box scale X; members times live (x, y) points above "
-                        f"{expsums.REPRESENTATION_CAP:,} (32-36 bytes each: "
-                        f"0.85-1.05 GB near the cap with --grid 4194304) exit 3, and so "
+                        f"{expsums.REPRESENTATION_CAP:,} (8 bytes each, and 8 more per "
+                        f"represented integer: 0.50-1.04 GB near the cap with --grid "
+                        f"4194304) exit 3, and so "
                         f"do values too wide for the int64 keys (roots with entries "
                         f"near 1e12)")
     p.add_argument("--u", type=int, default=0,
                    help="Moebius truncation U >= 2: sum mu(u) over u | (2x, y), u < U, "
                         "in place of gcd(2x, y) = 1; 0 (default) keeps the exact gcd")
-    p.add_argument("--q0cap", type=int, default=8)
+    p.add_argument("--q0cap", type=int, default=8,
+                   help=f"spikes at r/q for q < Q0; the bump takes time near Q0^2 "
+                        f"(3.5 s at {CIRCLE_Q0_CAP} with the default grid), and above "
+                        f"{CIRCLE_Q0_CAP} exit 3")
     p.add_argument("--k0", type=float, default=64.0)
     p.add_argument("--grid", type=int, default=1 << 16,
                    help=f"points of the uniform grid on the circle; above "
-                        f"{CIRCLE_GRID_CAP:,} (about 1.05 GB at --t1 632 --t2 1024 "
-                        f"--x 5) exit 3")
+                        f"{CIRCLE_GRID_CAP:,} (about 1.04 GB at --t1 632 --t2 1540 "
+                        f"--x 4) exit 3")
     p.set_defaults(func=cmd_circle)
 
     p = sub.add_parser("verify", help="run the cross-module invariant suite")

@@ -330,12 +330,16 @@ _CHUNK_ELEMENTS = 1 << 16
 # cap on family size times live (x, y) points, and on the points of the
 # (x, y) box, read at each call of box_axes and representation_number:
 # circle (and its --x help) and demo 07 reach it, and only tests change it.
-# The representation holds an 8-byte key per (member, point) pair and 24
-# bytes per represented integer (at most one per pair), 32-36 bytes a pair
-# with its temporaries (0.26 GB at 7.3M pairs, 0.40 GB at 11.0M and 0.53 GB
-# at 16.3M); with the largest family (T1 = 632, T2 = 1024, 11.0M pairs at
-# X = 5) and a 2^22-point grid `circle` peaks at 1.05 GB on a 2-CPU machine,
-# and 2^25 would pass 1.4 GB
+# The representation holds an 8-byte key per (member, point) pair and 8
+# bytes per represented integer (at most one per pair) while it is built,
+# and 16 bytes per represented integer after.  With a 2^22-point grid,
+# `circle` peaks at 0.66 GB at T1 = 632, T2 = 1024, X = 4 (7.3M pairs; the
+# representation stage 0.46 GB), 0.72 GB at X = 5 (11.0M; 0.51 GB) and
+# 0.50 GB at T1 = T2 = 32, X = 160 (16.3M; 0.30 GB) on a 2-CPU machine.
+# With the cap at 2^25 the pairs would take 1.03 GB (X = 8, 33.0M pairs),
+# but the box would not: _live_points takes about 52 bytes a box point
+# before the pairs are counted, so X = 5790 (16.8M points, at this cap)
+# peaks at 0.88 GB before it exits, and twice that would pass 1.4 GB
 REPRESENTATION_CAP = 1 << 24
 # the key of a pair is the int64 (n - n_lo) P + pair, P the number of pairs:
 # (n_hi - n_lo + 1) P above this cap, or a value n that may leave +-2^62,
@@ -350,28 +354,30 @@ class Representation:
     """Weighted representation numbers of a family at scale X.
 
     values holds the represented integers n in ascending order and weights
-    the R(n) aligned with them.  origin holds, aligned with them, the first
-    (member, point) pair giving n, as member * points + point over the live
-    points of the (x, y) box in row-major order: the first pair in member
-    order, then in box order.  pairs counts the (member, point) pairs summed.
+    the R(n) aligned with them.  pairs counts the (member, point) pairs
+    summed.
     """
     family: Family
     x_scale: int
     truncation: int | None
     values: np.ndarray
     weights: np.ndarray
-    origin: np.ndarray
     pairs: int = 0
 
     @cached_property
     def witnesses(self) -> np.ndarray | None:
         """For exact-coprime runs only (else None), the (m, 3) int64 array of
         (member index, x, y) aligned with values, n = (f - a)(2x, y) and
-        gcd(2x, y) = 1, read off origin when first accessed."""
+        gcd(2x, y) = 1: the first pair giving n in member order, then in
+        row-major order of the live points of the (x, y) box.  It is read,
+        when first accessed, off the keys of _sorted_keys, evaluated and
+        sorted again: the first key of n's run is the least key at or above
+        (n - n_lo) P."""
         if self.truncation is not None:
             return None
-        fx, fy, _ = _live_points(self.x_scale, None)
-        member, point = np.divmod(self.origin, fx.size)
+        keys, n_lo, (fx, fy, _), _ = _sorted_keys(self.family, self.x_scale, None)
+        heads = (self.values - n_lo) * keys.size
+        member, point = np.divmod(keys[np.searchsorted(keys, heads)] - heads, fx.size)
         return np.stack([member, fx[point], fy[point]], axis=1)
 
     def total_mass(self) -> float:
@@ -439,27 +445,19 @@ def _value_bounds(forms: np.ndarray, mono: np.ndarray, step: int):
     return n_lo, n_hi
 
 
-def representation_number(family: Family, x_scale: int,
-                          truncation: int | None = None) -> Representation:
-    """Direct double sum over the family and the smoothed (x, y) box.
+def _sorted_keys(family: Family, x_scale: int, truncation: int | None):
+    """The keys of the (member, point) pairs, sorted in place.
 
-    With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
-    with truncation=U >= 2 the Moebius sum over u | (2x, y), u < U is used
-    instead (values may then be negative).  The (member, point) pair k =
-    member * points + point of value n gets the int64 key (n - n_lo) P + k,
-    P the number of pairs and n_lo <= n <= n_hi read off the forms and the
-    box.  The keys are evaluated into one array, sorted in place and reduced
-    in chunks of about max(_CHUNK_ELEMENTS, points) pairs; a run of equal n
-    lists its pairs in ascending order and is never split, so the result
-    does not depend on the chunk size.  The peak is 8 bytes a pair plus the
-    result.  A CapExceededError is raised, before anything that
-    size is allocated, when the (x, y) box or family size times live points
-    exceeds REPRESENTATION_CAP, or the keys exceed REPRESENTATION_KEY_CAP."""
-    X = x_scale
-    if truncation is not None and truncation < 2:
-        raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
-                         f"u < U is empty below), got {truncation}")
-    fx, fy, fw = _live_points(X, truncation)
+    The pair k = member * points + point of value n = (f - a)(2x, y) gets
+    the int64 key (n - n_lo) P + k, P the number of pairs and n_lo <= n <=
+    n_hi read off the forms and the box, so a run of equal n lists its pairs
+    in ascending order.  Returns the keys, n_lo, the live points (fx, fy,
+    fw) of _live_points and the pairs a chunk evaluates or reduces at once,
+    max(_CHUNK_ELEMENTS, points).  A CapExceededError is raised, before
+    anything that size is allocated, when the (x, y) box or family size times
+    live points exceeds REPRESENTATION_CAP, or the keys exceed
+    REPRESENTATION_KEY_CAP."""
+    fx, fy, fw = _live_points(x_scale, truncation)
     members, points = len(family), fx.size
     pairs = members * points
     if pairs > REPRESENTATION_CAP:
@@ -492,9 +490,37 @@ def representation_number(family: Family, x_scale: int,
         flat += lo * points
     del term, offsets
     keys.sort()
+    return keys, n_lo, (fx, fy, fw), chunk
+
+
+def representation_number(family: Family, x_scale: int,
+                          truncation: int | None = None) -> Representation:
+    """Direct double sum over the family and the smoothed (x, y) box.
+
+    With truncation=None the coprimality gcd(2x, y) = 1 is enforced exactly;
+    with truncation=U >= 2 the Moebius sum over u | (2x, y), u < U is used
+    instead (values may then be negative).  The keys of _sorted_keys are
+    reduced in chunks of about max(_CHUNK_ELEMENTS, points) pairs; a run of
+    equal n is never split, so the result does not depend on the chunk size.
+    The values are written to the front of the key buffer, which is then
+    shrunk in place, and the weights to one array sized by a count of the
+    runs, so the peak is 8 bytes a pair plus 8 bytes a represented integer
+    and a chunk's temporaries; the result keeps 16 bytes a represented
+    integer.  A CapExceededError is raised, before anything that size is
+    allocated, when the (x, y) box or family size times live points exceeds
+    REPRESENTATION_CAP, or the keys exceed REPRESENTATION_KEY_CAP."""
+    if truncation is not None and truncation < 2:
+        raise InputError(f"truncation U must be at least 2 (the Moebius sum over "
+                         f"u < U is empty below), got {truncation}")
+    keys, n_lo, (_, _, fw), chunk = _sorted_keys(family, x_scale, truncation)
+    pairs, points = keys.size, fw.size
+    runs = int(pairs > 0)
+    for lo in range(0, pairs, chunk):
+        rel = keys[max(lo - 1, 0):lo + chunk] // pairs
+        runs += int(np.count_nonzero(rel[1:] != rel[:-1]))
+    weights = np.empty(runs)
     # reduce a chunk of keys at a time, cut where a run starts; the kept
     # n - n_lo go to the front of keys, which is read ahead of them
-    origin, weights = [np.empty(0, dtype=np.int64)], [np.empty(0)]
     pos = m = 0
     while pos < pairs:
         end = min(pos + chunk, pairs)
@@ -507,24 +533,29 @@ def representation_number(family: Family, x_scale: int,
         head = np.ones(rel.size, dtype=bool)
         np.not_equal(rel[1:], rel[:-1], out=head[1:])
         starts = np.flatnonzero(head)
-        pair = keys[pos:end] - rel * pairs
-        sums = np.add.reduceat(fw[pair % points], starts)
+        sums = np.add.reduceat(fw[(keys[pos:end] - rel * pairs) % points], starts)
         # drop numerically zero entries
         keep = np.abs(sums) > 1e-14
         starts, sums = starts[keep], sums[keep]
         keys[m:m + starts.size] = rel[starts]
-        origin.append(pair[starts])
-        weights.append(sums)
+        weights[m:m + sums.size] = sums
         m, pos = m + starts.size, end
-    origin = np.concatenate(origin)  # one list at a time, each freed once joined
-    weights = np.concatenate(weights)
-    values = keys[:m] + n_lo
-    return Representation(family, X, truncation, values, weights, origin, pairs)
+    # no view of either buffer is left, so both shrink in place
+    keys.resize(m, refcheck=False)
+    keys += n_lo
+    weights.resize(m, refcheck=False)
+    return Representation(family, x_scale, truncation, keys, weights, pairs)
 
 
 def fold_weights(rep: Representation, grid: int) -> np.ndarray:
-    """The weights R(n) summed over each class n mod grid."""
-    return np.bincount(rep.values % grid, rep.weights, minlength=grid)
+    """The weights R(n) summed over each class n mod grid, added in the
+    order of values, _CHUNK_ELEMENTS at a time, so that no temporary is as
+    long as values."""
+    folded = np.zeros(grid)
+    for lo in range(0, rep.values.size, _CHUNK_ELEMENTS):
+        hi = lo + _CHUNK_ELEMENTS
+        np.add.at(folded, rep.values[lo:hi] % grid, rep.weights[lo:hi])
+    return folded
 
 
 def rhat_on_grid(rep: Representation, grid: int) -> np.ndarray:
@@ -535,9 +566,18 @@ def rhat_on_grid(rep: Representation, grid: int) -> np.ndarray:
 @dataclass
 class ArcDecomposition:
     grid: int
-    major: np.ndarray      # M(n) for n = 0..grid-1 (mod-grid frequencies)
-    error: np.ndarray      # E(n)
+    major: np.ndarray      # M(n) for n = 0..grid-1 (mod-grid frequencies), real
+    error: np.ndarray      # E(n), real
     folded: np.ndarray     # exact folded representation weights
+
+
+def _totient_sum(n: int) -> int:
+    """phi(1) + ... + phi(n - 1), from a sieve of the totients below n."""
+    phi = np.arange(max(n, 1), dtype=np.int64)
+    for p in range(2, n):
+        if phi[p] == p:  # no smaller prime divides p
+            phi[p::p] -= phi[p::p] // p
+    return int(phi[1:].sum())
 
 
 def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarray:
@@ -547,10 +587,9 @@ def bump_on_grid(n_scale: float, q0_cut: int, k0: float, grid: int) -> np.ndarra
     can check a grid before building anything."""
     theta = np.arange(grid) / grid
     bump = big_theta(theta, n_scale, q0_cut, k0)
-    # quadrature sanity: total bump mass vs exact sum of spike masses
-    exact_mass = (k0 / n_scale) * sum(
-        1 for q in range(1, q0_cut) for r in range(q) if gcd(r, q) == 1
-    )
+    # quadrature sanity: total bump mass vs exact sum of spike masses, one
+    # for each r/q in lowest terms with 0 <= r < q < q0_cut
+    exact_mass = (k0 / n_scale) * _totient_sum(q0_cut)
     got = float(bump.mean())
     if exact_mass > 0 and abs(got - exact_mass) > max(1e-3 * exact_mass, 1e-12):
         raise GridTooCoarseError(
@@ -564,16 +603,24 @@ def major_arc_decomposition(rep: Representation, bump: np.ndarray) -> ArcDecompo
 
     bump is bump_on_grid(n_scale, q0_cut, k0, grid), which checks that the
     grid resolves the spikes; the grid is its length.  M integrates
-    bump * Rhat against e(-n theta); E the complement.
+    bump * Rhat against e(-n theta); E the complement.  The folded weights
+    are real, so Rhat(-theta) is the conjugate of Rhat(theta), and the real
+    parts of M and E are those of the even part of the bump, which the
+    half-spectrum real transforms give; their imaginary parts are the bump's
+    asymmetry, roundoff, and are not formed.
     The sum M + E reproduces the grid-folded representation weights
     exactly (up to float roundoff); for parameter choices whose values
     exceed the grid this folding is the documented aliasing.
     """
     grid = bump.size
     folded = fold_weights(rep, grid)
-    rhat = grid * np.fft.ifft(folded)
-    major = np.fft.fft(bump * rhat) / grid
-    error = np.fft.fft((1.0 - bump) * rhat) / grid
+    spec = np.fft.rfft(folded)  # the conjugate of Rhat on 0 <= theta <= 1/2
+    even = bump[:spec.size].copy()  # (bump(theta) + bump(-theta)) / 2
+    even[1:] += bump[:grid - spec.size:-1]
+    even[1:] *= 0.5
+    major = np.fft.irfft(even * spec, grid)
+    spec *= np.subtract(1.0, even, out=even)
+    error = np.fft.irfft(spec, grid)
     return ArcDecomposition(grid, major, error, folded)
 
 
@@ -590,12 +637,8 @@ def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,
     bump = big_theta(theta, n_scale, q0_cut, k0)
     weight = np.abs(1.0 - bump) ** 2 * rhat2
     # classify each grid point by its Dirichlet approximation q <= m_depth
-    qs = np.zeros(grid, dtype=np.int64)
-    betas = np.zeros(grid)
-    for j in range(grid):
-        q, r = _dirichlet(j / grid, m_depth)
-        qs[j] = q
-        betas[j] = j / grid - r / q
+    qs, rs = _dirichlet(grid, m_depth)
+    betas = np.arange(grid) / grid - rs / qs
     def region_mean(sel):
         return float(weight[sel].mean()) if sel.any() else 0.0
 
@@ -609,20 +652,22 @@ def minor_arc_report(rep: Representation, n_scale: float, q0_cut: int,
     return {"I_Q0K0": i_q0k0, "I_Q0": i_q0, "I_Q_dyadic": blocks}
 
 
-def _dirichlet(theta: float, m_depth: int):
-    """Best rational r/q, q <= m_depth, via continued fractions."""
-    p0, q0_, p1, q1 = 0, 1, 1, 0
-    x = theta
-    best = (1, 0)
-    for _ in range(64):
-        a = int(math.floor(x))
-        p0, q0_, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0_
-        if q1 > m_depth:
-            break
-        best = (q1, p1) if q1 >= 1 else best
-        frac = x - a
-        if frac < 1e-15:
-            break
-        x = 1.0 / frac
-    q, r = best
-    return max(q, 1), r
+def _dirichlet(grid: int, m_depth: int):
+    """For each theta = j/grid, 0 <= j < grid, the last convergent r/q of
+    its continued fraction with q <= m_depth (1/0 counts as none, so q >= 1),
+    as int64 arrays (q, r): an exact Euclid over (j, grid), one step for
+    every j still expanding at a time."""
+    qs, rs = np.ones(grid, dtype=np.int64), np.zeros(grid, dtype=np.int64)
+    j = np.arange(grid, dtype=np.int64)  # the points still expanding
+    num, den = j.copy(), np.full(grid, grid, dtype=np.int64)
+    p0, q0 = np.zeros(grid, dtype=np.int64), np.ones(grid, dtype=np.int64)
+    p1, q1 = q0.copy(), p0.copy()
+    while j.size:
+        a, rem = np.divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        keep = q1 <= m_depth
+        qs[j[keep]], rs[j[keep]] = q1[keep], p1[keep]
+        keep &= rem > 0
+        j, num, den = j[keep], den[keep], rem[keep]
+        p0, q0, p1, q1 = p0[keep], q0[keep], p1[keep], q1[keep]
+    return qs, rs

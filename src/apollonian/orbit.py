@@ -677,16 +677,18 @@ class Family:
 
 # shell pairs norm_shells and build_family take, read at each call: circle
 # (and its --t1 help), demos 05 and 07 reach it, and only tests change it.
-# About 72 bytes of peak memory each, so near the cap the family peaks near
-# 0.33 GB (4,043,520 pairs at T1 = 632, T2 = 1024: 321 MB, 3,664,119
-# members); `circle` adds the representation numbers and the grid, 0.97 GB
-# at X = 4 and 1.05 GB at X = 5 with a 2^22-point grid, so twice the cap
-# would pass 1.4 GB
-FAMILY_PAIR_CAP = 1 << 22
-# largest T_i norm_shells walks to: the smallest non-empty shell holds 12
-# elements (T = 6 to 9), and at T = 38,300 12 times the T-shell is already
-# above FAMILY_PAIR_CAP; the walk to 4 T at T = 38,000 takes about 2-3 s and
-# 0.22 GB
+# About 76 bytes of peak memory each, so near the cap the family peaks near
+# 0.64 GB (7,996,320 pairs at T1 = 632, T2 = 1540: 608 MB, 7,229,124
+# members; 4,043,520 pairs at T2 = 1024: 322 MB).  `circle` adds the
+# representation numbers and the grid: with a 2^22-point grid, 1.04 GB at
+# T2 = 1540, X = 4 (14.5M (member, point) pairs, the most the
+# REPRESENTATION_CAP leaves this family), 0.93 GB at T2 = 1300, X = 5
+# (16.4M), and 0.66 and 0.72 GB at T2 = 1024, X = 4 and 5, on a 2-CPU
+# machine; twice the cap would pass 1.2 GB on the family alone
+FAMILY_PAIR_CAP = 1 << 23
+# largest T_i norm_shells walks to: the walk to 4 T at T = 38,000 takes
+# about 2-3 s and 0.22 GB (the smallest non-empty shell holds 12 elements,
+# T = 6 to 9, and at T = 38,300 12 times the T-shell is above 2^22 pairs)
 SHELL_T_CAP = 38_000
 
 

@@ -411,6 +411,25 @@ def test_circle_stages_within_elapsed(capsys):
     assert_stage_cpu_within_report(rep)
 
 
+def test_circle_q0cap_over_cap_exits_3_before_the_bump(monkeypatch, capsys):
+    # the bump sums a tent for every r/q with q < --q0cap, in time near
+    # q0cap^2: 4,000 would take minutes
+    reached = []
+
+    def bump(n_scale, q0_cut, k0, grid):
+        reached.append(q0_cut)
+        raise expsums.GridTooCoarseError("refine the grid")
+
+    monkeypatch.setattr(expsums, "bump_on_grid", bump)
+    argv = ["circle", "--t1", "8", "--t2", "8", "--x", "8", "--q0cap"]
+    assert run(argv + ["4000"]) == 3
+    assert capsys.readouterr().err.strip() == (
+        f"--q0cap 4000 is above the cap {cli.CIRCLE_Q0_CAP}")
+    assert not reached
+    assert run(argv + [str(cli.CIRCLE_Q0_CAP)]) == 2
+    assert reached == [cli.CIRCLE_Q0_CAP]
+
+
 def test_circle_q0cap_0_exits_2():
     # the dyadic minor-arc blocks doubled q from 0 forever; a subprocess
     # with a timeout fails instead of hanging the suite

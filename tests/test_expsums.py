@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -505,7 +506,7 @@ def test_representation_runs_longer_than_a_chunk(family_8, monkeypatch):
     assert np.all(np.abs(reps[0].weights - ref) <= 1e-12 * np.abs(ref))
     assert reps[0].witnesses.tolist() == [list(witnesses[k]) for k in keys]
     for rep in reps[1:]:
-        for name in ("values", "weights", "origin"):
+        for name in ("values", "weights", "witnesses"):
             assert np.array_equal(getattr(rep, name), getattr(reps[0], name)), name
 
 
@@ -538,6 +539,22 @@ def test_witnesses_built_when_read(family_8, monkeypatch):
     assert rep.witnesses.tolist() == [list(witnesses[k]) for k in rep.values.tolist()]
     assert len(calls) == 2  # built once, on the first read
     assert es.representation_number(family_8, 32, truncation=4).witnesses is None
+
+
+def test_representation_peak(family_8, monkeypatch):
+    # the keys (8 bytes a pair) hold the values at the end, and the weights
+    # are one array: 8 bytes a pair plus 16 bytes a value plus a chunk's
+    # temporaries, where a list of chunks, their concatenation and a copy of
+    # the values came to 588 KB
+    monkeypatch.setattr(es, "_CHUNK_ELEMENTS", 1000)
+    tracemalloc.start()
+    try:
+        rep = es.representation_number(family_8, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.pairs, rep.values.size) == (96 * 192, 16_809)
+    assert peak <= 8 * rep.pairs + 16 * rep.values.size + 64 * 1000, peak
 
 
 def test_representation_key_cap(family_8):
@@ -577,6 +594,21 @@ def test_fold_weights_matches_loop(family_8):
             assert np.array_equal(es.fold_weights(rep, grid), reference_fold(rep, grid))
 
 
+def test_fold_weights_peak(family_8, monkeypatch):
+    # the classes are taken a slice at a time: no temporary of 8 bytes a
+    # value (16,809 values, where values % grid took 134 KB)
+    rep = es.representation_number(family_8, 32)
+    monkeypatch.setattr(es, "_CHUNK_ELEMENTS", 1000)
+    tracemalloc.start()
+    try:
+        folded = es.fold_weights(rep, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(folded, reference_fold(rep, 2048))
+    assert peak <= 8 * 2048 + 32 * 1000, peak
+
+
 def l1_distance(rep, other):
     """Sum over n of |R(n) - R'(n)|, an n missing from one side counting 0."""
     _, inverse = np.unique(np.concatenate((rep.values, other.values)), return_inverse=True)
@@ -611,6 +643,27 @@ def test_major_arc_decomposition(family_8):
         es.bump_on_grid(n_scale, 8, 0.25, 256)
 
 
+def complex_decomposition(rep, bump):
+    """M and E through the complex transforms of the whole grid."""
+    grid = bump.size
+    rhat = grid * np.fft.ifft(es.fold_weights(rep, grid))
+    return np.fft.fft(bump * rhat) / grid, np.fft.fft((1.0 - bump) * rhat) / grid
+
+
+@pytest.mark.parametrize("shells,x,grid", [((8, 8), 32, 1 << 16), ((8, 32), 8, 1 << 12),
+                                           ((32, 32), 32, 1 << 16)])
+@pytest.mark.parametrize("truncation", [None, 4])
+def test_major_arc_decomposition_matches_complex(shells, x, grid, truncation):
+    family = orbit.build_family(ROOT, *shells)
+    rep = es.representation_number(family, x, truncation)
+    bump = es.bump_on_grid(family.t * x * x, 8, 64.0, grid)
+    dec = es.major_arc_decomposition(rep, bump)
+    assert dec.major.dtype == dec.error.dtype == np.float64
+    for got, ref in zip((dec.major, dec.error), complex_decomposition(rep, bump)):
+        assert np.abs(got - ref.real).max() <= 1e-12 * np.abs(ref.real).max()
+        assert np.array_equal(np.sign(got), np.sign(ref.real))
+
+
 def test_major_arc_sign_report(family_8, registry):
     rep = es.representation_number(family_8, 32)
     n_scale = family_8.t * 32 * 32
@@ -627,3 +680,37 @@ def test_minor_arc_report(family_8):
     out = es.minor_arc_report(rep, n_scale, 8, 64.0, 1 << 12, 256)
     assert set(out) == {"I_Q0K0", "I_Q0", "I_Q_dyadic"}
     assert all(v >= 0 for v in (out["I_Q0K0"], out["I_Q0"]))
+
+
+def dirichlet_reference(j, grid, m_depth):
+    """The last convergent r/q of j/grid with q <= m_depth, in Fractions."""
+    x = Fraction(j, grid)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    best = (1, 0)
+    while True:
+        a = x.numerator // x.denominator
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > m_depth:
+            return best
+        best = (q1, p1)
+        if x == a:
+            return best
+        x = 1 / (x - a)
+
+
+@pytest.mark.parametrize("grid,m_depth", [(4096, 37), (4096, 50), (4096, 100),
+                                          (4096, 256), (256, 37), (1, 5)])
+def test_dirichlet_matches_fractions(grid, m_depth):
+    qs, rs = es._dirichlet(grid, m_depth)
+    assert qs.dtype == rs.dtype == np.int64
+    assert list(zip(qs.tolist(), rs.tolist())) == [
+        dirichlet_reference(j, grid, m_depth) for j in range(grid)]
+    if (grid, m_depth) == (4096, 37):
+        # 704/4096 = 11/64 = [0; 5, 1, 4, 2]: 5/29, not the mediant 6/35
+        assert (qs[704], rs[704]) == (29, 5)
+
+
+def test_totient_sum():
+    for n in range(0, 60):
+        assert es._totient_sum(n) == sum(1 for q in range(1, n) for r in range(q)
+                                         if gcd(r, q) == 1)
